@@ -8,10 +8,12 @@
 //! baseline numbers are the measured grid of the pre-optimisation tree
 //! (`String` keys, per-tick O(N²) liveness sweep, unbounded metric
 //! series); they are frozen here so a scaling regression fails the bench
-//! loudly. Two gates:
+//! loudly. Three gates:
 //!
 //! * the 2000-node × 200k-op cell must run at least [`SPEEDUP_GATE`]×
 //!   the frozen baseline throughput;
+//! * on the full grid, every cell must run at least [`CELL_FLOOR`]× its
+//!   frozen baseline — no cell may pay for another's gain;
 //! * throughput degradation must stay **sub-linear in node count**: at
 //!   the heaviest op count, growing the cluster R× may cost at most R×
 //!   in ops/sec (the pre-opt tree failed this: 5× the nodes cost 34×).
@@ -65,6 +67,10 @@ const OP_GRID: &[u64] = &[1_000, 20_000, 200_000];
 /// Minimum throughput improvement over the frozen baseline at the
 /// heaviest cell (2000 nodes × 200k ops).
 const SPEEDUP_GATE: f64 = 5.0;
+
+/// Minimum throughput of any full-grid cell relative to its frozen
+/// baseline.
+const CELL_FLOOR: f64 = 0.95;
 
 /// Measured ops/sec of the pre-optimisation tree, per (nodes, ops) cell
 /// (same driver, same seeds, release build).
@@ -240,6 +246,22 @@ fn experiment() -> Vec<CellResult> {
             cell.ops_per_sec,
             cell.baseline_ops_per_sec,
         );
+
+        // Gate 3: every cell holds the floor against its own frozen
+        // baseline (full grid only: the baselines were measured on an idle
+        // machine, which a shared CI runner's smoke pass is not).
+        for c in &cells {
+            let ratio = c.ops_per_sec / c.baseline_ops_per_sec;
+            assert!(
+                ratio >= CELL_FLOOR,
+                "acceptance: {}x{} runs {:.1} ops/sec, {ratio:.2}x the frozen baseline {:.1} \
+                 (floor {CELL_FLOOR}x)",
+                c.nodes,
+                c.ops,
+                c.ops_per_sec,
+                c.baseline_ops_per_sec,
+            );
+        }
     }
 
     println!(

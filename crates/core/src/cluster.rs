@@ -14,7 +14,7 @@
 use crate::client::Client;
 use crate::msg::DropletMsg;
 use crate::persist::PersistNode;
-use crate::sieve_spec::SieveSpec;
+use crate::sieve_spec::{OwnerIndex, SieveSpec};
 use crate::soft::{MultiPutStatus, PutStatus, SoftNode};
 use crate::tuple::{Key, StoredTuple};
 use dd_dht::Version;
@@ -23,6 +23,7 @@ use dd_sim::rng::mix;
 use dd_sim::{Ctx, Duration, NodeId, Process, Sim, SimConfig, TimerTag};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// Result of a completed write.
 pub type PutResult = PutStatus;
@@ -433,8 +434,8 @@ impl Cluster {
             (config.soft_n..config.soft_n + config.persist_n).map(NodeId).collect();
         let fanout = config.fanout.unwrap_or_else(|| required_fanout(config.persist_n, 0.999));
         // Sieve acceptance is deterministic from the spec, so the
-        // coordinators can hold every persist node's sieve (index-parallel
-        // to `persist_ids`) and route writes directly to their owners.
+        // coordinators share one index of every persist node's sieve
+        // (parallel to `persist_ids`) and route writes directly to owners.
         let sieves: Vec<SieveSpec> = persist_ids
             .iter()
             .enumerate()
@@ -452,6 +453,7 @@ impl Cluster {
                 },
             })
             .collect();
+        let persist = Arc::new(OwnerIndex::new(persist_ids.clone(), sieves));
         // Pre-size the event heap for the population's steady chatter
         // (start events, repair timers, dissemination bursts) so large
         // clusters don't regrow it through the opening storm.
@@ -460,8 +462,7 @@ impl Cluster {
             Sim::new(SimConfig::default().seed(seed).queue_capacity(queue_capacity));
         for &id in &soft_ids {
             let mut soft =
-                SoftNode::new(&soft_ids, persist_ids.clone(), fanout, config.cache_capacity)
-                    .with_persist_sieves(sieves.clone());
+                SoftNode::new(&soft_ids, Arc::clone(&persist), fanout, config.cache_capacity);
             if config.fanout.is_none() {
                 // No pinned fanout: let the epidemic fallback track the
                 // failure detector's live-set estimate instead of the
@@ -475,7 +476,7 @@ impl Cluster {
             }
             sim.add_node(id, DropletNode::Soft(soft));
         }
-        for (i, (&id, sieve)) in persist_ids.iter().zip(&sieves).enumerate() {
+        for (i, (&id, sieve)) in persist_ids.iter().zip(&persist.sieves).enumerate() {
             let peers: Vec<NodeId> = persist_ids.iter().copied().filter(|&p| p != id).collect();
             let mut node =
                 PersistNode::new(sieve.clone(), fanout, peers, config.repair_period.map(Duration));

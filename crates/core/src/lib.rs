@@ -119,7 +119,7 @@ pub use scenario::{
     EnvChange, ErrorCounts, Fault, Phase, PhaseReport, Scenario, ScenarioError, ScenarioReport,
     Tier,
 };
-pub use sieve_spec::SieveSpec;
+pub use sieve_spec::{OwnerIndex, SieveSpec};
 pub use soft::MultiPutStatus;
 pub use tuple::{Key, StoredTuple, Tag, TupleSpec};
 pub use workload::{MultiPutOp, Workload, WorkloadKind};

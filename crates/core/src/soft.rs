@@ -2,7 +2,7 @@
 //! metadata and read/write coordination (§II of the paper).
 
 use crate::msg::DropletMsg;
-use crate::sieve_spec::SieveSpec;
+use crate::sieve_spec::OwnerIndex;
 use crate::tuple::{Key, StoredTuple, TupleSpec};
 use dd_dht::{HashRing, Metadata, TupleCache, Version, VersionAuthority};
 use dd_epidemic::required_fanout;
@@ -12,6 +12,7 @@ use dd_sim::rng::stream_rng;
 use dd_sim::{Ctx, Duration, NodeId, Time, TimerTag, TraceCtx};
 use rand::seq::SliceRandom;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 /// Timer tag for the multi-op deadline sweep.
 pub const MULTI_OP_TIMER: TimerTag = TimerTag(0x4D47);
@@ -230,14 +231,11 @@ pub struct SoftNode {
     pub metadata: Metadata,
     /// The tuple cache.
     pub cache: TupleCache<StoredTuple>,
-    /// All persistent-layer node ids.
-    pub persist_peers: Vec<NodeId>,
-    /// The sieve each persist peer runs, parallel to `persist_peers`.
-    /// Sieve acceptance is deterministic, so a coordinator that knows the
-    /// sieves can deliver a write *directly* to the nodes that will store
-    /// it (batched [`DropletMsg::DeliverBatch`]) instead of broadcasting
-    /// it epidemically. Empty = fall back to epidemic dissemination.
-    pub persist_sieves: Vec<SieveSpec>,
+    /// Every persist node's id and sieve, shared by all soft nodes. Sieve
+    /// acceptance is deterministic, so a write goes *directly* to the nodes
+    /// that will store it (batched [`DropletMsg::DeliverBatch`]) instead of
+    /// being broadcast epidemically. Empty = epidemic fallback.
+    pub persist: Arc<OwnerIndex>,
     /// Dissemination fanout used when originating writes (the epidemic
     /// fallback path).
     pub fanout: u32,
@@ -306,7 +304,7 @@ impl SoftNode {
     #[must_use]
     pub fn new(
         soft_members: &[NodeId],
-        persist_peers: Vec<NodeId>,
+        persist: Arc<OwnerIndex>,
         fanout: u32,
         cache_capacity: usize,
     ) -> Self {
@@ -315,15 +313,14 @@ impl SoftNode {
             ring.add(m, 16);
         }
         let known_peers: Vec<NodeId> =
-            soft_members.iter().copied().chain(persist_peers.iter().copied()).collect();
+            soft_members.iter().copied().chain(persist.peers.iter().copied()).collect();
         let reachable: HashSet<NodeId> = known_peers.iter().copied().collect();
         SoftNode {
             ring,
             authority: VersionAuthority::new(),
             metadata: Metadata::new(8),
             cache: TupleCache::new(cache_capacity),
-            persist_peers,
-            persist_sieves: Vec::new(),
+            persist,
             fanout,
             adaptive_fanout: false,
             fallback_fetches: 5,
@@ -354,22 +351,10 @@ impl SoftNode {
 
     /// Builder: enables tag-aware routing for tag-scoped reads. `slots`
     /// and `r` must match the persistent layer's tag-sieve parameters,
-    /// and `persist_peers[s]` must be the node running slot `s`.
+    /// and `persist.peers[s]` must be the node running slot `s`.
     #[must_use]
     pub fn with_tag_routing(mut self, slots: u64, r: u32) -> Self {
         self.tag_routing = Some(TagRouting { slots, r });
-        self
-    }
-
-    /// Builder: gives the coordinator the persist layer's sieve map so
-    /// writes go directly (and batched) to the nodes that will keep them.
-    ///
-    /// # Panics
-    /// Panics when `sieves` is not parallel to `persist_peers`.
-    #[must_use]
-    pub fn with_persist_sieves(mut self, sieves: Vec<SieveSpec>) -> Self {
-        assert_eq!(sieves.len(), self.persist_peers.len(), "one sieve per persist peer");
-        self.persist_sieves = sieves;
         self
     }
 
@@ -405,7 +390,7 @@ impl SoftNode {
             return;
         }
         let mut merged: Option<ExtremaEstimator> = None;
-        for &p in &self.persist_peers {
+        for &p in &self.persist.peers {
             if !self.reachable.contains(&p) {
                 continue;
             }
@@ -545,21 +530,6 @@ impl SoftNode {
         self.coordinator_of(key_hash) == Some(me)
     }
 
-    /// The persist nodes whose sieves will keep `tuple`. Tombstones are
-    /// wanted everywhere (see `PersistNode::wants`).
-    fn owners_of(&self, tuple: &StoredTuple) -> Vec<NodeId> {
-        if tuple.deleted {
-            return self.persist_peers.clone();
-        }
-        let meta = tuple.item_meta();
-        self.persist_peers
-            .iter()
-            .zip(&self.persist_sieves)
-            .filter(|(_, sieve)| sieve.accepts(&meta))
-            .map(|(&p, _)| p)
-            .collect()
-    }
-
     /// Remembers a write until every owner has confirmed storage, so a
     /// heal or revival can re-deliver it (the acked-while-owners-dark
     /// lost-write case). Bounded by [`UNDELIVERED_RETENTION`].
@@ -645,11 +615,11 @@ impl SoftNode {
         tuple: StoredTuple,
         trace: Option<TraceCtx>,
     ) {
-        if self.persist_sieves.is_empty() {
+        if self.persist.sieves.is_empty() {
             // Epidemic fallback: blind fanout into the persist layer,
             // relayed infect-and-die by the receivers.
             let me = ctx.id();
-            let mut targets = self.persist_peers.clone();
+            let mut targets = self.persist.peers.clone();
             targets.shuffle(ctx.rng());
             targets.truncate(self.fanout as usize);
             for t in targets {
@@ -669,7 +639,7 @@ impl SoftNode {
         // Sieve-routed direct delivery: acceptance is deterministic, so
         // sending only to the owners stores exactly the set a full
         // broadcast would, at ~replication-degree messages per tuple.
-        let owners = self.owners_of(&tuple);
+        let owners = self.persist.owners_of(&tuple);
         self.track_undelivered(&tuple, &owners);
         for owner in owners {
             if self.reachable.contains(&owner) {
@@ -1058,9 +1028,9 @@ impl SoftNode {
         match self.tag_routing {
             Some(rt) => TagSieve::tag_slots(tag_hash, rt.slots, rt.r)
                 .into_iter()
-                .filter_map(|slot| self.persist_peers.get(slot as usize).copied())
+                .filter_map(|slot| self.persist.peers.get(slot as usize).copied())
                 .collect(),
-            None => self.persist_peers.clone(),
+            None => self.persist.peers.clone(),
         }
     }
 
@@ -1086,7 +1056,7 @@ impl SoftNode {
         // Location hints first; random fallback otherwise.
         let mut targets: Vec<NodeId> = self.metadata.holders(key_hash).to_vec();
         if targets.is_empty() {
-            let mut pool = self.persist_peers.clone();
+            let mut pool = self.persist.peers.clone();
             pool.shuffle(ctx.rng());
             pool.truncate(self.fallback_fetches);
             targets = pool;
@@ -1141,7 +1111,7 @@ impl SoftNode {
                 }
             }
             DropletMsg::ClientScan { req, lo, hi, trace } => {
-                let targets = self.persist_peers.clone();
+                let targets = self.persist.peers.clone();
                 self.trace_coord(ctx, req, trace, "soft.scan");
                 if targets.is_empty() {
                     self.completed_scans.insert(req, Vec::new());
@@ -1261,7 +1231,7 @@ impl SoftNode {
                 }
             }
             DropletMsg::ClientAggregate { req, trace } => {
-                let targets = self.persist_peers.clone();
+                let targets = self.persist.peers.clone();
                 self.trace_coord(ctx, req, trace, "soft.agg");
                 if targets.is_empty() {
                     self.completed_aggs.insert(
@@ -1458,7 +1428,8 @@ mod tests {
     #[test]
     fn coordinator_is_consistent_across_nodes() {
         let members: Vec<NodeId> = (0..4).map(NodeId).collect();
-        let nodes: Vec<SoftNode> = (0..4).map(|_| SoftNode::new(&members, vec![], 4, 16)).collect();
+        let nodes: Vec<SoftNode> =
+            (0..4).map(|_| SoftNode::new(&members, Arc::default(), 4, 16)).collect();
         for k in 0..100u64 {
             let c0 = nodes[0].coordinator_of(k);
             for n in &nodes {
@@ -1499,7 +1470,7 @@ mod tests {
     fn retiring_a_put_completion_releases_its_ack_route() {
         use rand::SeedableRng;
         let members = vec![NodeId(0)];
-        let mut n = SoftNode::new(&members, vec![], 4, 16);
+        let mut n = SoftNode::new(&members, Arc::default(), 4, 16);
         let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
         let mut metrics = dd_sim::Metrics::new();
         // Drive writes far past the cap without ever harvesting.
@@ -1522,7 +1493,7 @@ mod tests {
     #[test]
     fn wipe_and_reconstruct_restores_versions() {
         let members = vec![NodeId(0)];
-        let mut n = SoftNode::new(&members, vec![], 4, 16);
+        let mut n = SoftNode::new(&members, Arc::default(), 4, 16);
         // Simulate three writes' worth of authority state.
         let kh = Key::from("k").hash();
         n.authority.assign(kh);

@@ -294,3 +294,194 @@ mod interning {
         }
     }
 }
+
+/// Compiled placement: [`SieveSpec`] answers in closed form on its own
+/// fields and [`OwnerIndex`] inverts a whole population once. Both must
+/// decide exactly what the objects they replaced decided — the concrete
+/// `dd_sieve` sieve built from the same fields, and the ask-every-sieve
+/// scan the coordinator used to run per write.
+mod placement {
+    use super::*;
+    use dd_core::OwnerIndex;
+    use dd_sieve::{HistogramSieve, RangeSieve, Sieve, TagSieve, UniformSieve};
+    use dd_sim::rng::mix;
+    use dd_sim::NodeId;
+
+    /// Hashes on both sides of every seam an `of`-way partition has near
+    /// segments 1, 2, `of / 2` and the slack-absorbing last one.
+    fn seam_hashes(of: u64) -> Vec<u64> {
+        let seg = u64::MAX / of;
+        let mut hashes = vec![0, 1, u64::MAX - 1, u64::MAX, (of - 1) * seg];
+        for k in [1, 2, of / 2, of - 1, of] {
+            if (1..=of).contains(&k) {
+                hashes.extend([k * seg - 1, k * seg]);
+            }
+        }
+        hashes
+    }
+
+    /// Each hash as a bare item and with every mix of attribute and tag.
+    fn items(hashes: &[u64], attrs: &[f64], tag: u64) -> Vec<ItemMeta> {
+        let mut out = Vec::new();
+        for (i, &key_hash) in hashes.iter().enumerate() {
+            let attr = Some(attrs[i % attrs.len()]);
+            let tag_hash = Some(mix(tag, i as u64 % 5));
+            out.push(ItemMeta { key_hash, attr: None, tag_hash: None });
+            out.push(ItemMeta { key_hash, attr, tag_hash: None });
+            out.push(ItemMeta { key_hash, attr: None, tag_hash });
+            out.push(ItemMeta { key_hash, attr, tag_hash });
+        }
+        out
+    }
+
+    fn assert_same(spec: &SieveSpec, concrete: &impl Sieve, items: &[ItemMeta]) {
+        for item in items {
+            assert_eq!(spec.accepts(item), concrete.accepts(item), "{spec:?} on {item:?}");
+        }
+        assert_eq!(spec.class_id(), concrete.class_id(), "class of {spec:?}");
+        assert_eq!(spec.grain().to_bits(), concrete.grain().to_bits(), "grain of {spec:?}");
+    }
+
+    /// What the coordinator computed before the index existed.
+    fn scan_owners(peers: &[NodeId], sieves: &[SieveSpec], tuple: &StoredTuple) -> Vec<NodeId> {
+        let item = tuple.item_meta();
+        peers
+            .iter()
+            .zip(sieves)
+            .filter(|(_, sieve)| tuple.deleted || sieve.accepts(&item))
+            .map(|(&peer, _)| peer)
+            .collect()
+    }
+
+    /// A permutation of `0..n` drawn from `seed` (Fisher–Yates).
+    fn permutation(n: u64, seed: u64) -> Vec<u64> {
+        let mut order: Vec<u64> = (0..n).collect();
+        for i in (1..n as usize).rev() {
+            order.swap(i, (mix(seed, i as u64) % (i as u64 + 1)) as usize);
+        }
+        order
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// All four variants, `of` rarely dividing 2⁶⁴ and `r` on both
+        /// sides of `of`, probed at the partition seams and at random.
+        #[test]
+        fn closed_forms_equal_the_concrete_sieves(
+            of in 1u64..200,
+            pick in any::<u64>(),
+            r in 1u32..260,
+            random in prop::collection::vec(any::<u64>(), 8),
+            mut edges in prop::collection::vec(-1000.0f64..1000.0, 1..24),
+        ) {
+            let index = pick % of;
+            edges.sort_by(f64::total_cmp);
+            let mut attrs = vec![edges[0] - 1.0, edges[edges.len() - 1] + 1.0, 0.0];
+            attrs.extend(edges.iter().copied());
+            let mut hashes = seam_hashes(of);
+            hashes.extend(random);
+            let items = items(&hashes, &attrs, pick);
+
+            // The first and last nodes see the wrap and the slack.
+            for index in [index, 0, of - 1] {
+                assert_same(
+                    &SieveSpec::Range { index, of, r },
+                    &RangeSieve::partition(index, of, r),
+                    &items,
+                );
+            }
+            assert_same(
+                &SieveSpec::Uniform { salt: pick, r, n: of },
+                &UniformSieve::replication(pick, r, of),
+                &items,
+            );
+            assert_same(
+                &SieveSpec::Tag { slot: index, slots: of, r },
+                &TagSieve::new(index, of, r),
+                &items,
+            );
+            let bucket = (pick % (edges.len() as u64 + 1)) as usize;
+            assert_same(
+                &SieveSpec::Histogram { edges: edges.clone(), index: bucket, r },
+                &HistogramSieve::new(edges, bucket, r),
+                &items,
+            );
+        }
+
+        /// Indexed lookup returns the scan's owners, in peer order, for
+        /// every population shape the index distinguishes — tabled
+        /// (`Range`, `Tag`, either with positions permuted against peer
+        /// order) and scanned (`Uniform`, `Histogram`, mixed).
+        #[test]
+        fn owner_index_matches_the_linear_scan(
+            n in 2u64..40,
+            r in 1u32..6,
+            seed in any::<u64>(),
+            keys in prop::collection::vec("[a-z0-9:]{1,16}", 1..24),
+        ) {
+            // Descending ids: peer order is list order, not id order.
+            let peers: Vec<NodeId> = (0..n).map(|i| NodeId(1000 - i)).collect();
+            let shuffled = permutation(n, seed);
+            let edges: Vec<f64> = (1..n).map(|k| k as f64 * 10.0).collect();
+            let range = |i: u64| SieveSpec::default_for(i, n, r);
+            let tag = |i: u64| SieveSpec::Tag { slot: i, slots: n, r };
+            let uniform = |i: u64| SieveSpec::Uniform { salt: mix(seed, i), r, n };
+            let populations: Vec<Vec<SieveSpec>> = vec![
+                (0..n).map(range).collect(),
+                (0..n).map(tag).collect(),
+                (0..n).map(uniform).collect(),
+                (0..n)
+                    .map(|i| SieveSpec::Histogram { edges: edges.clone(), index: i as usize, r })
+                    .collect(),
+                (0..n).map(|i| if i % 3 == 0 { tag(i) } else { range(i) }).collect(),
+                // One sieve of another partition makes the whole list mixed.
+                (0..n).map(|i| if i == 0 { SieveSpec::default_for(0, 1, r) } else { range(i) })
+                    .collect(),
+                shuffled.iter().map(|&i| range(i)).collect(),
+                shuffled.iter().map(|&i| tag(i)).collect(),
+            ];
+            let mut tuples = Vec::new();
+            for (i, key) in keys.iter().enumerate() {
+                let value = (mix(seed, i as u64) % (n * 10 + 20)) as f64 - 10.0;
+                let attr = (i % 2 == 0).then_some(value);
+                let tag = (i % 3 != 0).then(|| format!("feed:{}", i % 4));
+                let key = Key::from(key.as_str());
+                let tag = tag.as_deref();
+                tuples.push(StoredTuple::new(key.clone(), Version(1), b"v".to_vec(), attr, tag));
+                tuples.push(StoredTuple::tombstone(key, Version(2)));
+            }
+            // Seams of the key space, which no short key hashes onto.
+            for h in seam_hashes(n) {
+                let mut t = tuples[0].clone();
+                t.key_hash = h;
+                tuples.push(t);
+            }
+            for sieves in populations {
+                let index = OwnerIndex::new(peers.clone(), sieves.clone());
+                for tuple in &tuples {
+                    let owners = index.owners_of(tuple);
+                    prop_assert_eq!(&owners, &scan_owners(&peers, &sieves, tuple),
+                        "{:?} under {:?}", tuple, &sieves[0]);
+                    if tuple.deleted {
+                        prop_assert_eq!(&owners, &peers, "tombstones go to every peer");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one sieve per persist peer")]
+    fn owner_index_rejects_lists_that_are_not_parallel() {
+        let sieves = (0..4).map(|i| SieveSpec::default_for(i, 4, 2)).collect();
+        let _ = OwnerIndex::new((0..5).map(NodeId).collect(), sieves);
+    }
+
+    #[test]
+    #[should_panic(expected = "node index out of range")]
+    fn owner_index_rejects_a_position_outside_the_population() {
+        let sieves = vec![SieveSpec::default_for(0, 2, 1), SieveSpec::default_for(2, 2, 1)];
+        let _ = OwnerIndex::new(vec![NodeId(0), NodeId(1)], sieves);
+    }
+}

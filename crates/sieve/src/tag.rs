@@ -42,6 +42,13 @@ impl TagSieve {
         TagSieve { slot, slots, r, fallback: UniformSieve::replication(slot, r, slots) }
     }
 
+    /// The first of a tag's `r` consecutive slots; panics if `slots == 0`.
+    #[must_use]
+    pub fn home_slot(tag_hash: u64, slots: u64) -> u64 {
+        assert!(slots > 0, "slot count must be positive");
+        mix(tag_hash, 0x7A6) % slots
+    }
+
     /// The slots a tag hashes to under a `(slots, r)` population — the
     /// *routing view* of the collocation invariant. A coordinator that
     /// knows the population parameters can name a tag's `r` owners without
@@ -52,8 +59,7 @@ impl TagSieve {
     /// Panics if `slots == 0`.
     #[must_use]
     pub fn tag_slots(tag_hash: u64, slots: u64, r: u32) -> Vec<u64> {
-        assert!(slots > 0, "slot count must be positive");
-        let home = mix(tag_hash, 0x7A6) % slots;
+        let home = Self::home_slot(tag_hash, slots);
         (0..u64::from(r).min(slots)).map(|k| (home + k) % slots).collect()
     }
 
@@ -63,10 +69,13 @@ impl TagSieve {
         Self::tag_slots(tag_hash, self.slots, self.r)
     }
 
-    /// Whether this node owns `tag_hash`.
+    /// Whether this node owns `tag_hash`, without materialising its slots.
     #[must_use]
     pub fn owns_tag(&self, tag_hash: u64) -> bool {
-        self.slots_for_tag(tag_hash).contains(&self.slot)
+        let home = Self::home_slot(tag_hash, self.slots);
+        let ahead =
+            if self.slot >= home { self.slot - home } else { self.slot + (self.slots - home) };
+        ahead < u64::from(self.r)
     }
 }
 
@@ -160,6 +169,19 @@ mod tests {
         for tag in 0..200u64 {
             let s = TagSieve::new(3, 17, 4);
             assert_eq!(s.slots_for_tag(tag), TagSieve::tag_slots(tag, 17, 4));
+        }
+    }
+
+    #[test]
+    fn owns_tag_is_membership_in_the_routing_view() {
+        for (slots, r) in [(1u64, 1u32), (1, 4), (5, 5), (5, 9), (17, 4), (64, 3)] {
+            for slot in 0..slots {
+                let s = TagSieve::new(slot, slots, r);
+                for tag in 0..300u64 {
+                    let tag_hash = mix(tag, 0xC0FFEE);
+                    assert_eq!(s.owns_tag(tag_hash), s.slots_for_tag(tag_hash).contains(&slot));
+                }
+            }
         }
     }
 
