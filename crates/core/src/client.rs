@@ -24,10 +24,10 @@
 //! ```
 
 use crate::cluster::{
-    AggregateResult, Cluster, DropletNode, GetResult, MultiGetResult, MultiPutResult, PutResult,
+    AggregateResult, Cluster, GetResult, MultiGetResult, MultiPutResult, PutResult,
 };
 use crate::msg::DropletMsg;
-use crate::soft::SoftNode;
+use crate::soft::Done;
 use crate::tuple::{Key, StoredTuple, Tag, TupleSpec};
 use bytes::Bytes;
 use dd_audit::{OpDesc, OpFailure, Outcome};
@@ -109,16 +109,9 @@ pub trait OpKind: sealed::Sealed {
     type Output;
     #[doc(hidden)]
     const KIND: Kind;
+    /// This kind's result out of a harvested [`Completion`].
     #[doc(hidden)]
-    fn take(soft: &mut SoftNode, req: u64) -> Option<Self::Output>;
-    #[doc(hidden)]
-    fn finish(raw: Self::Output, _want: usize) -> Result<Self::Output, OpError> {
-        Ok(raw)
-    }
-    /// The audit-history projection of a harvested completion (built only
-    /// when a recorder is installed — see [`Cluster::begin_audit`]).
-    #[doc(hidden)]
-    fn audit(raw: &Self::Output, want: usize) -> Outcome;
+    fn project(completion: Completion) -> Result<Self::Output, OpError>;
 }
 
 /// Marker types naming each operation kind (the `K` of [`Pending<K>`]).
@@ -146,8 +139,8 @@ pub mod ops {
     pub enum MultiGet {}
 }
 
-/// Runtime tag mirroring the [`ops`] markers, used by [`Client::drain`]
-/// to harvest without knowing static types.
+/// Runtime tag mirroring the [`ops`] markers: what a session remembers
+/// about an outstanding operation's kind.
 #[doc(hidden)]
 #[allow(missing_docs)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -161,51 +154,7 @@ pub enum Kind {
     MultiGet,
 }
 
-/// Harvests one completion through kind `K`'s [`OpKind`] impl — the
-/// single source of take/finish semantics for both the typed
-/// ([`Client::poll`]) and runtime ([`Client::drain`]) paths. When `audit`
-/// is set, the completion's history projection is extracted from the raw
-/// record *before* `finish` consumes it (a partially ordered batch still
-/// audits its per-item versions).
-fn harvest<K: OpKind>(
-    soft: &mut SoftNode,
-    req: u64,
-    want: usize,
-    audit: bool,
-    wrap: fn(Result<K::Output, OpError>) -> Completion,
-) -> Option<(Completion, Option<Outcome>)> {
-    K::take(soft, req).map(|raw| {
-        let outcome = audit.then(|| K::audit(&raw, want));
-        (wrap(K::finish(raw, want)), outcome)
-    })
-}
-
 impl Kind {
-    /// Probes one soft node for this kind's completion of `req`.
-    fn take(
-        self,
-        soft: &mut SoftNode,
-        req: u64,
-        want: usize,
-        audit: bool,
-    ) -> Option<(Completion, Option<Outcome>)> {
-        match self {
-            Kind::Put => harvest::<ops::Put>(soft, req, want, audit, Completion::Put),
-            Kind::Delete => harvest::<ops::Delete>(soft, req, want, audit, Completion::Delete),
-            Kind::Get => harvest::<ops::Get>(soft, req, want, audit, Completion::Get),
-            Kind::Scan => harvest::<ops::Scan>(soft, req, want, audit, Completion::Scan),
-            Kind::Aggregate => {
-                harvest::<ops::Aggregate>(soft, req, want, audit, Completion::Aggregate)
-            }
-            Kind::MultiPut => {
-                harvest::<ops::MultiPut>(soft, req, want, audit, Completion::MultiPut)
-            }
-            Kind::MultiGet => {
-                harvest::<ops::MultiGet>(soft, req, want, audit, Completion::MultiGet)
-            }
-        }
-    }
-
     /// The root span label of this kind's trace.
     fn trace_label(self) -> &'static str {
         match self {
@@ -233,98 +182,32 @@ impl Kind {
     }
 }
 
-impl sealed::Sealed for ops::Put {}
-impl OpKind for ops::Put {
-    type Output = PutResult;
-    const KIND: Kind = Kind::Put;
-    fn take(soft: &mut SoftNode, req: u64) -> Option<PutResult> {
-        soft.take_put(req)
-    }
-    fn audit(raw: &PutResult, _want: usize) -> Outcome {
-        Outcome::Write { version: raw.version }
-    }
-}
-
-impl sealed::Sealed for ops::Delete {}
-impl OpKind for ops::Delete {
-    type Output = PutResult;
-    const KIND: Kind = Kind::Delete;
-    fn take(soft: &mut SoftNode, req: u64) -> Option<PutResult> {
-        soft.take_put(req)
-    }
-    fn audit(raw: &PutResult, _want: usize) -> Outcome {
-        Outcome::Write { version: raw.version }
-    }
-}
-
-impl sealed::Sealed for ops::Get {}
-impl OpKind for ops::Get {
-    type Output = Option<GetResult>;
-    const KIND: Kind = Kind::Get;
-    fn take(soft: &mut SoftNode, req: u64) -> Option<Option<GetResult>> {
-        soft.take_get(req)
-    }
-    fn audit(raw: &Option<GetResult>, _want: usize) -> Outcome {
-        Outcome::Read { version: raw.as_ref().map(|t| t.version) }
-    }
-}
-
-impl sealed::Sealed for ops::Scan {}
-impl OpKind for ops::Scan {
-    type Output = Vec<StoredTuple>;
-    const KIND: Kind = Kind::Scan;
-    fn take(soft: &mut SoftNode, req: u64) -> Option<Vec<StoredTuple>> {
-        soft.take_scan(req)
-    }
-    fn audit(raw: &Vec<StoredTuple>, _want: usize) -> Outcome {
-        Outcome::Scan { tuples: raw.len() as u64 }
-    }
-}
-
-impl sealed::Sealed for ops::Aggregate {}
-impl OpKind for ops::Aggregate {
-    type Output = AggregateResult;
-    const KIND: Kind = Kind::Aggregate;
-    fn take(soft: &mut SoftNode, req: u64) -> Option<AggregateResult> {
-        soft.take_agg(req).map(|(sketch, min, max)| AggregateResult::from_parts(sketch, min, max))
-    }
-    fn audit(_raw: &AggregateResult, _want: usize) -> Outcome {
-        Outcome::Aggregate
-    }
-}
-
-impl sealed::Sealed for ops::MultiPut {}
-impl OpKind for ops::MultiPut {
-    type Output = MultiPutResult;
-    const KIND: Kind = Kind::MultiPut;
-    fn take(soft: &mut SoftNode, req: u64) -> Option<MultiPutResult> {
-        soft.take_multi_put(req)
-    }
-    fn finish(raw: MultiPutResult, want: usize) -> Result<MultiPutResult, OpError> {
-        if raw.items < want {
-            Err(OpError::PartialResult { got: raw.items, want })
-        } else {
-            Ok(raw)
+/// Ties a marker in [`ops`] to its same-named [`Kind`] tag and
+/// [`Completion`] variant.
+macro_rules! op_kind {
+    ($($name:ident => $output:ty),* $(,)?) => {$(
+        impl sealed::Sealed for ops::$name {}
+        impl OpKind for ops::$name {
+            type Output = $output;
+            const KIND: Kind = Kind::$name;
+            fn project(completion: Completion) -> Result<$output, OpError> {
+                match completion {
+                    Completion::$name(result) => result,
+                    other => unreachable!("{:?} harvested as {other:?}", Self::KIND),
+                }
+            }
         }
-    }
-    fn audit(raw: &MultiPutResult, want: usize) -> Outcome {
-        Outcome::MultiPut { versions: raw.versions.clone(), want: want as u32 }
-    }
+    )*};
 }
 
-impl sealed::Sealed for ops::MultiGet {}
-impl OpKind for ops::MultiGet {
-    type Output = MultiGetResult;
-    const KIND: Kind = Kind::MultiGet;
-    fn take(soft: &mut SoftNode, req: u64) -> Option<MultiGetResult> {
-        soft.take_multi_get(req).map(|(items, complete)| MultiGetResult { items, complete })
-    }
-    fn audit(raw: &MultiGetResult, _want: usize) -> Outcome {
-        Outcome::MultiGet {
-            items: raw.items.iter().map(|t| (t.key.as_str().to_owned(), t.version)).collect(),
-            complete: raw.complete,
-        }
-    }
+op_kind! {
+    Put => PutResult,
+    Get => Option<GetResult>,
+    Delete => PutResult,
+    Scan => Vec<StoredTuple>,
+    Aggregate => AggregateResult,
+    MultiPut => MultiPutResult,
+    MultiGet => MultiGetResult,
 }
 
 /// A typed completion handle: proof that operation `req` of kind `K` was
@@ -411,6 +294,51 @@ struct Outstanding {
     want: usize,
     /// Submission found no live entry node; completes as `NoLiveEntry`.
     stillborn: bool,
+}
+
+/// Turns the reply a coordinator parked into what the session hands out,
+/// plus its audit-history projection when a recorder is installed (taken
+/// from the raw reply: a partially ordered batch is an error to the caller
+/// but still audits its per-item versions).
+fn resolve(done: Done, o: Outstanding, audit: bool) -> (Completion, Option<Outcome>) {
+    match done {
+        Done::Write { status, .. } => {
+            let outcome = audit.then_some(Outcome::Write { version: status.version });
+            let wrap = if o.kind == Kind::Delete { Completion::Delete } else { Completion::Put };
+            (wrap(Ok(status)), outcome)
+        }
+        Done::Read(tuple) => {
+            let version = tuple.as_ref().map(|t| t.version);
+            (Completion::Get(Ok(tuple)), audit.then_some(Outcome::Read { version }))
+        }
+        Done::Scan(items) => {
+            let outcome = audit.then_some(Outcome::Scan { tuples: items.len() as u64 });
+            (Completion::Scan(Ok(items)), outcome)
+        }
+        Done::Aggregate { sketch, min, max } => {
+            let result = AggregateResult::from_parts(sketch, min, max);
+            (Completion::Aggregate(Ok(result)), audit.then_some(Outcome::Aggregate))
+        }
+        Done::MultiPut(status) => {
+            let outcome = audit.then(|| Outcome::MultiPut {
+                versions: status.versions.clone(),
+                want: o.want as u32,
+            });
+            let result = if status.items < o.want {
+                Err(OpError::PartialResult { got: status.items, want: o.want })
+            } else {
+                Ok(status)
+            };
+            (Completion::MultiPut(result), outcome)
+        }
+        Done::MultiGet { items, complete } => {
+            let outcome = audit.then(|| Outcome::MultiGet {
+                items: items.iter().map(|t| (t.key.as_str().to_owned(), t.version)).collect(),
+                complete,
+            });
+            (Completion::MultiGet(Ok(MultiGetResult { items, complete })), outcome)
+        }
+    }
 }
 
 /// A client session against one [`Cluster`].
@@ -626,43 +554,18 @@ impl Client {
     /// flight, `Some(result)` exactly once when it completes (the soft
     /// node's record is retired on harvest). A handle whose completion
     /// was already delivered — e.g. by an earlier poll or a [`Client::drain`]
-    /// sweep — or that belongs to another session yields
-    /// `Some(Err(OpError::AlreadyHarvested))`.
+    /// sweep — or that is not this session's (another session's handle, or
+    /// another cluster's whose id collides with an op of a different kind)
+    /// yields `Some(Err(OpError::AlreadyHarvested))`.
     pub fn poll<K: OpKind>(
         &mut self,
         cluster: &mut Cluster,
         pending: &Pending<K>,
     ) -> Option<Result<K::Output, OpError>> {
-        let Some(&o) = self.outstanding.get(&pending.req) else {
-            return Some(Err(OpError::AlreadyHarvested));
-        };
-        debug_assert_eq!(o.kind, K::KIND, "Pending kind mismatch");
-        if o.stillborn {
-            self.retire(cluster, pending.req, None);
-            cluster.record_failure(pending.req, OpFailure::NoLiveEntry);
-            return Some(Err(OpError::NoLiveEntry));
+        match self.outstanding.get(&pending.req) {
+            Some(&o) if o.kind == K::KIND => self.harvest(cluster, pending.req, o).map(K::project),
+            _ => Some(Err(OpError::AlreadyHarvested)),
         }
-        let audit = cluster.audit_enabled();
-        for id in cluster.soft_ids().to_vec() {
-            if let Some(soft) = cluster.sim.node_mut(id).and_then(DropletNode::as_soft_mut) {
-                if let Some(raw) = K::take(soft, pending.req) {
-                    let outcome = audit.then(|| K::audit(&raw, o.want));
-                    self.retire(cluster, pending.req, Some(o.issued));
-                    if let Some(outcome) = outcome {
-                        cluster.record_outcome(pending.req, outcome);
-                    }
-                    return Some(K::finish(raw, o.want));
-                }
-            }
-        }
-        if cluster.sim.now().since(o.issued).0 >= OP_TIMEOUT {
-            let waiting_on = cluster.blame_for(pending.req);
-            self.retire(cluster, pending.req, None);
-            cluster.sim.metrics_mut().incr("client.timeouts");
-            cluster.record_failure(pending.req, OpFailure::Timeout);
-            return Some(Err(OpError::Timeout { waiting_on }));
-        }
-        None
     }
 
     /// Drives virtual time until `pending` completes and returns its
@@ -686,42 +589,44 @@ impl Client {
     /// in request order: the batch companion to [`Client::poll`] for
     /// pipelined loops that don't track individual handles.
     pub fn drain(&mut self, cluster: &mut Cluster) -> Vec<(u64, Completion)> {
-        let now = cluster.sim.now();
-        let ids = cluster.soft_ids().to_vec();
-        let audit = cluster.audit_enabled();
-        let mut reqs: Vec<u64> = self.outstanding.keys().copied().collect();
-        reqs.sort_unstable();
-        let mut done = Vec::new();
-        for req in reqs {
-            let o = self.outstanding[&req];
-            if o.stillborn {
-                self.retire(cluster, req, None);
-                cluster.record_failure(req, OpFailure::NoLiveEntry);
-                done.push((req, o.kind.failed(OpError::NoLiveEntry)));
-                continue;
-            }
-            let harvested = ids.iter().find_map(|&id| {
-                cluster
-                    .sim
-                    .node_mut(id)
-                    .and_then(DropletNode::as_soft_mut)
-                    .and_then(|soft| o.kind.take(soft, req, o.want, audit))
-            });
-            if let Some((completion, outcome)) = harvested {
-                self.retire(cluster, req, Some(o.issued));
-                if let Some(outcome) = outcome {
-                    cluster.record_outcome(req, outcome);
-                }
-                done.push((req, completion));
-            } else if now.since(o.issued).0 >= OP_TIMEOUT {
-                let waiting_on = cluster.blame_for(req);
-                self.retire(cluster, req, None);
-                cluster.sim.metrics_mut().incr("client.timeouts");
-                cluster.record_failure(req, OpFailure::Timeout);
-                done.push((req, o.kind.failed(OpError::Timeout { waiting_on })));
-            }
+        let mut outstanding: Vec<(u64, Outstanding)> =
+            self.outstanding.iter().map(|(&req, &o)| (req, o)).collect();
+        outstanding.sort_unstable_by_key(|&(req, _)| req);
+        outstanding
+            .into_iter()
+            .filter_map(|(req, o)| {
+                self.harvest(cluster, req, o).map(|completion| (req, completion))
+            })
+            .collect()
+    }
+
+    /// The one harvest path behind [`Client::poll`] and [`Client::drain`]:
+    /// resolves outstanding operation `req` (`o`) if it can be — stillborn at
+    /// submission, completed at some coordinator, or past [`OP_TIMEOUT`]
+    /// (blaming the replica it was waiting on) — retiring it from the
+    /// session and reporting it to the audit recorder. `None` = in flight.
+    fn harvest(&mut self, cluster: &mut Cluster, req: u64, o: Outstanding) -> Option<Completion> {
+        if o.stillborn {
+            self.retire(cluster, req, None);
+            cluster.record_failure(req, OpFailure::NoLiveEntry);
+            return Some(o.kind.failed(OpError::NoLiveEntry));
         }
-        done
+        if let Some(done) = cluster.take_completion(req) {
+            let (completion, outcome) = resolve(done, o, cluster.audit_enabled());
+            self.retire(cluster, req, Some(o.issued));
+            if let Some(outcome) = outcome {
+                cluster.record_outcome(req, outcome);
+            }
+            return Some(completion);
+        }
+        if cluster.sim.now().since(o.issued).0 >= OP_TIMEOUT {
+            let waiting_on = cluster.blame_for(req);
+            self.retire(cluster, req, None);
+            cluster.sim.metrics_mut().incr("client.timeouts");
+            cluster.record_failure(req, OpFailure::Timeout);
+            return Some(o.kind.failed(OpError::Timeout { waiting_on }));
+        }
+        None
     }
 
     fn retire(&mut self, cluster: &mut Cluster, req: u64, harvested_issue: Option<Time>) {

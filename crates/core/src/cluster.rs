@@ -590,6 +590,14 @@ impl Cluster {
         self.sim.sampler_installed()
     }
 
+    /// Harvests the reply to `req` from whichever coordinator parked it.
+    pub(crate) fn take_completion(&mut self, req: u64) -> Option<crate::soft::Done> {
+        let Cluster { sim, soft_ids, .. } = self;
+        soft_ids
+            .iter()
+            .find_map(|&id| sim.node_mut(id).and_then(DropletNode::as_soft_mut)?.take(req))
+    }
+
     /// The replica a timed-out operation was still waiting on, per the
     /// soft tier's pending-op tables (`None` when no soft node holds
     /// pending state for it — e.g. the coordinator itself is dead).
@@ -1245,7 +1253,13 @@ mod tests {
         let mut abandoned = c.client();
         let total = COMPLETION_RETENTION as u64 + 200;
         for i in 0..total {
-            let _ = abandoned.put(&mut c, format!("leak:{i}"), vec![], None, None);
+            // One cap per coordinator: a mix of kinds parks no more than
+            // one kind would.
+            let _ = match i % 3 {
+                0 => abandoned.put(&mut c, format!("leak:{i}"), vec![], Some(0.5), None).req(),
+                1 => abandoned.get(&mut c, format!("leak:{}", i - 1)).req(),
+                _ => abandoned.scan(&mut c, 0.0, 1.0).req(),
+            };
             if i % 64 == 0 {
                 c.pump(200);
             }

@@ -45,22 +45,23 @@ const EXTREMA_K: usize = 64;
 /// across coordinators with the same reachability view.
 const EXTREMA_SALT: u64 = 0xEC7A_11E5_71AA_7E0F;
 
-/// Completion records a soft node retains per operation kind. Harvested
-/// completions are retired immediately; this cap bounds what *abandoned*
-/// sessions can leave behind — once exceeded, the oldest un-harvested
-/// record is retired, so sustained traffic from clients that never poll
-/// cannot grow node state without bound.
+/// Completion records a soft node retains, across every operation kind it
+/// coordinates. Harvested completions are retired immediately; this cap
+/// bounds what *abandoned* sessions can leave behind — once exceeded, the
+/// oldest un-harvested record is retired, so sustained traffic from
+/// clients that never poll cannot grow node state without bound.
 pub const COMPLETION_RETENTION: usize = 512;
 
 /// Bounded completion store: a map plus insertion-order retirement.
 ///
-/// Request ids are allocated monotonically and a record is written exactly
-/// once (later acks update in place), so insertion order is age order and
-/// retiring from the front is LRU retirement. [`CompletionLog::take`] is
-/// the harvest path — clients remove what they consume, so under a
-/// well-behaved session the log stays near-empty and the cap never bites.
+/// A record is written exactly once, when its operation completes (later
+/// acks update in place), so insertion order is age order and retiring
+/// from the front retires the oldest completion, whatever its kind.
+/// [`CompletionLog::take`] is the harvest path — clients remove what they
+/// consume, so under a well-behaved session the log stays near-empty and
+/// the cap never bites.
 #[derive(Debug, Clone)]
-pub(crate) struct CompletionLog<T> {
+struct CompletionLog<T> {
     cap: usize,
     map: HashMap<u64, T>,
     order: VecDeque<u64>,
@@ -94,7 +95,7 @@ impl<T> CompletionLog<T> {
 
     /// Harvests (removes) the completion for `req`. The order queue is
     /// compacted lazily once it outgrows the live map.
-    pub(crate) fn take(&mut self, req: u64) -> Option<T> {
+    fn take(&mut self, req: u64) -> Option<T> {
         let v = self.map.remove(&req);
         if self.order.len() > 2 * self.map.len() + 16 {
             self.order.retain(|id| self.map.contains_key(id));
@@ -107,18 +108,29 @@ impl<T> CompletionLog<T> {
     }
 
     /// Number of retained (un-harvested) completions.
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.map.len()
     }
 }
 
-impl<T: Clone> CompletionLog<T> {
-    /// Reads the completion for `req` *without* retiring it — the
-    /// regression shape [`SoftNode::seed_completion_leak`] re-introduces:
-    /// records accumulate forever because nothing ever removes them.
-    fn peek(&self, req: u64) -> Option<T> {
-        self.map.get(&req).cloned()
-    }
+/// What a coordinator parks for the session that issued a request, until
+/// [`SoftNode::take`] harvests it: one variant per reply shape.
+#[derive(Debug, Clone)]
+pub(crate) enum Done {
+    /// A write or delete was ordered. `status.acks` keeps counting in place
+    /// while the record is parked; `key_hash` routes those late acks.
+    Write { status: PutStatus, key_hash: u64 },
+    /// A read: `None` = unknown key, deleted, or not found.
+    Read(Option<StoredTuple>),
+    /// A scan's matching tuples.
+    Scan(Vec<StoredTuple>),
+    /// An aggregate's merged sketch and exact attribute bounds.
+    Aggregate { sketch: dd_estimation::DistSketch, min: f64, max: f64 },
+    /// A batched write.
+    MultiPut(MultiPutStatus),
+    /// A tag-scoped read: the deduplicated live tuples, and whether every
+    /// contacted replica answered before the deadline.
+    MultiGet { items: Vec<StoredTuple>, complete: bool },
 }
 
 /// Ticks a multi-tuple operation waits for stragglers before completing
@@ -249,21 +261,12 @@ pub struct SoftNode {
     /// sieves; `None` means tag-scoped reads fan out epidemically.
     pub tag_routing: Option<TagRouting>,
 
-    /// Completed writes: req → (status, key hash). Harvested through
-    /// [`SoftNode::take_put`] by client sessions, retired on harvest.
-    completed_puts: CompletionLog<(PutStatus, u64)>,
-    /// Completed reads: req → tuple (None = unknown key/deleted/not found).
-    completed_gets: CompletionLog<Option<StoredTuple>>,
-    /// Completed scans: req → matching tuples.
-    completed_scans: CompletionLog<Vec<StoredTuple>>,
-    /// Completed aggregates: req → (sketch, min, max).
-    completed_aggs: CompletionLog<(dd_estimation::DistSketch, f64, f64)>,
-    /// Completed batched writes: req → status.
-    completed_multi_puts: CompletionLog<MultiPutStatus>,
-    /// Completed tag-scoped reads: req → (deduplicated live tuples,
-    /// whether every contacted replica answered before the deadline).
-    completed_multi_gets: CompletionLog<(Vec<StoredTuple>, bool)>,
-
+    /// Completed operations of every kind: req → reply. Written only by
+    /// [`SoftNode::complete`], harvested (and retired) only by
+    /// [`SoftNode::take`].
+    completed: CompletionLog<Done>,
+    /// Ack routing for parked writes: `(key_hash, version)` → req. An entry
+    /// lives exactly as long as its [`Done::Write`] record.
     put_index: HashMap<(u64, Version), u64>,
     pending_gets: HashMap<u64, PendingGet>,
     pending_scans: HashMap<u64, PendingGather>,
@@ -292,11 +295,6 @@ pub struct SoftNode {
     /// `(key_hash, version)`, plus insertion order for cap retirement.
     undelivered: HashMap<(u64, Version), Undelivered>,
     undelivered_order: VecDeque<(u64, Version)>,
-    /// Test-only regression seed for the telemetry plane's leak detector:
-    /// when set ([`SoftNode::seed_completion_leak`]), harvests stop
-    /// retiring completion records — the unbounded-completion-log bug
-    /// shape — so [`SoftNode::completion_backlog`] grows monotonically.
-    leak_completions: bool,
 }
 
 impl SoftNode {
@@ -325,12 +323,7 @@ impl SoftNode {
             adaptive_fanout: false,
             fallback_fetches: 5,
             tag_routing: None,
-            completed_puts: CompletionLog::new(COMPLETION_RETENTION),
-            completed_gets: CompletionLog::new(COMPLETION_RETENTION),
-            completed_scans: CompletionLog::new(COMPLETION_RETENTION),
-            completed_aggs: CompletionLog::new(COMPLETION_RETENTION),
-            completed_multi_puts: CompletionLog::new(COMPLETION_RETENTION),
-            completed_multi_gets: CompletionLog::new(COMPLETION_RETENTION),
+            completed: CompletionLog::new(COMPLETION_RETENTION),
             put_index: HashMap::new(),
             pending_gets: HashMap::new(),
             pending_scans: HashMap::new(),
@@ -345,7 +338,6 @@ impl SoftNode {
             trace_waits: HashMap::new(),
             undelivered: HashMap::new(),
             undelivered_order: VecDeque::new(),
-            leak_completions: false,
         }
     }
 
@@ -413,82 +405,39 @@ impl SoftNode {
         self.ring.primary(key_hash)
     }
 
-    /// Harvests a completed write or delete, retiring the record and its
-    /// ack-routing entry. Late storage acks still update metadata.
-    pub(crate) fn take_put(&mut self, req: u64) -> Option<PutStatus> {
-        if self.leak_completions {
-            return self.completed_puts.peek(req).map(|(status, _)| status);
+    /// Parks the reply to `req` for its session and closes the op's
+    /// coordinator span (`answered` = nothing was given up on). The record
+    /// the cap retires to make room, if any, takes its ack route with it.
+    fn complete(&mut self, ctx: &mut Ctx<'_, DropletMsg>, req: u64, done: Done, answered: bool) {
+        self.trace_finish_op(ctx, req, answered);
+        if let Some((_, Done::Write { status, key_hash })) = self.completed.insert(req, done) {
+            self.put_index.remove(&(key_hash, status.version));
         }
-        let (status, key_hash) = self.completed_puts.take(req)?;
-        self.put_index.remove(&(key_hash, status.version));
-        Some(status)
     }
 
-    /// Harvests a completed read.
-    pub(crate) fn take_get(&mut self, req: u64) -> Option<Option<StoredTuple>> {
-        if self.leak_completions {
-            return self.completed_gets.peek(req);
+    /// Harvests the reply to `req`, retiring the record (and, for a write,
+    /// its ack route — late storage acks still update metadata).
+    pub(crate) fn take(&mut self, req: u64) -> Option<Done> {
+        let done = self.completed.take(req)?;
+        if let Done::Write { status, key_hash } = &done {
+            self.put_index.remove(&(*key_hash, status.version));
         }
-        self.completed_gets.take(req)
+        Some(done)
     }
 
-    /// Harvests a completed scan.
-    pub(crate) fn take_scan(&mut self, req: u64) -> Option<Vec<StoredTuple>> {
-        if self.leak_completions {
-            return self.completed_scans.peek(req);
-        }
-        self.completed_scans.take(req)
-    }
-
-    /// Harvests a completed aggregate.
-    pub(crate) fn take_agg(&mut self, req: u64) -> Option<(dd_estimation::DistSketch, f64, f64)> {
-        if self.leak_completions {
-            return self.completed_aggs.peek(req);
-        }
-        self.completed_aggs.take(req)
-    }
-
-    /// Harvests a completed batched write.
-    pub(crate) fn take_multi_put(&mut self, req: u64) -> Option<MultiPutStatus> {
-        if self.leak_completions {
-            return self.completed_multi_puts.peek(req);
-        }
-        self.completed_multi_puts.take(req)
-    }
-
-    /// Harvests a completed tag-scoped read: the deduplicated live tuples
-    /// plus whether the replica union was complete (every contacted node
-    /// answered) or cut short by the multi-op deadline.
-    pub(crate) fn take_multi_get(&mut self, req: u64) -> Option<(Vec<StoredTuple>, bool)> {
-        if self.leak_completions {
-            return self.completed_multi_gets.peek(req);
-        }
-        self.completed_multi_gets.take(req)
-    }
-
-    /// Completion records currently retained across all op kinds. Bounded
-    /// by `6 ×` [`COMPLETION_RETENTION`] even when no session ever
-    /// harvests — the leak guard for abandoned clients.
+    /// Completion records currently retained. Bounded by
+    /// [`COMPLETION_RETENTION`] even when no session ever harvests — the
+    /// leak guard for abandoned clients.
     #[must_use]
     pub fn completion_backlog(&self) -> usize {
-        self.completed_puts.len()
-            + self.completed_gets.len()
-            + self.completed_scans.len()
-            + self.completed_aggs.len()
-            + self.completed_multi_puts.len()
-            + self.completed_multi_gets.len()
+        self.completed.len()
     }
 
     /// Completion records the retention cap has retired over this node's
     /// lifetime (the leak guard firing; 0 under well-behaved sessions).
     #[must_use]
     pub fn completions_retired(&self) -> u64 {
-        self.completed_puts.retired
-            + self.completed_gets.retired
-            + self.completed_scans.retired
-            + self.completed_aggs.retired
-            + self.completed_multi_puts.retired
-            + self.completed_multi_gets.retired
+        self.completed.retired
     }
 
     /// Client operations currently in flight on this coordinator (pending
@@ -507,23 +456,6 @@ impl SoftNode {
     #[must_use]
     pub fn outbox_depth(&self) -> usize {
         self.outbox.values().map(Vec::len).sum()
-    }
-
-    /// **Test-only.** Re-introduces the unbounded-completion-log
-    /// regression (PR 3's bug shape) so the telemetry plane's leak
-    /// detector has a true positive to catch: harvests stop retiring
-    /// records (peek instead of take) and the caps stop
-    /// evicting, so [`SoftNode::completion_backlog`] grows monotonically
-    /// with every completed op. Client-visible results are unchanged —
-    /// a harvest returns the same value it would have removed.
-    pub fn seed_completion_leak(&mut self) {
-        self.leak_completions = true;
-        self.completed_puts.cap = usize::MAX;
-        self.completed_gets.cap = usize::MAX;
-        self.completed_scans.cap = usize::MAX;
-        self.completed_aggs.cap = usize::MAX;
-        self.completed_multi_puts.cap = usize::MAX;
-        self.completed_multi_gets.cap = usize::MAX;
     }
 
     fn is_coordinator(&self, me: NodeId, key_hash: u64) -> bool {
@@ -684,12 +616,8 @@ impl SoftNode {
     ) {
         let (key_hash, version) = self.order_and_disseminate(ctx, item, delete, trace);
         self.put_index.insert((key_hash, version), req);
-        if let Some((_, (old, kh))) =
-            self.completed_puts.insert(req, (PutStatus { version, acks: 0 }, key_hash))
-        {
-            // Retired to stay within the cap: drop its ack routing too.
-            self.put_index.remove(&(kh, old.version));
-        }
+        let status = PutStatus { version, acks: 0 };
+        self.complete(ctx, req, Done::Write { status, key_hash }, true);
     }
 
     /// Completes a multi-put: records the status and counts a partial
@@ -699,9 +627,9 @@ impl SoftNode {
         if p.versions.len() < p.want {
             ctx.metrics().incr("soft.multi_put_partials");
         }
-        self.trace_finish_op(ctx, req, p.versions.len() >= p.want);
-        self.completed_multi_puts
-            .insert(req, MultiPutStatus { items: p.versions.len(), versions: p.versions });
+        let ordered = p.versions.len() >= p.want;
+        let status = MultiPutStatus { items: p.versions.len(), versions: p.versions };
+        self.complete(ctx, req, Done::MultiPut(status), ordered);
     }
 
     /// Completes a tag-scoped read; `full` is false when any contacted
@@ -711,8 +639,8 @@ impl SoftNode {
         if !p.full {
             ctx.metrics().incr("soft.multi_get_partials");
         }
-        self.trace_finish_op(ctx, req, p.full);
-        self.completed_multi_gets.insert(req, (Self::finalize_gather(p.items), p.full));
+        let items = Self::finalize_gather(p.items);
+        self.complete(ctx, req, Done::MultiGet { items, complete: p.full }, p.full);
     }
 
     /// Records one ordered item of a pending multi-put (acked by `from`);
@@ -744,8 +672,8 @@ impl SoftNode {
     fn note_stored(&mut self, from: NodeId, key_hash: u64, version: Version) {
         self.metadata.add_holder(key_hash, version, from);
         if let Some(&req) = self.put_index.get(&(key_hash, version)) {
-            if let Some((s, _)) = self.completed_puts.get_mut(req) {
-                s.acks += 1;
+            if let Some(Done::Write { status, .. }) = self.completed.get_mut(req) {
+                status.acks += 1;
             }
         }
         if let Some(u) = self.undelivered.get_mut(&(key_hash, version)) {
@@ -1040,16 +968,14 @@ impl SoftNode {
         ctx.metrics().incr("soft.reads");
         if latest == Version::ZERO {
             // Key never written through this (healthy) soft layer.
-            self.completed_gets.insert(req, None);
-            self.trace_finish_op(ctx, req, true);
+            self.complete(ctx, req, Done::Read(None), true);
             return;
         }
         // §II: "the soft-layer always knows the most recent version … the
         // use of quorums at the persistent-state layer is not necessary."
         if let Some(t) = self.cache.get(key_hash, latest) {
             ctx.metrics().incr("soft.cache_hits");
-            self.completed_gets.insert(req, (!t.deleted).then_some(t));
-            self.trace_finish_op(ctx, req, true);
+            self.complete(ctx, req, Done::Read((!t.deleted).then_some(t)), true);
             return;
         }
         ctx.metrics().incr("soft.cache_misses");
@@ -1063,8 +989,7 @@ impl SoftNode {
             ctx.metrics().incr("soft.fallback_fetches");
         }
         if targets.is_empty() {
-            self.completed_gets.insert(req, None);
-            self.trace_finish_op(ctx, req, true);
+            self.complete(ctx, req, Done::Read(None), true);
             return;
         }
         // Fetch from the reachable replicas now; remember the unreachable
@@ -1114,8 +1039,7 @@ impl SoftNode {
                 let targets = self.persist.peers.clone();
                 self.trace_coord(ctx, req, trace, "soft.scan");
                 if targets.is_empty() {
-                    self.completed_scans.insert(req, Vec::new());
-                    self.trace_finish_op(ctx, req, true);
+                    self.complete(ctx, req, Done::Scan(Vec::new()), true);
                     return;
                 }
                 self.pending_scans
@@ -1130,8 +1054,7 @@ impl SoftNode {
                 ctx.metrics().observe("multi_put.batch", items.len() as f64);
                 self.trace_coord(ctx, req, trace, "soft.multi_put");
                 if items.is_empty() {
-                    self.completed_multi_puts.insert(req, MultiPutStatus::default());
-                    self.trace_finish_op(ctx, req, true);
+                    self.complete(ctx, req, Done::MultiPut(MultiPutStatus::default()), true);
                     return;
                 }
                 let want = items.len();
@@ -1234,11 +1157,9 @@ impl SoftNode {
                 let targets = self.persist.peers.clone();
                 self.trace_coord(ctx, req, trace, "soft.agg");
                 if targets.is_empty() {
-                    self.completed_aggs.insert(
-                        req,
-                        (dd_estimation::DistSketch::new(16), f64::INFINITY, f64::NEG_INFINITY),
-                    );
-                    self.trace_finish_op(ctx, req, true);
+                    let sketch = dd_estimation::DistSketch::new(16);
+                    let (min, max) = (f64::INFINITY, f64::NEG_INFINITY);
+                    self.complete(ctx, req, Done::Aggregate { sketch, min, max }, true);
                     return;
                 }
                 self.pending_aggs.insert(
@@ -1274,8 +1195,7 @@ impl SoftNode {
                         self.pending_gets.remove(&req);
                         self.metadata.add_holder(t.key_hash, t.version, from);
                         self.cache.put(t.key_hash, t.version, t.clone());
-                        self.completed_gets.insert(req, (!t.deleted).then_some(t));
-                        self.trace_finish_op(ctx, req, true);
+                        self.complete(ctx, req, Done::Read((!t.deleted).then_some(t)), true);
                     }
                     None => {
                         // Conclude "not found" only once every replica we
@@ -1288,8 +1208,7 @@ impl SoftNode {
                             .is_some_and(|p| p.waiting.is_empty() && p.unreached.is_empty())
                         {
                             self.pending_gets.remove(&req);
-                            self.completed_gets.insert(req, None);
-                            self.trace_finish_op(ctx, req, true);
+                            self.complete(ctx, req, Done::Read(None), true);
                         }
                     }
                 }
@@ -1310,8 +1229,7 @@ impl SoftNode {
                 self.trace_reply(ctx, req, from);
                 if done {
                     let p = self.pending_scans.remove(&req).expect("present");
-                    self.completed_scans.insert(req, Self::finalize_gather(p.items));
-                    self.trace_finish_op(ctx, req, true);
+                    self.complete(ctx, req, Done::Scan(Self::finalize_gather(p.items)), true);
                 }
             }
             DropletMsg::AggReply { req, sketch, min, max } => {
@@ -1324,8 +1242,8 @@ impl SoftNode {
                 self.trace_reply(ctx, req, from);
                 if done {
                     let p = self.pending_aggs.remove(&req).expect("present");
-                    self.completed_aggs.insert(req, (p.sketch, p.min, p.max));
-                    self.trace_finish_op(ctx, req, true);
+                    let PendingAgg { sketch, min, max, .. } = p;
+                    self.complete(ctx, req, Done::Aggregate { sketch, min, max }, true);
                 }
             }
             _ => {}
@@ -1473,21 +1391,60 @@ mod tests {
         let mut n = SoftNode::new(&members, Arc::default(), 4, 16);
         let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
         let mut metrics = dd_sim::Metrics::new();
-        // Drive writes far past the cap without ever harvesting.
+        let spec = |i: u64| crate::tuple::TupleSpec::new(format!("k{i}"), vec![], None, None);
+        let first = Key::from("k0").hash();
         dd_sim::engine::with_adhoc_ctx::<DropletMsg, _>(
             NodeId(0),
             Time(0),
             &mut rng,
             &mut metrics,
             |ctx| {
-                for i in 0..(COMPLETION_RETENTION as u64 + 100) {
-                    let spec = crate::tuple::TupleSpec::new(format!("k{i}"), vec![], None, None);
-                    n.start_write(ctx, i, spec, false, None);
+                // Drive writes far past the cap without ever harvesting.
+                let writes = COMPLETION_RETENTION as u64 + 100;
+                for i in 0..writes {
+                    n.start_write(ctx, i, spec(i), false, None);
                 }
+                assert_eq!(n.completion_backlog(), COMPLETION_RETENTION, "completions capped");
+                assert_eq!(n.put_index.len(), COMPLETION_RETENTION, "ack index retired with them");
+                assert_eq!(n.completions_retired(), 100);
+
+                // The cap is per coordinator, not per kind: reads and scans
+                // age out an old *write* record, ack route included.
+                let oldest = writes - COMPLETION_RETENTION as u64;
+                let route = (Key::from(format!("k{oldest}").as_str()).hash(), Version(1));
+                assert_eq!(n.put_index.get(&route), Some(&oldest));
+                n.start_read(ctx, writes, &Key::from("never-written"));
+                let scan =
+                    DropletMsg::ClientScan { req: writes + 1, lo: 0.0, hi: 1.0, trace: None };
+                n.on_message(ctx, NodeId(0), scan);
+                assert_eq!(n.completion_backlog(), COMPLETION_RETENTION);
+                assert_eq!(n.put_index.len(), COMPLETION_RETENTION - 2);
+                assert!(!n.put_index.contains_key(&route), "evicted write lost its route");
+                assert!(n.take(oldest).is_none() && n.take(oldest + 1).is_none());
+                assert!(matches!(n.take(writes), Some(Done::Read(None))));
+                assert!(matches!(n.take(writes + 1), Some(Done::Scan(items)) if items.is_empty()));
+
+                // A late storage ack for the evicted write finds no record.
+                let parked = n.completion_backlog();
+                let ack = DropletMsg::StoredAck { key_hash: route.0, version: route.1 };
+                n.on_message(ctx, NodeId(9), ack);
+                assert_eq!(n.completion_backlog(), parked);
+                assert!(!n.put_index.contains_key(&route));
+                // …while one for a parked write still counts in place.
+                let live = oldest + 2;
+                let kh = Key::from(format!("k{live}").as_str()).hash();
+                n.on_message(
+                    ctx,
+                    NodeId(9),
+                    DropletMsg::StoredAck { key_hash: kh, version: Version(1) },
+                );
+                assert!(
+                    matches!(n.take(live), Some(Done::Write { status, .. }) if status.acks == 1)
+                );
+                assert!(!n.put_index.contains_key(&(kh, Version(1))), "harvest drops the route");
             },
         );
-        assert_eq!(n.completed_puts.len(), COMPLETION_RETENTION, "completions capped");
-        assert!(n.put_index.len() <= COMPLETION_RETENTION, "ack index retired with them");
+        assert_eq!(n.metadata.latest(first), Version(1), "eviction never touches metadata");
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! series and runs the leak / backlog / repair-divergence detectors. A
 //! healthy storm must come out clean.
 //!
-//! Act 2 seeds the PR 3 regression — completion logs that never evict —
-//! reruns the same drill, and shows the monotonic-growth detector pinning
-//! the leak on exactly `cluster.completion_backlog`.
+//! Act 2 seeds a regression from outside the store: a session that reads
+//! through a whole instrumented run and never harvests its replies. The
+//! monotonic-growth detector pins the leak on exactly
+//! `cluster.completion_backlog`.
 //!
 //! Act 3 exports the healthy run in both wire formats: Prometheus text
 //! exposition (last value per series, ready for a scrape endpoint) and a
@@ -21,9 +22,8 @@
 //! cargo run --release --example telemetry_drill
 //! ```
 
-use dd_core::cluster::DropletNode;
 use dd_core::scenario::library;
-use dd_core::{Cluster, ClusterConfig, Detector, Placement};
+use dd_core::{Cluster, ClusterConfig, Detector, Placement, TelemetryReport};
 
 fn cluster() -> Cluster {
     let config =
@@ -43,21 +43,19 @@ fn main() {
     println!("{}", telemetry.summary());
     assert!(telemetry.is_clean(), "a healthy storm must pass every detector");
 
-    // Act 2 — the seeded regression: flip every soft node's completion
-    // logs to the unbounded, never-evicting shape of the PR 3 bug. The
-    // run's answers are unchanged — only the backlog gauge grows without
-    // bound, and the leak detector must say exactly that.
+    // Act 2 — the seeded regression: a session reads every 80 ticks for
+    // the calm drill's 24 000 and never harvests, so each reply stays
+    // parked at its coordinator. 300 reads keep every coordinator below
+    // its retention cap: the backlog is still climbing when sampling
+    // stops, and the leak detector must say exactly that.
     let mut leaky = cluster();
-    for id in leaky.soft_ids().to_vec() {
-        leaky
-            .sim
-            .node_mut(id)
-            .and_then(DropletNode::as_soft_mut)
-            .expect("soft node")
-            .seed_completion_leak();
+    let mut abandoned = leaky.client();
+    leaky.begin_instrument();
+    for i in 0..300 {
+        let _ = abandoned.get(&mut leaky, format!("never-harvested:{i}"));
+        leaky.pump(80);
     }
-    let report = leaky.run_scenario(&library::churn_storm(2_027).instrumented());
-    let verdict = report.telemetry.as_ref().expect("telemetry attached");
+    let verdict = TelemetryReport::build(leaky.end_instrument().expect("sampler installed"));
     println!("seeded regression verdicts:");
     for finding in &verdict.findings {
         println!("  detector {finding}");

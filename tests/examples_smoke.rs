@@ -122,8 +122,8 @@ fn traced_drill_runs_the_tracing_plane() {
 #[test]
 fn telemetry_drill_runs_the_telemetry_plane() {
     // The example must run a stock drill instrumented (clean detectors),
-    // catch the seeded completion-log leak on the backlog gauge, and
-    // export both wire formats.
+    // catch the never-harvesting session's leak on the backlog gauge —
+    // and on nothing else — and export both wire formats.
     let out = run_example("telemetry_drill");
     assert!(
         out.contains("cluster series (min/mean/max/last)"),
@@ -133,9 +133,10 @@ fn telemetry_drill_runs_the_telemetry_plane() {
         out.contains("detectors: clean"),
         "telemetry drill's healthy run must come out clean; got:\n{out}"
     );
+    let verdicts: Vec<&str> = out.lines().filter(|l| l.contains("detector [")).collect();
     assert!(
-        out.contains("leak") && out.contains("cluster.completion_backlog"),
-        "telemetry drill must pin the seeded leak on the backlog gauge; got:\n{out}"
+        matches!(verdicts[..], [v] if v.contains("[leak] cluster.completion_backlog")),
+        "telemetry drill must pin the seeded leak on the backlog gauge alone; got:\n{out}"
     );
     assert!(
         out.contains("Prometheus") && out.contains("CSV"),

@@ -2,6 +2,7 @@
 //! runs, availability under partition + heal, and the error accounting
 //! of phases that end with operations still in flight.
 
+use dd_core::cluster::DropletNode;
 use dd_core::scenario::library;
 use dd_core::{
     Cluster, ClusterConfig, EnvChange, Fault, OpMix, Phase, Placement, Scenario, Tier, WorkloadKind,
@@ -179,5 +180,14 @@ fn library_drills_keep_the_dataset_available() {
         );
         assert!(readback.reads_found > 0, "{}: read-back found data", report.name);
         assert_eq!(report.errors().partials, 0, "{}: no partial batches", report.name);
+        // Harvesting sessions never leave enough behind for the
+        // completion cap to fire.
+        let retired: u64 = c
+            .soft_ids()
+            .iter()
+            .filter_map(|&id| c.sim.node(id).and_then(DropletNode::as_soft))
+            .map(|soft| soft.completions_retired())
+            .sum();
+        assert_eq!(retired, 0, "{}: retention cap fired under harvesting sessions", report.name);
     }
 }
