@@ -19,8 +19,18 @@
 //!   in ops/sec (the pre-opt tree failed this: 5× the nodes cost 34×).
 //!
 //! Peak memory rides along as an allocated-bytes proxy from a counting
-//! global allocator. Emits `BENCH_scale.json` at the workspace root.
-//! `E18_SMOKE=1` restricts the grid to 40/400 nodes for CI.
+//! global allocator.
+//!
+//! A second section, `bring_up`, times `Cluster::new` and the first
+//! `settle` on their own at {40, 400, 2000, 8000, 20 000} persist nodes
+//! and records the heap they need, beside the figures of the tree before
+//! bring-up was made linear (a peer list per persist node, a detector
+//! sweep over every pair, a population estimate per soft node). Seconds
+//! are the host's; the gate is on bytes, which repeat exactly: growing the
+//! population R× from 2000 nodes may cost at most 1.2 R× the heap.
+//!
+//! Emits `BENCH_scale.json` at the workspace root. `E18_SMOKE=1` restricts
+//! the grid to 40/400 nodes and bring-up to 8000 for CI.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dd_bench::{f, n, table_header, table_row};
@@ -86,6 +96,35 @@ const BASELINE: &[(u64, u64, f64)] = &[
     (2_000, 200_000, 694.8),
 ];
 
+/// Persist populations brought up (and only brought up) on their own,
+/// each with the `(Cluster::new s, settle s)` measured on the tree before
+/// linear bring-up where that was recorded (same box and build; 20 000
+/// nodes were out of its reach — 3.2 GB of peer lists alone).
+const BRING_UP_GRID: &[(u64, Option<(f64, f64)>)] = &[
+    (40, None),
+    (400, None),
+    (2_000, Some((0.039, 0.183))),
+    (8_000, Some((1.90, 4.70))),
+    (20_000, None),
+];
+
+/// The population the bring-up heap gate scales from.
+const BRING_UP_BASE: u64 = 2_000;
+
+/// Headroom over proportional heap growth in the bring-up gate.
+const BRING_UP_SLACK: f64 = 1.2;
+
+struct BringUp {
+    nodes: u64,
+    new_secs: f64,
+    settle_secs: f64,
+    /// High-water mark of live heap over `Cluster::new` + `settle`, above
+    /// what was live before them.
+    peak_alloc_bytes: u64,
+    /// `(new s, settle s)` before linear bring-up, where recorded.
+    before: Option<(f64, f64)>,
+}
+
 struct CellResult {
     nodes: u64,
     ops: u64,
@@ -103,17 +142,33 @@ fn baseline_for(nodes: u64, ops: u64) -> f64 {
         .expect("baseline cell present")
 }
 
+fn config_for(nodes: u64) -> ClusterConfig {
+    let soft_n = (nodes / 50).clamp(4, 16);
+    ClusterConfig { soft_n, persist_n: nodes, ..ClusterConfig::default() }.ring_repair()
+}
+
+/// Brings a cluster of `nodes` persist nodes up and drops it.
+fn bring_up(nodes: u64, before: Option<(f64, f64)>) -> BringUp {
+    let live_at_start = LIVE.load(Ordering::Relaxed);
+    PEAK.store(live_at_start, Ordering::Relaxed);
+    let t0 = Instant::now();
+    let mut cluster = Cluster::new(config_for(nodes), 0xE18_B000 ^ nodes);
+    let new_secs = t0.elapsed().as_secs_f64();
+    let t1 = Instant::now();
+    cluster.settle();
+    let settle_secs = t1.elapsed().as_secs_f64();
+    let peak_alloc_bytes = (PEAK.load(Ordering::Relaxed) - live_at_start) as u64;
+    BringUp { nodes, new_secs, settle_secs, peak_alloc_bytes, before }
+}
+
 /// One grid cell: build + settle a cluster of `nodes` persist nodes,
 /// then serve `ops` alternating put/get operations from a pipelined
 /// session pool. Identical to the driver the baseline grid was measured
 /// with, except ring-biased repair peering (the PR's topology-aware
 /// mode) is on.
 fn run_cell(nodes: u64, ops: u64) -> CellResult {
-    let soft_n = (nodes / 50).clamp(4, 16);
-    let config =
-        ClusterConfig { soft_n, persist_n: nodes, ..ClusterConfig::default() }.ring_repair();
     let setup = Instant::now();
-    let mut cluster = Cluster::new(config, 0xE18_0000 ^ nodes ^ (ops << 16));
+    let mut cluster = Cluster::new(config_for(nodes), 0xE18_0000 ^ nodes ^ (ops << 16));
     cluster.settle();
     let setup_secs = setup.elapsed().as_secs_f64();
     let mut sessions: Vec<_> = (0..SESSIONS).map(|_| cluster.client()).collect();
@@ -150,7 +205,24 @@ fn run_cell(nodes: u64, ops: u64) -> CellResult {
     }
 }
 
-fn write_summary(cells: &[CellResult], smoke: bool) {
+fn write_summary(cells: &[CellResult], bring_ups: &[BringUp], smoke: bool) {
+    let secs = |s: Option<f64>| s.map_or("null".to_owned(), |s| format!("{s:.3}"));
+    let bring_up_entries: Vec<String> = bring_ups
+        .iter()
+        .map(|b| {
+            format!(
+                "    {{\"nodes\": {}, \"new_secs\": {:.4}, \"settle_secs\": {:.4}, \
+                 \"peak_alloc_bytes\": {}, \"before_new_secs\": {}, \
+                 \"before_settle_secs\": {}}}",
+                b.nodes,
+                b.new_secs,
+                b.settle_secs,
+                b.peak_alloc_bytes,
+                secs(b.before.map(|(new, _)| new)),
+                secs(b.before.map(|(_, settle)| settle)),
+            )
+        })
+        .collect();
     let entries: Vec<String> = cells
         .iter()
         .map(|c| {
@@ -170,8 +242,9 @@ fn write_summary(cells: &[CellResult], smoke: bool) {
         .collect();
     let json = format!(
         "{{\n  \"bench\": \"e18_scale\",\n  \"gate\": {SPEEDUP_GATE},\n  \"smoke\": {smoke},\n  \
-         \"rows\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n")
+         \"rows\": [\n{}\n  ],\n  \"bring_up\": [\n{}\n  ]\n}}\n",
+        entries.join(",\n"),
+        bring_up_entries.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scale.json");
     if let Err(e) = std::fs::write(path, json) {
@@ -205,9 +278,43 @@ fn experiment() -> Vec<CellResult> {
         }
     }
 
+    let bring_up_grid = if smoke { &BRING_UP_GRID[..4] } else { BRING_UP_GRID };
+    table_header(
+        "E18: bring-up alone — Cluster::new + first settle (before: per-node peer lists, \
+         all-pairs detector sweep)",
+        &["nodes", "new s", "settle s", "peak MiB", "before new s", "before settle s"],
+    );
+    let bring_ups: Vec<BringUp> =
+        bring_up_grid.iter().map(|&(nodes, before)| bring_up(nodes, before)).collect();
+    for b in &bring_ups {
+        table_row(&[
+            n(b.nodes),
+            f(b.new_secs),
+            f(b.settle_secs),
+            f(b.peak_alloc_bytes as f64 / (1024.0 * 1024.0)),
+            b.before.map_or("-".to_owned(), |(new, _)| f(new)),
+            b.before.map_or("-".to_owned(), |(_, settle)| f(settle)),
+        ]);
+    }
+
     // The JSON lands before the gates so a failed gate still leaves the
     // measured grid behind for diagnosis.
-    write_summary(&cells, smoke);
+    write_summary(&cells, &bring_ups, smoke);
+
+    // Gate 0: bring-up heap is linear in the population. Bytes repeat
+    // exactly for a seed, so this gate needs no idle machine.
+    let heap = |nodes: u64| {
+        bring_ups.iter().find(|b| b.nodes == nodes).expect("population brought up").peak_alloc_bytes
+    };
+    let (largest, _) = *bring_up_grid.last().expect("bring-up grid non-empty");
+    let allowed = BRING_UP_SLACK * (largest / BRING_UP_BASE) as f64;
+    assert!(
+        heap(largest) as f64 <= allowed * heap(BRING_UP_BASE) as f64,
+        "acceptance: bringing up {largest} nodes needs {} B, over {allowed}x the {} B of \
+         {BRING_UP_BASE} nodes (super-linear bring-up)",
+        heap(largest),
+        heap(BRING_UP_BASE),
+    );
 
     // Gate 1: sub-linear degradation in node count. At the heaviest op
     // count, growing the cluster R× may cost at most R× in throughput,

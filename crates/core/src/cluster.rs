@@ -23,6 +23,7 @@ use dd_sim::rng::mix;
 use dd_sim::{Ctx, Duration, NodeId, Process, Sim, SimConfig, TimerTag};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Result of a completed write.
@@ -349,14 +350,14 @@ impl dd_sim::Sampler<DropletNode> for ClusterSampler {
                     t.gauge(tick, "soft.pending_ops", node, p as f64);
                     t.gauge(tick, "soft.undelivered", node, u as f64);
                     t.gauge(tick, "soft.outbox", node, s.outbox_depth() as f64);
-                    t.gauge(tick, "soft.fanout", node, f64::from(s.fanout));
+                    t.gauge(tick, "soft.fanout", node, f64::from(s.fanout()));
                     t.gauge(tick, "soft.fd_live", node, s.reachable_peers().len() as f64);
                     backlog += b;
                     pending += p;
                     undelivered += u;
                     retired += s.completions_retired();
                     fd_sum += s.reachable_peers().len() as u64;
-                    fanout_sum += u64::from(s.fanout);
+                    fanout_sum += u64::from(s.fanout());
                     soft_n += 1;
                 }
                 Some(DropletNode::Persist(p)) => {
@@ -403,17 +404,27 @@ pub struct Cluster {
     seed: u64,
     next_req: u64,
     next_session: u64,
-    /// The harness-side failure-detector ledger: what each observer was
-    /// last told about each watched peer's reachability (`true` =
-    /// reachable; absent = never told, believed reachable). Notices are
+    /// The harness-side failure-detector ledger: the `(observer, watched)`
+    /// pairs where the observer was last told the peer is unreachable.
+    /// Disbelief only — an absent pair is believed reachable — so a healthy
+    /// cluster's ledger is empty and a heal shrinks it again. Notices are
     /// injected only on belief changes, so steady state costs nothing.
-    fd_view: std::collections::HashMap<(NodeId, NodeId), bool>,
+    fd_view: HashSet<(NodeId, NodeId)>,
+    /// What the last failure-detector sweep saw of each node, in
+    /// `soft_ids ++ persist_ids` order: the partition colour of a live
+    /// node, `None` for one that is down or removed. Reachability is a
+    /// function of these alone, so the next sweep examines only the rows
+    /// and columns of the nodes whose entry moved.
+    fd_seen: Vec<Option<u32>>,
+    /// [`Cluster::wipe_soft_layer`] reset the soft observers' ledger rows
+    /// since the last sweep: the next one re-examines those rows in full.
+    fd_soft_rows_reset: bool,
     /// `(liveness_epoch, topology_epoch)` at the last failure-detector
     /// sweep; `None` forces the next sweep. Ground-truth reachability is a
     /// pure function of liveness and partitions, so while both epochs are
     /// unchanged a sweep would find zero belief diffs — skipping it is
-    /// exact, and turns the O(observers × watched) pair scan from a
-    /// per-pump cost into a per-churn-event cost.
+    /// exact, and keeps even the O(n) look at every node off the per-pump
+    /// path.
     fd_epochs: Option<(u64, u64)>,
     /// History recorder; `None` (the default) makes every capture hook a
     /// no-op, so auditing is zero-cost when disabled.
@@ -454,6 +465,9 @@ impl Cluster {
             })
             .collect();
         let persist = Arc::new(OwnerIndex::new(persist_ids.clone(), sieves));
+        // One peer table for the whole persist layer: each node holds a
+        // handle and its own position, not a private copy of the other ids.
+        let peer_table: Arc<[NodeId]> = persist_ids.as_slice().into();
         // Pre-size the event heap for the population's steady chatter
         // (start events, repair timers, dissemination bursts) so large
         // clusters don't regrow it through the opening storm.
@@ -477,9 +491,13 @@ impl Cluster {
             sim.add_node(id, DropletNode::Soft(soft));
         }
         for (i, (&id, sieve)) in persist_ids.iter().zip(&persist.sieves).enumerate() {
-            let peers: Vec<NodeId> = persist_ids.iter().copied().filter(|&p| p != id).collect();
-            let mut node =
-                PersistNode::new(sieve.clone(), fanout, peers, config.repair_period.map(Duration));
+            let mut node = PersistNode::member(
+                sieve.clone(),
+                fanout,
+                Arc::clone(&peer_table),
+                i,
+                config.repair_period.map(Duration),
+            );
             if config.ring_repair && config.persist_n > 1 {
                 // Ring adjacency follows persist_ids order — the same
                 // order slot ownership and range segments use, so
@@ -491,6 +509,10 @@ impl Cluster {
             }
             sim.add_node(id, DropletNode::Persist(node));
         }
+        // Everyone starts up, unpartitioned and believed reachable: the
+        // empty ledger agrees with this view, so the first sweep of a
+        // healthy cluster finds nothing moved and examines no pair.
+        let fd_seen = vec![Some(0); soft_ids.len() + persist_ids.len()];
         Cluster {
             sim,
             config,
@@ -499,7 +521,9 @@ impl Cluster {
             seed,
             next_req: 0,
             next_session: 0,
-            fd_view: std::collections::HashMap::new(),
+            fd_view: HashSet::new(),
+            fd_seen,
+            fd_soft_rows_reset: false,
             fd_epochs: None,
             audit: None,
         }
@@ -720,30 +744,98 @@ impl Cluster {
         self.sync_failure_detector();
     }
 
-    /// Models each node's local failure detector: compares every
-    /// observer's last-told belief about each watched peer against the
-    /// simulation's ground truth (alive and connected) and self-injects a
-    /// [`DropletMsg::PeerDown`] / [`DropletMsg::PeerUp`] notice on each
-    /// change. Soft nodes watch their soft peers and the persist layer;
-    /// persist nodes watch each other (their repair partners). Notices
-    /// ride the simulated network from the node to itself, so they land a
-    /// latency sample later — a detector, not an oracle.
+    /// Models each node's local failure detector: wherever an observer's
+    /// last-told belief about a watched peer differs from the simulation's
+    /// ground truth (alive and connected), self-injects a
+    /// [`DropletMsg::PeerDown`] / [`DropletMsg::PeerUp`] notice. Soft nodes
+    /// watch their soft peers and the persist layer; persist nodes watch
+    /// each other (their repair partners). Notices ride the simulated
+    /// network from the node to itself, so they land a latency sample
+    /// later — a detector, not an oracle.
     fn sync_failure_detector(&mut self) {
+        for (observer, peer, reachable) in self.failure_detector_notices() {
+            let msg = if reachable { DropletMsg::PeerUp(peer) } else { DropletMsg::PeerDown(peer) };
+            self.sim.inject(observer, observer, msg);
+        }
+    }
+
+    /// One failure-detector sweep: the `(observer, peer, reachable)` belief
+    /// changes since the last one, recorded in the ledger and returned in
+    /// injection order.
+    ///
+    /// The sweep is change-driven. A pair's ground truth depends only on
+    /// the two nodes' `fd_seen` entries, and after every sweep each live
+    /// observer's row agrees with it — so a belief can be out of date only
+    /// in the row of an observer that itself moved (a revived node's row is
+    /// as stale as its downtime was long) or was reset by a wipe, or in the
+    /// column of a peer that moved. Only those are examined:
+    /// O(moved × n), and O(n) with no pair work at all while nothing moved.
+    /// The candidates are visited in the order of the exhaustive scan —
+    /// observer position, then watched position, down observers skipped —
+    /// because every injected notice draws a latency sample and takes a
+    /// sequence number: notice order is part of the replay.
+    fn failure_detector_notices(&mut self) -> Vec<(NodeId, NodeId, bool)> {
         // Reachability can only have changed if a node's liveness or the
-        // partition map did; both bump an epoch counter. Same epochs since
-        // the last sweep ⇒ the pair scan below would inject nothing.
+        // partition map did; both bump an epoch counter.
         let epochs = (self.sim.liveness_epoch(), self.sim.net.topology_epoch());
         if self.fd_epochs == Some(epochs) {
-            return;
+            return Vec::new();
         }
         self.fd_epochs = Some(epochs);
-        let mut notices: Vec<(NodeId, DropletMsg)> = Vec::new();
+        let rows_reset = std::mem::take(&mut self.fd_soft_rows_reset);
+        let Cluster { sim, soft_ids, persist_ids, fd_view, fd_seen, .. } = self;
+        let (soft_n, n) = (soft_ids.len(), fd_seen.len());
+        let id_at = |k: usize| if k < soft_n { soft_ids[k] } else { persist_ids[k - soft_n] };
+        let mut moved: Vec<usize> = Vec::new();
+        for (k, seen) in fd_seen.iter_mut().enumerate() {
+            let id = id_at(k);
+            let now = sim.is_alive(id).then(|| sim.net.colour(id));
+            if *seen != now {
+                *seen = now;
+                moved.push(k);
+            }
+        }
+        let mut notices = Vec::new();
+        if !moved.is_empty() || rows_reset {
+            for o in 0..n {
+                let Some(colour) = fd_seen[o] else { continue };
+                let observer = id_at(o);
+                // Soft observers watch everyone, persist observers the
+                // persist layer only.
+                let soft_observer = o < soft_n;
+                let watched_from = if soft_observer { 0 } else { soft_n };
+                let whole_row = moved.binary_search(&o).is_ok() || (rows_reset && soft_observer);
+                let (row, columns) = if whole_row {
+                    (watched_from..n, &[][..])
+                } else {
+                    (0..0, &moved[moved.partition_point(|&p| p < watched_from)..])
+                };
+                for p in row.chain(columns.iter().copied()).filter(|&p| p != o) {
+                    let pair = (observer, id_at(p));
+                    let reach = fd_seen[p] == Some(colour);
+                    // A belief flips exactly when its ledger entry does.
+                    let flipped = if reach { fd_view.remove(&pair) } else { fd_view.insert(pair) };
+                    if flipped {
+                        notices.push((observer, pair.1, reach));
+                    }
+                }
+            }
+        }
+        sim.metrics_mut().add("fd.notices", notices.len() as u64);
+        notices
+    }
+
+    /// The exhaustive sweep [`Cluster::failure_detector_notices`] replaced,
+    /// kept as its oracle: every (live observer, watched peer) pair, in
+    /// nested-loop order, against the ledger as it stands. Reads only.
+    #[cfg(test)]
+    fn pair_scan_notices(&self) -> Vec<(NodeId, NodeId, bool)> {
+        let mut notices = Vec::new();
         for (oi, &o) in self.soft_ids.iter().chain(self.persist_ids.iter()).enumerate() {
             if !self.sim.is_alive(o) {
                 continue;
             }
-            let soft_observer = oi < self.soft_ids.len();
-            let watched: &[&[NodeId]] = if soft_observer {
+            let watched: &[&[NodeId]] = if oi < self.soft_ids.len() {
                 &[&self.soft_ids, &self.persist_ids]
             } else {
                 &[&self.persist_ids]
@@ -753,18 +845,12 @@ impl Cluster {
                     continue;
                 }
                 let reach = self.sim.is_alive(p) && self.sim.net.connected(o, p);
-                let believed = self.fd_view.get(&(o, p)).copied().unwrap_or(true);
-                if reach != believed {
-                    self.fd_view.insert((o, p), reach);
-                    let msg = if reach { DropletMsg::PeerUp(p) } else { DropletMsg::PeerDown(p) };
-                    notices.push((o, msg));
+                if reach == self.fd_view.contains(&(o, p)) {
+                    notices.push((o, p, reach));
                 }
             }
         }
-        self.sim.metrics_mut().add("fd.notices", notices.len() as u64);
-        for (o, msg) in notices {
-            self.sim.inject(o, o, msg);
-        }
+        notices
     }
 
     /// Advances virtual time so in-flight client operations make
@@ -871,7 +957,8 @@ impl Cluster {
         // A wiped node believes everyone reachable again; reset its
         // failure-detector ledger rows to match, so the next sync re-tells
         // it about peers that are still down.
-        self.fd_view.retain(|&(o, _), _| !self.soft_ids.contains(&o));
+        self.fd_view.retain(|&(o, _)| !self.soft_ids.contains(&o));
+        self.fd_soft_rows_reset = true;
         // The ledger changed without an epoch bump: force the next sweep.
         self.fd_epochs = None;
     }
@@ -892,6 +979,7 @@ mod tests {
     use super::*;
     use crate::client::{Completion, OpError};
     use crate::tuple::TupleSpec;
+    use proptest::prelude::*;
 
     fn cluster(seed: u64) -> Cluster {
         let mut c = Cluster::new(ClusterConfig::small(), seed);
@@ -1628,10 +1716,75 @@ mod tests {
     }
 
     #[test]
+    fn a_healthy_first_settle_leaves_the_detector_ledger_empty() {
+        let c = cluster(27);
+        assert!(c.fd_view.is_empty(), "nobody is disbelieved: {:?}", c.fd_view);
+        assert_eq!(c.sim.metrics().counter("fd.notices"), 0);
+        assert!(c.sim.metrics().counters().any(|(name, _)| name == "fd.notices"));
+    }
+
+    #[test]
+    fn a_heal_shrinks_the_detector_ledger_back_to_empty() {
+        let mut c = cluster(28);
+        let victim = c.persist_ids()[3];
+        c.sim.net.set_partition(victim, 1);
+        c.run_for(10);
+        // Every other node disbelieves the victim and the victim everyone
+        // it watches: two rows' worth, not a table's.
+        let others = c.soft_ids().len() + c.persist_ids().len() - 1;
+        assert_eq!(c.fd_view.len(), others + (c.persist_ids().len() - 1));
+        c.sim.net.heal_partitions();
+        c.run_for(10);
+        assert!(c.fd_view.is_empty(), "disbelief only: {:?}", c.fd_view);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Whatever happens to liveness, partitions and the soft tier, the
+        /// change-driven sweep reports exactly the belief changes of the
+        /// exhaustive pair scan, in the same order.
+        #[test]
+        fn change_driven_sweep_equals_the_pair_scan(
+            soft_n in 2u64..5,
+            persist_n in 3u64..13,
+            seed in any::<u64>(),
+            schedule in prop::collection::vec((0u8..7, any::<u64>()), 1..32),
+        ) {
+            let config = ClusterConfig { soft_n, persist_n, ..ClusterConfig::small() };
+            let mut c = Cluster::new(config, seed);
+            let nodes = soft_n + persist_n;
+            let mut total = 0;
+            for (step, arg) in schedule {
+                let node = NodeId(arg % nodes);
+                match step {
+                    0 => c.sim.kill(node),
+                    1 => c.sim.revive(node),
+                    2 => drop(c.sim.remove(node)),
+                    3 => c.sim.net.set_partition(node, (arg >> 32) as u32 % 3),
+                    4 => c.sim.net.heal_partitions(),
+                    5 => c.wipe_soft_layer(),
+                    _ => {}
+                }
+                // As `run_for`: a sweep either side of the run, each held
+                // to the oracle (the second run is empty).
+                for ticks in [arg % 7, 0] {
+                    let expected = c.pair_scan_notices();
+                    let notices = c.failure_detector_notices();
+                    prop_assert_eq!(&notices, &expected);
+                    total += notices.len();
+                    c.sim.run_for(Duration(ticks));
+                }
+            }
+            prop_assert_eq!(c.sim.metrics().counter("fd.notices"), total as u64);
+        }
+    }
+
+    #[test]
     fn adaptive_fanout_tracks_the_live_persist_population() {
         let mut c = cluster(26);
         let fanout_of = |c: &Cluster| {
-            c.sim.node(c.soft_ids()[0]).and_then(DropletNode::as_soft).unwrap().fanout
+            c.sim.node(c.soft_ids()[0]).and_then(DropletNode::as_soft).unwrap().fanout()
         };
         let initial = fanout_of(&c);
         // Kill all but one persist node: the extrema estimate collapses

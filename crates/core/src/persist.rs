@@ -16,6 +16,7 @@ use dd_sim::{Ctx, Duration, NodeId, TimerTag, TraceCtx};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Timer tag for repair rounds.
 pub const REPAIR_TIMER: TimerTag = TimerTag(0xFE4A);
@@ -59,9 +60,14 @@ pub struct PersistNode {
     pub sieve: SieveSpec,
     /// Gossip relay state.
     pub push: PushState,
-    /// All persist-layer peers (closed world per experiment; a Cyclon view
-    /// plugs in identically via the same `Vec<NodeId>` refresh).
-    pub peers: Vec<NodeId>,
+    /// The persist population this node gossips and repairs with (closed
+    /// world per experiment). A cluster member shares one table with every
+    /// other member — n ids per cluster, not n per node — and skips its own
+    /// entry; see [`PersistNode::peers`].
+    table: Arc<[NodeId]>,
+    /// This node's own position in `table`; `None` for a bare node, whose
+    /// table lists only the others.
+    position: Option<usize>,
     /// Latest live tuple per key hash. Mutate through [`PersistNode::apply`]
     /// only — it keeps the secondary tag index consistent.
     pub store: HashMap<u64, StoredTuple>,
@@ -82,7 +88,8 @@ pub struct PersistNode {
 }
 
 impl PersistNode {
-    /// Creates a node.
+    /// Creates a bare node whose peers are exactly `peers` (itself not
+    /// among them).
     #[must_use]
     pub fn new(
         sieve: SieveSpec,
@@ -90,10 +97,39 @@ impl PersistNode {
         peers: Vec<NodeId>,
         repair_period: Option<Duration>,
     ) -> Self {
+        Self::build(sieve, fanout, peers.into(), None, repair_period)
+    }
+
+    /// Creates the member at `position` of a persist population: `table`
+    /// lists every member, this node included, and is shared — not copied
+    /// — between them, so a cluster of n nodes holds n ids, not n².
+    ///
+    /// # Panics
+    /// Panics if `position` lies outside `table`.
+    #[must_use]
+    pub fn member(
+        sieve: SieveSpec,
+        fanout: u32,
+        table: Arc<[NodeId]>,
+        position: usize,
+        repair_period: Option<Duration>,
+    ) -> Self {
+        assert!(position < table.len(), "own position {position} outside the peer table");
+        Self::build(sieve, fanout, table, Some(position), repair_period)
+    }
+
+    fn build(
+        sieve: SieveSpec,
+        fanout: u32,
+        table: Arc<[NodeId]>,
+        position: Option<usize>,
+        repair_period: Option<Duration>,
+    ) -> Self {
         PersistNode {
             sieve,
             push: PushState::new(PushConfig { fanout, ..PushConfig::default() }),
-            peers,
+            table,
+            position,
             store: HashMap::new(),
             repair_period,
             repair_peering: RepairPeering::Random,
@@ -109,6 +145,28 @@ impl PersistNode {
     pub fn with_ring_neighbors(mut self, neighbors: Vec<NodeId>) -> Self {
         self.repair_peering = RepairPeering::RingBiased { neighbors };
         self
+    }
+
+    /// Every persist-layer peer — everyone in the population but this node
+    /// — in table (`persist_ids`) order. A view over the shared table, not
+    /// a per-node list (a Cyclon view would plug in behind the same
+    /// accessor).
+    pub fn peers(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let me = self.position;
+        self.table.iter().enumerate().filter(move |&(i, _)| Some(i) != me).map(|(_, &id)| id)
+    }
+
+    /// One uniform draw over [`PersistNode::peers`] — the same single
+    /// `gen_range` (and therefore the same node) as `choose` over the
+    /// materialised list, without materialising it.
+    fn choose_peer<R: Rng>(&self, rng: &mut R) -> Option<NodeId> {
+        let n = self.table.len() - usize::from(self.position.is_some());
+        if n == 0 {
+            return None;
+        }
+        let j = rng.gen_range(0..n);
+        // Peers from this node's own position onward sit one slot later.
+        Some(self.table[j + usize::from(self.position.is_some_and(|me| j >= me))])
     }
 
     /// Number of live (non-tombstone) tuples held.
@@ -377,7 +435,7 @@ impl PersistNode {
         if self.repair_period.is_none() {
             return;
         }
-        let mut peers = self.peers.clone();
+        let mut peers: Vec<NodeId> = self.peers().collect();
         peers.shuffle(ctx.rng());
         for peer in peers.into_iter().take(count) {
             ctx.send(peer, DropletMsg::RepairDigest { sieve: self.sieve.clone() });
@@ -402,8 +460,10 @@ impl PersistNode {
             DropletMsg::Disseminate { hops, tuple, coordinator, trace } => {
                 let id = RumorId(tuple.rumor_id());
                 let self_id = ctx.id();
-                let peers = self.peers.clone();
-                let (first, targets) = self.push.on_rumor(ctx.rng(), self_id, &peers, id, hops);
+                // The relay draw excludes `self_id` itself, so the shared
+                // table stands in for the peer list unchanged.
+                let (first, targets) =
+                    self.push.on_rumor(ctx.rng(), self_id, &self.table, id, hops);
                 if first {
                     ctx.metrics().incr("persist.received");
                     if self.wants(&tuple) {
@@ -561,10 +621,10 @@ impl PersistNode {
                 if rng.gen_range(0..FAR_PULL_PERIOD) > 0 {
                     neighbors.choose(rng).copied()
                 } else {
-                    self.peers.choose(rng).copied()
+                    self.choose_peer(rng)
                 }
             }
-            _ => self.peers.choose(rng).copied(),
+            _ => self.choose_peer(rng),
         }
     }
 
@@ -826,6 +886,27 @@ mod tests {
         for _ in 0..64 {
             assert_eq!(n.pick_repair_peer(&mut a), peers.choose(&mut b).copied());
         }
+    }
+
+    #[test]
+    fn shared_table_draw_equals_choose_over_the_materialised_list() {
+        use rand::SeedableRng;
+        let all = SieveSpec::Range { index: 0, of: 1, r: 1 };
+        let table: Arc<[NodeId]> = (10..17).map(NodeId).collect();
+        for me in 0..table.len() {
+            let n = PersistNode::member(all.clone(), 2, Arc::clone(&table), me, None);
+            let others: Vec<NodeId> = table.iter().copied().filter(|&p| p != table[me]).collect();
+            assert_eq!(n.peers().collect::<Vec<_>>(), others, "everyone but me, in table order");
+            for seed in 0..1_000 {
+                let mut a = rand::rngs::SmallRng::seed_from_u64(seed);
+                let mut b = a.clone();
+                assert_eq!(n.pick_repair_peer(&mut a), others.choose(&mut b).copied());
+                assert_eq!(a, b, "the same single draw consumed");
+            }
+        }
+        // A lone member has nobody to pick, and draws nothing.
+        let lone = PersistNode::member(all, 2, vec![NodeId(3)].into(), 0, None);
+        assert_eq!(lone.pick_repair_peer(&mut rand::rngs::SmallRng::seed_from_u64(1)), None);
     }
 
     fn sorted_ids(n: &PersistNode) -> Vec<u64> {

@@ -11,6 +11,7 @@ use dd_sieve::TagSieve;
 use dd_sim::rng::stream_rng;
 use dd_sim::{Ctx, Duration, NodeId, Time, TimerTag, TraceCtx};
 use rand::seq::SliceRandom;
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
@@ -248,13 +249,17 @@ pub struct SoftNode {
     /// that will store it (batched [`DropletMsg::DeliverBatch`]) instead of
     /// being broadcast epidemically. Empty = epidemic fallback.
     pub persist: Arc<OwnerIndex>,
-    /// Dissemination fanout used when originating writes (the epidemic
-    /// fallback path).
-    pub fanout: u32,
-    /// When set, `fanout` follows the extrema-propagation size estimate
-    /// of the currently reachable persist population instead of the
-    /// static value computed at construction.
+    /// The static dissemination fanout given at construction; what
+    /// [`SoftNode::fanout`] answers unless `adaptive_fanout` is set.
+    boot_fanout: u32,
+    /// When set, [`SoftNode::fanout`] follows the extrema-propagation size
+    /// estimate of the currently reachable persist population instead of
+    /// the static value given at construction. The estimate is worked out
+    /// when somebody reads it, never on a membership change.
     pub adaptive_fanout: bool,
+    /// The adaptive fanout as of the current `reachable` set; `None` once a
+    /// failure-detector notice or a wipe has made it stale.
+    fanout_memo: Cell<Option<u32>>,
     /// Fallback fetch width when no location hints exist.
     pub fallback_fetches: usize,
     /// Tag placement parameters when the persistent layer runs tag
@@ -319,8 +324,9 @@ impl SoftNode {
             metadata: Metadata::new(8),
             cache: TupleCache::new(cache_capacity),
             persist,
-            fanout,
+            boot_fanout: fanout,
             adaptive_fanout: false,
+            fanout_memo: Cell::new(None),
             fallback_fetches: 5,
             tag_routing: None,
             completed: CompletionLog::new(COMPLETION_RETENTION),
@@ -355,7 +361,6 @@ impl SoftNode {
     #[must_use]
     pub fn with_adaptive_fanout(mut self) -> Self {
         self.adaptive_fanout = true;
-        self.refresh_fanout();
         self
     }
 
@@ -372,31 +377,52 @@ impl SoftNode {
         self.undelivered.len()
     }
 
-    /// Recomputes the epidemic fanout from the extrema-propagation
-    /// estimate over the reachable persist peers: each peer contributes
-    /// the deterministic `Exp(1)` vector it drew at join time, the local
+    /// Dissemination fanout used when originating writes on the epidemic
+    /// fallback path. Static unless `adaptive_fanout` is set; then it is
+    /// the paper's `ln N + c` for the extrema-propagation estimate of the
+    /// reachable persist population, evaluated on demand: membership
+    /// changes only mark it stale, and the first reader afterwards pays for
+    /// the estimate. A pure function of the reachable set, so reading it
+    /// (or not) never changes what a run does.
+    #[must_use]
+    pub fn fanout(&self) -> u32 {
+        if !self.adaptive_fanout {
+            return self.boot_fanout;
+        }
+        if let Some(fanout) = self.fanout_memo.get() {
+            return fanout;
+        }
+        let fanout = self.estimate_fanout();
+        self.fanout_memo.set(Some(fanout));
+        fanout
+    }
+
+    /// The extrema-propagation estimate over the reachable persist peers:
+    /// each peer contributes the deterministic `Exp(1)` vector it drew at
+    /// join time (generated once per cluster, on first use), the local
     /// failure detector decides which vectors to merge, and the estimate
     /// `(K−1)/Σ minima` replaces the static population count.
-    fn refresh_fanout(&mut self) {
-        if !self.adaptive_fanout {
-            return;
-        }
+    fn estimate_fanout(&self) -> u32 {
+        let vectors = self.persist.extrema.get_or_init(|| {
+            let join_vector = |p: &NodeId| {
+                ExtremaEstimator::generate(&mut stream_rng(EXTREMA_SALT, p.0), EXTREMA_K)
+            };
+            self.persist.peers.iter().map(join_vector).collect()
+        });
         let mut merged: Option<ExtremaEstimator> = None;
-        for &p in &self.persist.peers {
-            if !self.reachable.contains(&p) {
+        for (p, vector) in self.persist.peers.iter().zip(vectors) {
+            if !self.reachable.contains(p) {
                 continue;
             }
-            let vector = ExtremaEstimator::generate(&mut stream_rng(EXTREMA_SALT, p.0), EXTREMA_K);
             match merged.as_mut() {
                 Some(m) => {
-                    m.merge(&vector);
+                    m.merge(vector);
                 }
-                None => merged = Some(vector),
+                None => merged = Some(vector.clone()),
             }
         }
         let estimate = merged.map_or(1.0, |m| m.estimate());
-        let n = estimate.max(1.0).round() as u64;
-        self.fanout = required_fanout(n, 0.999);
+        required_fanout(estimate.max(1.0).round() as u64, 0.999)
     }
 
     /// The coordinator for a key: the primary soft-ring owner.
@@ -553,7 +579,7 @@ impl SoftNode {
             let me = ctx.id();
             let mut targets = self.persist.peers.clone();
             targets.shuffle(ctx.rng());
-            targets.truncate(self.fanout as usize);
+            targets.truncate(self.fanout() as usize);
             for t in targets {
                 ctx.metrics().incr("soft.disseminations");
                 ctx.send(
@@ -846,7 +872,7 @@ impl SoftNode {
             }
         }
         let mut touched: Vec<u64> = Vec::new();
-        let struck_gets: Vec<u64> = self
+        let mut struck_gets: Vec<u64> = self
             .pending_multi_gets
             .iter_mut()
             .filter_map(|(&req, p)| {
@@ -862,7 +888,7 @@ impl SoftNode {
                 p.waiting.is_empty().then_some(req)
             })
             .collect();
-        let struck_puts: Vec<u64> = self
+        let mut struck_puts: Vec<u64> = self
             .pending_multi_puts
             .iter_mut()
             .filter_map(|(&req, p)| {
@@ -877,6 +903,11 @@ impl SoftNode {
                 p.waiting.is_empty().then_some(req)
             })
             .collect();
+        // Request order, not hash-map order: completions enter the
+        // retention log (whose cap retires by age) and close trace spans.
+        touched.sort_unstable();
+        struck_gets.sort_unstable();
+        struck_puts.sort_unstable();
         for req in touched {
             self.trace_unwait(ctx, req, peer);
         }
@@ -1214,11 +1245,11 @@ impl SoftNode {
                 }
             }
             DropletMsg::PeerDown(peer) if self.reachable.remove(&peer) => {
-                self.refresh_fanout();
+                self.fanout_memo.set(None);
                 self.strike_peer(ctx, peer);
             }
             DropletMsg::PeerUp(peer) if self.reachable.insert(peer) => {
-                self.refresh_fanout();
+                self.fanout_memo.set(None);
                 self.peer_restored(ctx, peer);
             }
             DropletMsg::ScanReply { req, items } => {
@@ -1264,23 +1295,27 @@ impl SoftNode {
         }
         let now = ctx.now();
         let past_deadline = |started: Time| now.0.saturating_sub(started.0) >= MULTI_OP_TIMEOUT;
-        let expired_gets: Vec<u64> = self
+        // Both lists complete in request order, never hash-map order (see
+        // `strike_peer`).
+        let mut expired_gets: Vec<u64> = self
             .pending_multi_gets
             .iter()
             .filter(|(_, p)| past_deadline(p.started))
             .map(|(&req, _)| req)
             .collect();
+        expired_gets.sort_unstable();
         for req in expired_gets {
             let mut p = self.pending_multi_gets.remove(&req).expect("present");
             p.full = false;
             self.complete_multi_get(ctx, req, p);
         }
-        let expired_puts: Vec<u64> = self
+        let mut expired_puts: Vec<u64> = self
             .pending_multi_puts
             .iter()
             .filter(|(_, p)| past_deadline(p.started))
             .map(|(&req, _)| req)
             .collect();
+        expired_puts.sort_unstable();
         for req in expired_puts {
             let p = self.pending_multi_puts.remove(&req).expect("present");
             self.complete_multi_put(ctx, req, p);
@@ -1324,7 +1359,7 @@ impl SoftNode {
         self.undelivered.clear();
         self.undelivered_order.clear();
         self.reachable = self.known_peers.iter().copied().collect();
-        self.refresh_fanout();
+        self.fanout_memo.set(None);
     }
 
     /// Reconstructs metadata and version counters from a persistent-layer
@@ -1445,6 +1480,46 @@ mod tests {
             },
         );
         assert_eq!(n.metadata.latest(first), Version(1), "eviction never touches metadata");
+    }
+
+    /// Runs `f` on `n` inside a detached context at virtual time `now`.
+    fn drive(n: &mut SoftNode, now: u64, f: impl FnOnce(&mut SoftNode, &mut Ctx<'_, DropletMsg>)) {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
+        let mut metrics = dd_sim::Metrics::new();
+        dd_sim::engine::with_adhoc_ctx(NodeId(0), Time(now), &mut rng, &mut metrics, |ctx| {
+            f(n, ctx);
+        });
+    }
+
+    #[test]
+    fn multi_gets_struck_or_expired_together_complete_in_request_order() {
+        // One persist owner, so every tag read waits on exactly that node.
+        let owner = NodeId(10);
+        let all = crate::sieve_spec::SieveSpec::Range { index: 0, of: 1, r: 1 };
+        let persist = Arc::new(OwnerIndex::new(vec![owner], vec![all]));
+        let reqs: Vec<u64> = (1..=12).collect();
+        let with_pending_reads = || {
+            let mut n = SoftNode::new(&[NodeId(0)], Arc::clone(&persist), 4, 16);
+            drive(&mut n, 0, |n, ctx| {
+                for &req in &reqs {
+                    let tag = crate::tuple::Tag::new(format!("feed:{req}"));
+                    let read = DropletMsg::ClientMultiGet { req, tag, trace: None };
+                    n.on_message(ctx, NodeId(0), read);
+                }
+            });
+            assert_eq!(n.pending_multi_gets.len(), reqs.len());
+            n
+        };
+        // The log's order queue is age order — what the retention cap
+        // retires by — so it must not depend on hash-map iteration.
+        let mut struck = with_pending_reads();
+        drive(&mut struck, 1, |n, ctx| n.on_message(ctx, NodeId(0), DropletMsg::PeerDown(owner)));
+        assert!(struck.completed.order.iter().eq(&reqs), "{:?}", struck.completed.order);
+
+        let mut expired = with_pending_reads();
+        drive(&mut expired, MULTI_OP_TIMEOUT, |n, ctx| n.on_timer(ctx, MULTI_OP_TIMER));
+        assert!(expired.completed.order.iter().eq(&reqs), "{:?}", expired.completed.order);
     }
 
     #[test]

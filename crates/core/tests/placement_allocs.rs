@@ -1,6 +1,7 @@
 //! Allocation regression for compiled placement: evaluating a
-//! [`SieveSpec`] allocates nothing, and a write's cost on the heap does
-//! not grow with the persist population.
+//! [`SieveSpec`] allocates nothing, a write's cost on the heap does not
+//! grow with the persist population, and bringing a cluster up costs heap
+//! in proportion to it.
 //!
 //! Its own test binary because it installs a counting global allocator
 //! (the shape `benches/e18_scale.rs` uses). Counts are per thread, so the
@@ -95,5 +96,25 @@ fn a_put_does_not_pay_per_persist_node() {
     assert!(
         put_blocks < 64,
         "one put allocated {put_blocks} blocks over the idle {idle_blocks} ({bytes} B in all)"
+    );
+}
+
+#[test]
+fn bring_up_allocates_in_proportion_to_the_population() {
+    let bring_up_bytes = |persist_n: u64| {
+        let config =
+            ClusterConfig { soft_n: 16, persist_n, ..ClusterConfig::default() }.ring_repair();
+        let (_, bytes) = allocated_by(|| {
+            let mut cluster = Cluster::new(config, 2011);
+            cluster.settle();
+            black_box(&cluster);
+        });
+        bytes
+    };
+    // Linear is 2×; a peer list (or a detector ledger row) per node is 4×.
+    let (small, large) = (bring_up_bytes(1_000), bring_up_bytes(2_000));
+    assert!(
+        large as f64 <= 2.5 * small as f64,
+        "bring-up allocated {small} B at 1000 persist nodes and {large} B at 2000"
     );
 }
