@@ -126,7 +126,6 @@ fn bench(c: &mut Criterion) {
     use dd_core::{SieveSpec, StoredTuple};
     let mut node = dd_core::persist::PersistNode::new(
         SieveSpec::Range { index: 0, of: 1, r: 1 },
-        2,
         vec![],
         None,
     );

@@ -55,7 +55,7 @@ fn experiment() {
     let cells = matrix();
     table_header(
         "E16: audited dependability drills — soundness and overhead",
-        &["scenario", "issued", "recorded", "safety", "warn", "regr%", "wall_ms"],
+        &["scenario", "issued", "recorded", "safety", "warn", "wall_ms"],
     );
     for c in &cells {
         let a = audit(c);
@@ -65,7 +65,6 @@ fn experiment() {
             n(a.ops),
             n(a.safety_count() as u64),
             n(a.warning_count() as u64),
-            f(c.regression() * 100.0),
             f(c.wall_observed_ms),
         ]);
     }

@@ -191,8 +191,8 @@ fn bench(c: &mut Criterion) {
         use dd_core::{SieveSpec, StoredTuple};
         use dd_dht::Version;
         let all = SieveSpec::Range { index: 0, of: 1, r: 1 };
-        let mut x = PersistNode::new(all.clone(), 2, vec![], None);
-        let mut y = PersistNode::new(all.clone(), 2, vec![], None);
+        let mut x = PersistNode::new(all.clone(), vec![], None);
+        let mut y = PersistNode::new(all.clone(), vec![], None);
         for i in 0..512 {
             let t = StoredTuple::new(
                 format!("k{i}").as_str().into(),

@@ -83,7 +83,7 @@ fn experiment() {
     let cells = matrix();
     table_header(
         "E19: traced dependability drills — overhead and attribution",
-        &["scenario", "issued", "ops", "spans", "top hop", "share%", "regr%", "wall_ms"],
+        &["scenario", "issued", "ops", "spans", "top hop", "share%", "wall_ms"],
     );
     for c in &cells {
         let t = trace(c);
@@ -95,7 +95,6 @@ fn experiment() {
             n(t.spans),
             top.map(|h| h.label.clone()).unwrap_or_else(|| "-".into()),
             f(top.map(|h| h.share * 100.0).unwrap_or(0.0)),
-            f(c.regression() * 100.0),
             f(c.wall_observed_ms),
         ]);
     }

@@ -107,7 +107,7 @@ fn experiment() {
     let cells = matrix();
     table_header(
         "E20: instrumented dependability drills — overhead and detectors",
-        &["scenario", "issued", "samples", "series", "peak q", "findings", "regr%", "wall_ms"],
+        &["scenario", "issued", "samples", "series", "peak q", "findings", "wall_ms"],
     );
     for c in &cells {
         let t = telemetry(c);
@@ -118,7 +118,6 @@ fn experiment() {
             n(t.summaries.len() as u64),
             f(peak(t, names::QUEUE_DEPTH)),
             n(t.findings.len() as u64),
-            f(c.regression() * 100.0),
             f(c.wall_observed_ms),
         ]);
     }

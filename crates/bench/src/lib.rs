@@ -57,11 +57,6 @@ pub mod planes {
         c
     }
 
-    /// Issued operations per virtual tick.
-    fn ops_per_tick(report: &ScenarioReport) -> f64 {
-        report.issued() as f64 / report.ticks as f64
-    }
-
     /// A string as a JSON value.
     #[must_use]
     pub fn json_str(s: &str) -> String {
@@ -97,26 +92,16 @@ pub mod planes {
             Cell { name: plain.name.clone(), plain, observed, wall_plain_ms, wall_observed_ms }
         }
 
-        /// Share of virtual-time throughput the observed run lost.
-        #[must_use]
-        pub fn regression(&self) -> f64 {
-            1.0 - ops_per_tick(&self.observed) / ops_per_tick(&self.plain)
-        }
-
         /// This cell as one JSON row: the fields every plane reports (with
         /// `mode` naming the observed run, as in `wall_ms_audited`) around
         /// the plane's own `extra` fields, whose values are JSON already.
         #[must_use]
         pub fn row(&self, mode: &str, extra: &[(&str, String)]) -> String {
-            let (rate_observed, wall_observed) =
-                (format!("ops_per_tick_{mode}"), format!("wall_ms_{mode}"));
+            let wall_observed = format!("wall_ms_{mode}");
             let mut fields: Vec<(&str, String)> = vec![
                 ("scenario", json_str(&self.name)),
                 ("issued", self.observed.issued().to_string()),
                 ("ticks", self.observed.ticks.to_string()),
-                ("ops_per_tick_plain", format!("{:.5}", ops_per_tick(&self.plain))),
-                (&rate_observed, format!("{:.5}", ops_per_tick(&self.observed))),
-                ("ops_per_tick_regression", format!("{:.5}", self.regression())),
             ];
             fields.extend_from_slice(extra);
             fields.push(("wall_ms_plain", format!("{:.1}", self.wall_plain_ms)));

@@ -18,7 +18,6 @@ use crate::sieve_spec::{OwnerIndex, SieveSpec};
 use crate::soft::{MultiPutStatus, PutStatus, SoftNode};
 use crate::tuple::{Key, StoredTuple};
 use dd_dht::Version;
-use dd_epidemic::required_fanout;
 use dd_sim::rng::mix;
 use dd_sim::{Ctx, Duration, NodeId, Process, Sim, SimConfig, TimerTag};
 use rand::rngs::SmallRng;
@@ -127,9 +126,6 @@ pub struct ClusterConfig {
     pub persist_n: u64,
     /// Target replication degree in the persistent layer.
     pub replication: u32,
-    /// Dissemination fanout; `None` computes the paper's `ln N + c` for
-    /// `p_atomic = 0.999`.
-    pub fanout: Option<u32>,
     /// Soft-node tuple-cache capacity.
     pub cache_capacity: usize,
     /// Persistent-layer repair period in ticks; `None` disables repair.
@@ -148,7 +144,6 @@ impl Default for ClusterConfig {
             soft_n: 4,
             persist_n: 32,
             replication: 3,
-            fanout: None,
             cache_capacity: 128,
             repair_period: Some(1_000),
             placement: Placement::RangePartition,
@@ -175,13 +170,6 @@ impl ClusterConfig {
     #[must_use]
     pub fn replication(mut self, r: u32) -> Self {
         self.replication = r;
-        self
-    }
-
-    /// Builder: explicit fanout.
-    #[must_use]
-    pub fn fanout(mut self, f: u32) -> Self {
-        self.fanout = Some(f);
         self
     }
 
@@ -337,7 +325,6 @@ impl dd_sim::Sampler<DropletNode> for ClusterSampler {
         let mut bytes = 0u64;
         let mut tombs = 0u64;
         let mut fd_sum = 0u64;
-        let mut fanout_sum = 0u64;
         let mut soft_n = 0u64;
         for id in sim.alive_ids() {
             let node = Label::Node(id.0);
@@ -350,14 +337,12 @@ impl dd_sim::Sampler<DropletNode> for ClusterSampler {
                     t.gauge(tick, "soft.pending_ops", node, p as f64);
                     t.gauge(tick, "soft.undelivered", node, u as f64);
                     t.gauge(tick, "soft.outbox", node, s.outbox_depth() as f64);
-                    t.gauge(tick, "soft.fanout", node, f64::from(s.fanout()));
                     t.gauge(tick, "soft.fd_live", node, s.reachable_peers().len() as f64);
                     backlog += b;
                     pending += p;
                     undelivered += u;
                     retired += s.completions_retired();
                     fd_sum += s.reachable_peers().len() as u64;
-                    fanout_sum += u64::from(s.fanout());
                     soft_n += 1;
                 }
                 Some(DropletNode::Persist(p)) => {
@@ -384,7 +369,6 @@ impl dd_sim::Sampler<DropletNode> for ClusterSampler {
         t.gauge(tick, names::TOMBSTONES, Label::None, tombs as f64);
         if soft_n > 0 {
             t.gauge(tick, names::FD_LIVE, Label::None, fd_sum as f64 / soft_n as f64);
-            t.gauge(tick, names::FANOUT, Label::None, fanout_sum as f64 / soft_n as f64);
         }
         t.mark_sample();
     }
@@ -443,7 +427,6 @@ impl Cluster {
         let soft_ids: Vec<NodeId> = (0..config.soft_n).map(NodeId).collect();
         let persist_ids: Vec<NodeId> =
             (config.soft_n..config.soft_n + config.persist_n).map(NodeId).collect();
-        let fanout = config.fanout.unwrap_or_else(|| required_fanout(config.persist_n, 0.999));
         // Sieve acceptance is deterministic from the spec, so the
         // coordinators share one index of every persist node's sieve
         // (parallel to `persist_ids`) and route writes directly to owners.
@@ -475,14 +458,7 @@ impl Cluster {
         let mut sim: Sim<DropletNode> =
             Sim::new(SimConfig::default().seed(seed).queue_capacity(queue_capacity));
         for &id in &soft_ids {
-            let mut soft =
-                SoftNode::new(&soft_ids, Arc::clone(&persist), fanout, config.cache_capacity);
-            if config.fanout.is_none() {
-                // No pinned fanout: let the epidemic fallback track the
-                // failure detector's live-set estimate instead of the
-                // boot-time `persist_n`.
-                soft = soft.with_adaptive_fanout();
-            }
+            let mut soft = SoftNode::new(&soft_ids, Arc::clone(&persist), config.cache_capacity);
             if config.placement == Placement::TagCollocation {
                 // Slot s is run by persist_ids[s]; the soft node's peer
                 // list is in that order, so routed slots map directly.
@@ -493,7 +469,6 @@ impl Cluster {
         for (i, (&id, sieve)) in persist_ids.iter().zip(&persist.sieves).enumerate() {
             let mut node = PersistNode::member(
                 sieve.clone(),
-                fanout,
                 Arc::clone(&peer_table),
                 i,
                 config.repair_period.map(Duration),
@@ -582,7 +557,7 @@ impl Cluster {
     /// Starts continuous telemetry sampling at the default period
     /// ([`dd_obs::DEFAULT_SAMPLE_PERIOD`] ticks): every sweep walks the
     /// live nodes and records per-node gauges (completion/pending/
-    /// undelivered backlogs, adaptive fanout, store size, tombstones,
+    /// undelivered backlogs, failure-detector view, store size, tombstones,
     /// summary occupancy), cluster aggregates, engine queue depth,
     /// in-flight messages by kind, and counter rates. Sampling is
     /// read-only on a detached collector, so an instrumented run replays
@@ -1781,29 +1756,22 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_fanout_tracks_the_live_persist_population() {
+    fn scans_and_aggregates_leave_nothing_pending_behind_a_dead_replica() {
         let mut c = cluster(26);
-        let fanout_of = |c: &Cluster| {
-            c.sim.node(c.soft_ids()[0]).and_then(DropletNode::as_soft).unwrap().fanout()
-        };
-        let initial = fanout_of(&c);
-        // Kill all but one persist node: the extrema estimate collapses
-        // and the epidemic fallback's fanout follows it down.
-        let victims: Vec<NodeId> = c.persist_ids()[1..].to_vec();
-        for &p in &victims {
-            c.sim.kill(p);
+        let mut s = c.client();
+        c.sim.kill(c.persist_ids()[5]);
+        // One pair is on its way before any detector has noticed (and is
+        // struck once it does), one goes out to a peer known to be dead.
+        let early = (s.scan(&mut c, 0.0, 1.0), s.aggregate(&mut c));
+        c.run_for(200);
+        let late = (s.scan(&mut c, 0.0, 1.0), s.aggregate(&mut c));
+        for (scan, aggregate) in [early, late] {
+            assert!(matches!(s.recv(&mut c, scan), Err(OpError::Timeout { .. })));
+            assert!(matches!(s.recv(&mut c, aggregate), Err(OpError::Timeout { .. })));
         }
-        // Two windows: the first processes the down events (the trailing
-        // detector sweep notices them), the second delivers the notices.
-        c.run_for(100);
-        c.run_for(100);
-        let shrunk = fanout_of(&c);
-        assert!(shrunk < initial, "fanout adapts down: {shrunk} vs {initial}");
-        for &p in &victims {
-            c.sim.revive(p);
+        for &id in c.soft_ids() {
+            let soft = c.sim.node(id).and_then(DropletNode::as_soft).unwrap();
+            assert_eq!(soft.pending_ops(), 0, "coordinator {id:?} still holds an entry");
         }
-        c.run_for(100);
-        c.run_for(100);
-        assert_eq!(fanout_of(&c), initial, "full membership restores the boot fanout");
     }
 }

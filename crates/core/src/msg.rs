@@ -137,27 +137,8 @@ pub enum DropletMsg {
     },
 
     // ------------------------------------------------------------------
-    // Write path: epidemic dissemination into the persistent layer.
+    // Write path: sieve-routed delivery into the persistent layer.
     // ------------------------------------------------------------------
-    /// A write travelling epidemically; persist nodes relay it `fanout`
-    /// ways on first reception and offer it to their sieve.
-    Disseminate {
-        /// Hops travelled.
-        hops: u32,
-        /// The tuple (carries its own rumor id).
-        tuple: StoredTuple,
-        /// Coordinator awaiting storage acks.
-        coordinator: NodeId,
-        /// Causal trace context (traced runs only; `None` otherwise).
-        trace: Option<TraceCtx>,
-    },
-    /// Persist → coordinator: "my sieve accepted this tuple".
-    StoredAck {
-        /// Key hash.
-        key_hash: u64,
-        /// Stored version.
-        version: Version,
-    },
     /// Coordinator → persist: a batch of tuples delivered directly to the
     /// nodes whose sieves accept them (sieve acceptance is deterministic,
     /// so targeted delivery stores exactly the same set a full epidemic
@@ -319,8 +300,6 @@ impl DropletMsg {
             DropletMsg::SubPutAck { .. } => "SubPutAck",
             DropletMsg::TagFetch { .. } => "TagFetch",
             DropletMsg::TagFetchReply { .. } => "TagFetchReply",
-            DropletMsg::Disseminate { .. } => "Disseminate",
-            DropletMsg::StoredAck { .. } => "StoredAck",
             DropletMsg::DeliverBatch { .. } => "DeliverBatch",
             DropletMsg::StoredAckBatch { .. } => "StoredAckBatch",
             DropletMsg::Fetch { .. } => "Fetch",

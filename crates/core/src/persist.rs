@@ -1,16 +1,17 @@
 //! The persistent-state layer node.
 //!
-//! §III: any node may receive operations; writes arrive epidemically
-//! ([`DropletMsg::Disseminate`]), the local [`SieveSpec`] decides retention
-//! ("global dissemination / local decision"), and same-class anti-entropy
-//! maintains redundancy. Reads, scans and aggregates are served from the
-//! local store.
+//! §III: any node may receive operations; writes arrive in batches from
+//! the coordinator that worked out whose sieve keeps them
+//! ([`DropletMsg::DeliverBatch`]), the local [`SieveSpec`] still decides
+//! retention ("global dissemination / local decision"), and same-class
+//! anti-entropy maintains redundancy. Reads, scans and aggregates are
+//! served from the local store.
 
 use crate::msg::DropletMsg;
 use crate::sieve_spec::SieveSpec;
 use crate::tuple::StoredTuple;
 use dd_epidemic::antientropy::{Digest, Summary};
-use dd_epidemic::push::{PushConfig, PushState, RumorId};
+use dd_epidemic::push::RumorId;
 use dd_estimation::DistSketch;
 use dd_sim::{Ctx, Duration, NodeId, TimerTag, TraceCtx};
 use rand::seq::SliceRandom;
@@ -58,9 +59,7 @@ fn wants_with(sieve: &SieveSpec, tuple: &StoredTuple) -> bool {
 pub struct PersistNode {
     /// This node's sieve.
     pub sieve: SieveSpec,
-    /// Gossip relay state.
-    pub push: PushState,
-    /// The persist population this node gossips and repairs with (closed
+    /// The persist population this node repairs with (closed
     /// world per experiment). A cluster member shares one table with every
     /// other member — n ids per cluster, not n per node — and skips its own
     /// entry; see [`PersistNode::peers`].
@@ -91,13 +90,8 @@ impl PersistNode {
     /// Creates a bare node whose peers are exactly `peers` (itself not
     /// among them).
     #[must_use]
-    pub fn new(
-        sieve: SieveSpec,
-        fanout: u32,
-        peers: Vec<NodeId>,
-        repair_period: Option<Duration>,
-    ) -> Self {
-        Self::build(sieve, fanout, peers.into(), None, repair_period)
+    pub fn new(sieve: SieveSpec, peers: Vec<NodeId>, repair_period: Option<Duration>) -> Self {
+        Self::build(sieve, peers.into(), None, repair_period)
     }
 
     /// Creates the member at `position` of a persist population: `table`
@@ -109,25 +103,22 @@ impl PersistNode {
     #[must_use]
     pub fn member(
         sieve: SieveSpec,
-        fanout: u32,
         table: Arc<[NodeId]>,
         position: usize,
         repair_period: Option<Duration>,
     ) -> Self {
         assert!(position < table.len(), "own position {position} outside the peer table");
-        Self::build(sieve, fanout, table, Some(position), repair_period)
+        Self::build(sieve, table, Some(position), repair_period)
     }
 
     fn build(
         sieve: SieveSpec,
-        fanout: u32,
         table: Arc<[NodeId]>,
         position: Option<usize>,
         repair_period: Option<Duration>,
     ) -> Self {
         PersistNode {
             sieve,
-            push: PushState::new(PushConfig { fanout, ..PushConfig::default() }),
             table,
             position,
             store: HashMap::new(),
@@ -457,37 +448,6 @@ impl PersistNode {
     /// Handles persist-layer messages; shared by the composite process.
     pub fn on_message(&mut self, ctx: &mut Ctx<'_, DropletMsg>, from: NodeId, msg: DropletMsg) {
         match msg {
-            DropletMsg::Disseminate { hops, tuple, coordinator, trace } => {
-                let id = RumorId(tuple.rumor_id());
-                let self_id = ctx.id();
-                // The relay draw excludes `self_id` itself, so the shared
-                // table stands in for the peer list unchanged.
-                let (first, targets) =
-                    self.push.on_rumor(ctx.rng(), self_id, &self.table, id, hops);
-                if first {
-                    ctx.metrics().incr("persist.received");
-                    if self.wants(&tuple) {
-                        let (key_hash, version) = (tuple.key_hash, tuple.version);
-                        if self.apply(tuple.clone()) {
-                            ctx.metrics().incr("persist.stored");
-                            Self::trace_event(ctx, trace, "persist.store");
-                            ctx.send(coordinator, DropletMsg::StoredAck { key_hash, version });
-                        }
-                    }
-                }
-                for t in targets {
-                    ctx.metrics().incr("persist.relays");
-                    ctx.send(
-                        t,
-                        DropletMsg::Disseminate {
-                            hops: hops + 1,
-                            tuple: tuple.clone(),
-                            coordinator,
-                            trace,
-                        },
-                    );
-                }
-            }
             DropletMsg::Fetch { req, key_hash, version, trace } => {
                 let found = self.store.get(&key_hash).filter(|t| t.version >= version).cloned();
                 ctx.metrics().incr("persist.fetches");
@@ -654,7 +614,7 @@ mod tests {
 
     #[test]
     fn apply_keeps_latest_version_only() {
-        let mut n = PersistNode::new(SieveSpec::Range { index: 0, of: 1, r: 1 }, 2, vec![], None);
+        let mut n = PersistNode::new(SieveSpec::Range { index: 0, of: 1, r: 1 }, vec![], None);
         assert!(n.apply(tuple("k", 1)));
         assert!(n.apply(tuple("k", 3)));
         assert!(!n.apply(tuple("k", 2)), "stale write rejected");
@@ -664,7 +624,7 @@ mod tests {
 
     #[test]
     fn tombstone_supersedes_and_live_count_drops() {
-        let mut n = PersistNode::new(SieveSpec::Range { index: 0, of: 1, r: 1 }, 2, vec![], None);
+        let mut n = PersistNode::new(SieveSpec::Range { index: 0, of: 1, r: 1 }, vec![], None);
         n.apply(tuple("k", 1));
         assert_eq!(n.live_count(), 1);
         n.apply(StoredTuple::tombstone("k".into(), Version(2)));
@@ -678,7 +638,7 @@ mod tests {
 
     #[test]
     fn tag_index_serves_live_tuples_by_tag() {
-        let mut n = PersistNode::new(SieveSpec::Range { index: 0, of: 1, r: 1 }, 2, vec![], None);
+        let mut n = PersistNode::new(SieveSpec::Range { index: 0, of: 1, r: 1 }, vec![], None);
         let th = dd_sim::rng::stable_hash(b"feed:a");
         n.apply(tagged("p1", 1, "feed:a"));
         n.apply(tagged("p2", 1, "feed:a"));
@@ -692,7 +652,7 @@ mod tests {
 
     #[test]
     fn tag_index_follows_overwrites_and_tombstones() {
-        let mut n = PersistNode::new(SieveSpec::Range { index: 0, of: 1, r: 1 }, 2, vec![], None);
+        let mut n = PersistNode::new(SieveSpec::Range { index: 0, of: 1, r: 1 }, vec![], None);
         let ta = dd_sim::rng::stable_hash(b"feed:a");
         let tb = dd_sim::rng::stable_hash(b"feed:b");
         n.apply(tagged("p", 1, "feed:a"));
@@ -719,7 +679,7 @@ mod tests {
         let th = live.tag_hash.expect("tagged");
         let owner_slot = dd_sieve::TagSieve::tag_slots(th, slots, 1)[0];
         let mut owner =
-            PersistNode::new(SieveSpec::Tag { slot: owner_slot, slots, r: 1 }, 2, vec![], None);
+            PersistNode::new(SieveSpec::Tag { slot: owner_slot, slots, r: 1 }, vec![], None);
         assert!(owner.wants(&live));
         owner.apply(live);
         let tomb = StoredTuple::tombstone("p".into(), Version(2));
@@ -739,7 +699,7 @@ mod tests {
         let th = live.tag_hash.expect("tagged");
         let owner_slot = dd_sieve::TagSieve::tag_slots(th, slots, 1)[0];
         let mut owner =
-            PersistNode::new(SieveSpec::Tag { slot: owner_slot, slots, r: 1 }, 2, vec![], None);
+            PersistNode::new(SieveSpec::Tag { slot: owner_slot, slots, r: 1 }, vec![], None);
         let tomb = StoredTuple::tombstone("p".into(), Version(2));
         assert!(owner.wants(&tomb), "tombstone wanted before any version is held");
         owner.apply(tomb);
@@ -750,7 +710,7 @@ mod tests {
 
     #[test]
     fn digest_reflects_key_versions() {
-        let mut n = PersistNode::new(SieveSpec::Range { index: 0, of: 1, r: 1 }, 2, vec![], None);
+        let mut n = PersistNode::new(SieveSpec::Range { index: 0, of: 1, r: 1 }, vec![], None);
         n.apply(tuple("a", 1));
         let d1 = n.digest();
         n.apply(tuple("a", 2));
@@ -762,7 +722,7 @@ mod tests {
     #[test]
     fn items_for_peer_respects_their_sieve_and_digest() {
         let all = SieveSpec::Range { index: 0, of: 1, r: 1 };
-        let mut n = PersistNode::new(all.clone(), 2, vec![], None);
+        let mut n = PersistNode::new(all.clone(), vec![], None);
         // 8-segment sieve for the peer: accepts only a fraction of keys.
         let peer_sieve = SieveSpec::Range { index: 0, of: 8, r: 1 };
         for i in 0..64 {
@@ -822,8 +782,8 @@ mod tests {
     #[test]
     fn scratch_diff_agrees_with_fresh_summaries_across_rounds() {
         let all = SieveSpec::Range { index: 0, of: 1, r: 1 };
-        let mut a = PersistNode::new(all.clone(), 2, vec![], None);
-        let mut b = PersistNode::new(all, 2, vec![], None);
+        let mut a = PersistNode::new(all.clone(), vec![], None);
+        let mut b = PersistNode::new(all, vec![], None);
         for i in 0..40 {
             a.apply(tuple(&format!("k{i}"), 1));
             if i % 3 != 0 {
@@ -848,7 +808,7 @@ mod tests {
         let all = SieveSpec::Range { index: 0, of: 1, r: 1 };
         let peers: Vec<NodeId> = (1..=10).map(NodeId).collect();
         let neighbours = vec![NodeId(1), NodeId(10)];
-        let n = PersistNode::new(all, 2, peers, Some(Duration(100)))
+        let n = PersistNode::new(all, peers, Some(Duration(100)))
             .with_ring_neighbors(neighbours.clone());
         let mut rng = rand::rngs::SmallRng::seed_from_u64(0xCA117);
         let rounds = 1_000;
@@ -877,7 +837,7 @@ mod tests {
         use rand::SeedableRng;
         let all = SieveSpec::Range { index: 0, of: 1, r: 1 };
         let peers: Vec<NodeId> = (1..=4).map(NodeId).collect();
-        let n = PersistNode::new(all, 2, peers.clone(), Some(Duration(100)));
+        let n = PersistNode::new(all, peers.clone(), Some(Duration(100)));
         assert_eq!(n.repair_peering, RepairPeering::Random);
         // One draw per round, same as `peers.choose` — the property the
         // determinism replay suite depends on.
@@ -894,7 +854,7 @@ mod tests {
         let all = SieveSpec::Range { index: 0, of: 1, r: 1 };
         let table: Arc<[NodeId]> = (10..17).map(NodeId).collect();
         for me in 0..table.len() {
-            let n = PersistNode::member(all.clone(), 2, Arc::clone(&table), me, None);
+            let n = PersistNode::member(all.clone(), Arc::clone(&table), me, None);
             let others: Vec<NodeId> = table.iter().copied().filter(|&p| p != table[me]).collect();
             assert_eq!(n.peers().collect::<Vec<_>>(), others, "everyone but me, in table order");
             for seed in 0..1_000 {
@@ -905,7 +865,7 @@ mod tests {
             }
         }
         // A lone member has nobody to pick, and draws nothing.
-        let lone = PersistNode::member(all, 2, vec![NodeId(3)].into(), 0, None);
+        let lone = PersistNode::member(all, vec![NodeId(3)].into(), 0, None);
         assert_eq!(lone.pick_repair_peer(&mut rand::rngs::SmallRng::seed_from_u64(1)), None);
     }
 
@@ -918,8 +878,8 @@ mod tests {
     #[test]
     fn converged_pair_exchanges_two_constant_size_messages() {
         let all = SieveSpec::Range { index: 0, of: 1, r: 1 };
-        let mut a = PersistNode::new(all.clone(), 2, vec![], None);
-        let mut b = PersistNode::new(all, 2, vec![], None);
+        let mut a = PersistNode::new(all.clone(), vec![], None);
+        let mut b = PersistNode::new(all, vec![], None);
         for i in 0..100 {
             a.apply(tuple(&format!("k{i}"), 1));
             b.apply(tuple(&format!("k{i}"), 1));
@@ -932,8 +892,8 @@ mod tests {
     #[test]
     fn empty_stores_agree_on_an_empty_digest() {
         let all = SieveSpec::Range { index: 0, of: 1, r: 1 };
-        let mut a = PersistNode::new(all.clone(), 2, vec![], None);
-        let mut b = PersistNode::new(all, 2, vec![], None);
+        let mut a = PersistNode::new(all.clone(), vec![], None);
+        let mut b = PersistNode::new(all, vec![], None);
         assert!(a.shared_summary(&b.sieve).is_empty());
         assert_eq!(reconcile(&mut a, &mut b), 2, "nothing to pull from empty stores");
     }
@@ -941,8 +901,8 @@ mod tests {
     #[test]
     fn disjoint_stores_converge_in_one_round() {
         let all = SieveSpec::Range { index: 0, of: 1, r: 1 };
-        let mut a = PersistNode::new(all.clone(), 2, vec![], None);
-        let mut b = PersistNode::new(all, 2, vec![], None);
+        let mut a = PersistNode::new(all.clone(), vec![], None);
+        let mut b = PersistNode::new(all, vec![], None);
         for i in 0..20 {
             a.apply(tuple(&format!("a{i}"), 1));
             b.apply(tuple(&format!("b{i}"), 1));
@@ -960,8 +920,8 @@ mod tests {
         // though b's sieve would reject the live key.
         let left = SieveSpec::Range { index: 0, of: 2, r: 1 };
         let right = SieveSpec::Range { index: 1, of: 2, r: 1 };
-        let mut a = PersistNode::new(left, 2, vec![], None);
-        let mut b = PersistNode::new(right, 2, vec![], None);
+        let mut a = PersistNode::new(left, vec![], None);
+        let mut b = PersistNode::new(right, vec![], None);
         a.apply(StoredTuple::tombstone("gone1".into(), Version(2)));
         a.apply(StoredTuple::tombstone("gone2".into(), Version(5)));
         reconcile(&mut a, &mut b);
@@ -998,8 +958,8 @@ mod tests {
                 )
             })
             .unwrap();
-        let mut a = PersistNode::new(left, 2, vec![], None);
-        let mut b = PersistNode::new(right, 2, vec![], None);
+        let mut a = PersistNode::new(left, vec![], None);
+        let mut b = PersistNode::new(right, vec![], None);
         a.apply(StoredTuple::tombstone(key.as_str().into(), Version(2)));
         b.apply(StoredTuple::tombstone(key.as_str().into(), Version(2)));
         a.apply(tuple(&key, 3)); // rebirth, delivered only to its owner
@@ -1012,8 +972,8 @@ mod tests {
     #[test]
     fn repair_delta_reports_what_each_side_lacks() {
         let all = SieveSpec::Range { index: 0, of: 1, r: 1 };
-        let mut a = PersistNode::new(all.clone(), 2, vec![], None);
-        let mut b = PersistNode::new(all, 2, vec![], None);
+        let mut a = PersistNode::new(all.clone(), vec![], None);
+        let mut b = PersistNode::new(all, vec![], None);
         let shared = tuple("both", 1);
         let only_a = tuple("mine", 1);
         let only_b = tuple("yours", 1);

@@ -26,11 +26,9 @@
 //!   attribute use the uniform form with `salt = index ^ 0x41B0`, `n = B`.
 
 use crate::tuple::StoredTuple;
-use dd_estimation::ExtremaEstimator;
 use dd_sieve::{ItemMeta, TagSieve};
 use dd_sim::rng::{fnv1a, mix};
 use dd_sim::NodeId;
-use std::sync::OnceLock;
 
 /// A sieve as shippable data.
 #[derive(Debug, Clone, PartialEq)]
@@ -209,10 +207,6 @@ pub struct OwnerIndex {
     table: Vec<Vec<NodeId>>,
     /// The buckets are tag home slots (else key-hash segments).
     by_tag: bool,
-    /// The extrema vector each peer drew at join time, parallel to `peers`:
-    /// filled by the first coordinator that estimates the population (see
-    /// `SoftNode::fanout`) and shared by all of them from then on.
-    pub(crate) extrema: OnceLock<Vec<ExtremaEstimator>>,
 }
 
 impl OwnerIndex {
@@ -223,7 +217,7 @@ impl OwnerIndex {
     pub fn new(peers: Vec<NodeId>, sieves: Vec<SieveSpec>) -> Self {
         assert_eq!(sieves.len(), peers.len(), "one sieve per persist peer");
         let (by_tag, table) = Self::tabulate(&peers, &sieves).unwrap_or_default();
-        OwnerIndex { peers, sieves, table, by_tag, extrema: OnceLock::new() }
+        OwnerIndex { peers, sieves, table, by_tag }
     }
 
     fn tabulate(peers: &[NodeId], sieves: &[SieveSpec]) -> Option<(bool, Vec<Vec<NodeId>>)> {

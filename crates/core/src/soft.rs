@@ -5,13 +5,9 @@ use crate::msg::DropletMsg;
 use crate::sieve_spec::OwnerIndex;
 use crate::tuple::{Key, StoredTuple, TupleSpec};
 use dd_dht::{HashRing, Metadata, TupleCache, Version, VersionAuthority};
-use dd_epidemic::required_fanout;
-use dd_estimation::ExtremaEstimator;
 use dd_sieve::TagSieve;
-use dd_sim::rng::stream_rng;
 use dd_sim::{Ctx, Duration, NodeId, Time, TimerTag, TraceCtx};
 use rand::seq::SliceRandom;
-use std::cell::Cell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
@@ -35,16 +31,6 @@ pub const BATCH_MAX: usize = 32;
 /// oldest entry is forgotten and the periodic repair plane is the
 /// remaining safety net.
 pub const UNDELIVERED_RETENTION: usize = 4096;
-
-/// Slots in the deterministic per-peer extrema vector used for adaptive
-/// fanout (relative error ≈ 1/√(K−2) ≈ 13 %).
-const EXTREMA_K: usize = 64;
-
-/// Master seed for the per-peer extrema vectors. Every soft node derives
-/// the same vector for a given persist peer — modelling the vector that
-/// peer generated at join time and gossiped — so merged estimates agree
-/// across coordinators with the same reachability view.
-const EXTREMA_SALT: u64 = 0xEC7A_11E5_71AA_7E0F;
 
 /// Completion records a soft node retains, across every operation kind it
 /// coordinates. Harvested completions are retired immediately; this cap
@@ -152,7 +138,7 @@ pub struct PutStatus {
 }
 
 /// Outcome of a batched write: the ordered items (version assigned by
-/// their key coordinator) have been handed to epidemic dissemination.
+/// their key coordinator) have been handed to dissemination.
 /// `items` equals the batch size when the whole batch ordered; a smaller
 /// count means the deadline sweep completed the op without acks from
 /// dead/unreachable key coordinators.
@@ -175,46 +161,45 @@ pub struct TagRouting {
     pub r: u32,
 }
 
-/// A pending single read: which replicas we are waiting on, which were
-/// unreachable when the fetch went out (re-fetched on
-/// [`DropletMsg::PeerUp`] — a read must never conclude "not found" while
-/// a replica it couldn't reach may hold the write).
+/// An operation in flight at its coordinator, awaiting replies.
 #[derive(Debug, Clone)]
-struct PendingGet {
-    key_hash: u64,
-    version: Version,
+struct Pending {
+    /// The nodes still owing a reply, one entry per outstanding request (a
+    /// multi-put lists a key coordinator once per item it owns).
     waiting: Vec<NodeId>,
-    unreached: Vec<NodeId>,
-}
-
-/// Shared shape of the gather-style ops (scans): `outstanding` replies
-/// left, raw replica items accumulated so far.
-#[derive(Debug, Clone)]
-struct PendingGather {
-    outstanding: usize,
-    items: Vec<StoredTuple>,
-}
-
-/// A pending tag-scoped read: the replicas still owing a reply, the
-/// gathered items, whether every slot-owner could be contacted, and the
-/// start time for the deadline sweep ([`MULTI_OP_TIMER`]).
-#[derive(Debug, Clone)]
-struct PendingMultiGet {
-    waiting: Vec<NodeId>,
-    items: Vec<StoredTuple>,
-    full: bool,
+    /// When the op started, for the deadline sweep ([`MULTI_OP_TIMER`]).
     started: Time,
+    op: PendingOp,
 }
 
-/// A pending batched write: one `waiting` entry per outstanding remote
-/// sub-put (the same coordinator appears once per item it owns), the
-/// ordered versions so far, and the batch size for partial accounting.
+/// What differs between the kinds of pending operation: the reply folded
+/// so far, and what a death notice or the deadline does to the op.
 #[derive(Debug, Clone)]
-struct PendingMultiPut {
-    waiting: Vec<NodeId>,
-    versions: Vec<(u64, Version)>,
-    want: usize,
-    started: Time,
+enum PendingOp {
+    /// A single read of `key_hash` at `version`. `unreached` holds the
+    /// replicas that were dark when the fetch went out or have been declared
+    /// dead since, re-fetched on [`DropletMsg::PeerUp`] — a read must never
+    /// conclude "not found" while a replica it couldn't reach may hold the
+    /// write.
+    Get { key_hash: u64, version: Version, unreached: Vec<NodeId> },
+    /// A scan: the raw replica items gathered so far.
+    Scan { items: Vec<StoredTuple> },
+    /// An aggregate: the merged sketch and attribute bounds so far.
+    Aggregate { sketch: dd_estimation::DistSketch, min: f64, max: f64 },
+    /// A batched write: the versions ordered so far, and the batch size for
+    /// partial accounting.
+    MultiPut { versions: Vec<(u64, Version)>, want: usize },
+    /// A tag-scoped read: the gathered items, and whether every slot-owner
+    /// could be contacted and has been waited for.
+    MultiGet { items: Vec<StoredTuple>, full: bool },
+}
+
+impl PendingOp {
+    /// Multi-ops complete with what they have at [`MULTI_OP_TIMEOUT`]; the
+    /// other kinds are left to their session's own timeout.
+    fn has_deadline(&self) -> bool {
+        matches!(self, PendingOp::MultiPut { .. } | PendingOp::MultiGet { .. })
+    }
 }
 
 /// A write acked to the client whose delivery to some owners is still
@@ -223,14 +208,6 @@ struct PendingMultiPut {
 struct Undelivered {
     tuple: StoredTuple,
     pending: Vec<NodeId>,
-}
-
-#[derive(Debug, Clone)]
-struct PendingAgg {
-    outstanding: usize,
-    sketch: dd_estimation::DistSketch,
-    min: f64,
-    max: f64,
 }
 
 /// Soft-state layer node.
@@ -247,19 +224,8 @@ pub struct SoftNode {
     /// Every persist node's id and sieve, shared by all soft nodes. Sieve
     /// acceptance is deterministic, so a write goes *directly* to the nodes
     /// that will store it (batched [`DropletMsg::DeliverBatch`]) instead of
-    /// being broadcast epidemically. Empty = epidemic fallback.
+    /// being broadcast epidemically.
     pub persist: Arc<OwnerIndex>,
-    /// The static dissemination fanout given at construction; what
-    /// [`SoftNode::fanout`] answers unless `adaptive_fanout` is set.
-    boot_fanout: u32,
-    /// When set, [`SoftNode::fanout`] follows the extrema-propagation size
-    /// estimate of the currently reachable persist population instead of
-    /// the static value given at construction. The estimate is worked out
-    /// when somebody reads it, never on a membership change.
-    pub adaptive_fanout: bool,
-    /// The adaptive fanout as of the current `reachable` set; `None` once a
-    /// failure-detector notice or a wipe has made it stale.
-    fanout_memo: Cell<Option<u32>>,
     /// Fallback fetch width when no location hints exist.
     pub fallback_fetches: usize,
     /// Tag placement parameters when the persistent layer runs tag
@@ -273,11 +239,8 @@ pub struct SoftNode {
     /// Ack routing for parked writes: `(key_hash, version)` → req. An entry
     /// lives exactly as long as its [`Done::Write`] record.
     put_index: HashMap<(u64, Version), u64>,
-    pending_gets: HashMap<u64, PendingGet>,
-    pending_scans: HashMap<u64, PendingGather>,
-    pending_aggs: HashMap<u64, PendingAgg>,
-    pending_multi_puts: HashMap<u64, PendingMultiPut>,
-    pending_multi_gets: HashMap<u64, PendingMultiGet>,
+    /// Operations of every kind awaiting replies: req → what is still owed.
+    pending: HashMap<u64, Pending>,
 
     /// Everyone this node's failure detector watches (soft members and
     /// persist peers); the baseline `reachable` resets to after a wipe.
@@ -305,12 +268,7 @@ pub struct SoftNode {
 impl SoftNode {
     /// Creates a soft node.
     #[must_use]
-    pub fn new(
-        soft_members: &[NodeId],
-        persist: Arc<OwnerIndex>,
-        fanout: u32,
-        cache_capacity: usize,
-    ) -> Self {
+    pub fn new(soft_members: &[NodeId], persist: Arc<OwnerIndex>, cache_capacity: usize) -> Self {
         let mut ring = HashRing::new();
         for &m in soft_members {
             ring.add(m, 16);
@@ -324,18 +282,11 @@ impl SoftNode {
             metadata: Metadata::new(8),
             cache: TupleCache::new(cache_capacity),
             persist,
-            boot_fanout: fanout,
-            adaptive_fanout: false,
-            fanout_memo: Cell::new(None),
             fallback_fetches: 5,
             tag_routing: None,
             completed: CompletionLog::new(COMPLETION_RETENTION),
             put_index: HashMap::new(),
-            pending_gets: HashMap::new(),
-            pending_scans: HashMap::new(),
-            pending_aggs: HashMap::new(),
-            pending_multi_puts: HashMap::new(),
-            pending_multi_gets: HashMap::new(),
+            pending: HashMap::new(),
             known_peers,
             reachable,
             outbox: HashMap::new(),
@@ -356,14 +307,6 @@ impl SoftNode {
         self
     }
 
-    /// Builder: ties the epidemic-fallback fanout to the dd-estimation
-    /// size estimate of the reachable persist population.
-    #[must_use]
-    pub fn with_adaptive_fanout(mut self) -> Self {
-        self.adaptive_fanout = true;
-        self
-    }
-
     /// Peers the local failure detector currently trusts.
     #[must_use]
     pub fn reachable_peers(&self) -> &HashSet<NodeId> {
@@ -375,54 +318,6 @@ impl SoftNode {
     #[must_use]
     pub fn undelivered_backlog(&self) -> usize {
         self.undelivered.len()
-    }
-
-    /// Dissemination fanout used when originating writes on the epidemic
-    /// fallback path. Static unless `adaptive_fanout` is set; then it is
-    /// the paper's `ln N + c` for the extrema-propagation estimate of the
-    /// reachable persist population, evaluated on demand: membership
-    /// changes only mark it stale, and the first reader afterwards pays for
-    /// the estimate. A pure function of the reachable set, so reading it
-    /// (or not) never changes what a run does.
-    #[must_use]
-    pub fn fanout(&self) -> u32 {
-        if !self.adaptive_fanout {
-            return self.boot_fanout;
-        }
-        if let Some(fanout) = self.fanout_memo.get() {
-            return fanout;
-        }
-        let fanout = self.estimate_fanout();
-        self.fanout_memo.set(Some(fanout));
-        fanout
-    }
-
-    /// The extrema-propagation estimate over the reachable persist peers:
-    /// each peer contributes the deterministic `Exp(1)` vector it drew at
-    /// join time (generated once per cluster, on first use), the local
-    /// failure detector decides which vectors to merge, and the estimate
-    /// `(K−1)/Σ minima` replaces the static population count.
-    fn estimate_fanout(&self) -> u32 {
-        let vectors = self.persist.extrema.get_or_init(|| {
-            let join_vector = |p: &NodeId| {
-                ExtremaEstimator::generate(&mut stream_rng(EXTREMA_SALT, p.0), EXTREMA_K)
-            };
-            self.persist.peers.iter().map(join_vector).collect()
-        });
-        let mut merged: Option<ExtremaEstimator> = None;
-        for (p, vector) in self.persist.peers.iter().zip(vectors) {
-            if !self.reachable.contains(p) {
-                continue;
-            }
-            match merged.as_mut() {
-                Some(m) => {
-                    m.merge(vector);
-                }
-                None => merged = Some(vector.clone()),
-            }
-        }
-        let estimate = merged.map_or(1.0, |m| m.estimate());
-        required_fanout(estimate.max(1.0).round() as u64, 0.999)
     }
 
     /// The coordinator for a key: the primary soft-ring owner.
@@ -470,11 +365,7 @@ impl SoftNode {
     /// reads, scans, aggregates and multi-ops awaiting replica replies).
     #[must_use]
     pub fn pending_ops(&self) -> usize {
-        self.pending_gets.len()
-            + self.pending_scans.len()
-            + self.pending_aggs.len()
-            + self.pending_multi_puts.len()
-            + self.pending_multi_gets.len()
+        self.pending.len()
     }
 
     /// Tuples queued in the per-target dissemination outbox awaiting a
@@ -573,27 +464,6 @@ impl SoftNode {
         tuple: StoredTuple,
         trace: Option<TraceCtx>,
     ) {
-        if self.persist.sieves.is_empty() {
-            // Epidemic fallback: blind fanout into the persist layer,
-            // relayed infect-and-die by the receivers.
-            let me = ctx.id();
-            let mut targets = self.persist.peers.clone();
-            targets.shuffle(ctx.rng());
-            targets.truncate(self.fanout() as usize);
-            for t in targets {
-                ctx.metrics().incr("soft.disseminations");
-                ctx.send(
-                    t,
-                    DropletMsg::Disseminate {
-                        hops: 0,
-                        tuple: tuple.clone(),
-                        coordinator: me,
-                        trace,
-                    },
-                );
-            }
-            return;
-        }
         // Sieve-routed direct delivery: acceptance is deterministic, so
         // sending only to the owners stores exactly the set a full
         // broadcast would, at ~replication-degree messages per tuple.
@@ -646,49 +516,59 @@ impl SoftNode {
         self.complete(ctx, req, Done::Write { status, key_hash }, true);
     }
 
-    /// Completes a multi-put: records the status and counts a partial
-    /// when fewer items ordered than the batch asked for (whichever path
-    /// got here — last ack, death notice, or the deadline sweep).
-    fn complete_multi_put(&mut self, ctx: &mut Ctx<'_, DropletMsg>, req: u64, p: PendingMultiPut) {
-        if p.versions.len() < p.want {
-            ctx.metrics().incr("soft.multi_put_partials");
+    /// Completes `req` with what its pending entry gathered, whichever path
+    /// got here — last reply, death notice, or the deadline sweep. A
+    /// multi-op that gave up on somebody counts as a partial.
+    fn finish(&mut self, ctx: &mut Ctx<'_, DropletMsg>, req: u64, p: Pending) {
+        match p.op {
+            PendingOp::Get { .. } => self.complete(ctx, req, Done::Read(None), true),
+            PendingOp::Scan { items } => {
+                self.complete(ctx, req, Done::Scan(Self::finalize_gather(items)), true);
+            }
+            PendingOp::Aggregate { sketch, min, max } => {
+                self.complete(ctx, req, Done::Aggregate { sketch, min, max }, true);
+            }
+            PendingOp::MultiPut { versions, want } => {
+                let ordered = versions.len() >= want;
+                if !ordered {
+                    ctx.metrics().incr("soft.multi_put_partials");
+                }
+                let status = MultiPutStatus { items: versions.len(), versions };
+                self.complete(ctx, req, Done::MultiPut(status), ordered);
+            }
+            PendingOp::MultiGet { items, full } => {
+                if !full {
+                    ctx.metrics().incr("soft.multi_get_partials");
+                }
+                let items = Self::finalize_gather(items);
+                self.complete(ctx, req, Done::MultiGet { items, complete: full }, full);
+            }
         }
-        let ordered = p.versions.len() >= p.want;
-        let status = MultiPutStatus { items: p.versions.len(), versions: p.versions };
-        self.complete(ctx, req, Done::MultiPut(status), ordered);
     }
 
-    /// Completes a tag-scoped read; `full` is false when any contacted
-    /// replica never answered (struck by a death notice or the deadline)
-    /// or was unreachable to begin with.
-    fn complete_multi_get(&mut self, ctx: &mut Ctx<'_, DropletMsg>, req: u64, p: PendingMultiGet) {
-        if !p.full {
-            ctx.metrics().incr("soft.multi_get_partials");
-        }
-        let items = Self::finalize_gather(p.items);
-        self.complete(ctx, req, Done::MultiGet { items, complete: p.full }, p.full);
-    }
-
-    /// Records one ordered item of a pending multi-put (acked by `from`);
-    /// completes the op when no sub-put is outstanding.
-    fn note_sub_put_ack(
+    /// A reply to pending `req` landed from `from`: stop waiting on it, let
+    /// `fold` merge the payload, and finish the op once nobody owes a reply
+    /// (for a read: nobody reachable *or* dark — a dark replica may hold the
+    /// write, read-your-writes over availability).
+    fn on_reply(
         &mut self,
         ctx: &mut Ctx<'_, DropletMsg>,
         req: u64,
-        from: Option<NodeId>,
-        key_hash: u64,
-        version: Version,
+        from: NodeId,
+        fold: impl FnOnce(&mut PendingOp),
     ) {
-        let Some(p) = self.pending_multi_puts.get_mut(&req) else { return };
-        p.versions.push((key_hash, version));
-        if let Some(from) = from {
-            if let Some(pos) = p.waiting.iter().position(|&n| n == from) {
-                p.waiting.remove(pos);
-            }
+        // Before the lookup: a scan this node gave up on still shows which
+        // replicas answered it.
+        self.trace_reply(ctx, req, from);
+        let Some(p) = self.pending.get_mut(&req) else { return };
+        if let Some(pos) = p.waiting.iter().position(|&n| n == from) {
+            p.waiting.remove(pos);
         }
-        if p.waiting.is_empty() {
-            let p = self.pending_multi_puts.remove(&req).expect("present");
-            self.complete_multi_put(ctx, req, p);
+        fold(&mut p.op);
+        let parked = matches!(&p.op, PendingOp::Get { unreached, .. } if !unreached.is_empty());
+        if p.waiting.is_empty() && !parked {
+            let p = self.pending.remove(&req).expect("present");
+            self.finish(ctx, req, p);
         }
     }
 
@@ -843,81 +723,58 @@ impl SoftNode {
     /// pending here — threaded into [`crate::OpError::Timeout`] so a
     /// timed-out client learns *which* node never replied.
     pub(crate) fn blame(&self, req: u64) -> Option<NodeId> {
-        if let Some(p) = self.pending_gets.get(&req) {
-            return p.waiting.first().or_else(|| p.unreached.first()).copied();
-        }
-        if let Some(p) = self.pending_multi_gets.get(&req) {
-            return p.waiting.first().copied();
-        }
-        if let Some(p) = self.pending_multi_puts.get(&req) {
-            return p.waiting.first().copied();
-        }
-        None
+        let p = self.pending.get(&req)?;
+        let dark = match &p.op {
+            PendingOp::Get { unreached, .. } => unreached.first(),
+            _ => None,
+        };
+        p.waiting.first().or(dark).copied()
     }
 
-    /// The failure detector declared `peer` dead: stop waiting on it.
-    /// Pending single reads park it on their `unreached` list (a heal
-    /// re-fetches); multi-ops with their last outstanding reply on it
-    /// complete eagerly instead of sitting out the deadline sweep.
+    /// The failure detector declared `peer` dead: every pending op stops
+    /// waiting on it, in request order — completions enter the retention
+    /// log (whose cap retires by age) and close trace spans, so hash-map
+    /// order must not reach them.
     fn strike_peer(&mut self, ctx: &mut Ctx<'_, DropletMsg>, peer: NodeId) {
-        // Pending single reads keep their wait spans open: the op is still
-        // semantically waiting (a heal re-fetches), and a never-healed
-        // replica should show as the hop that never answered. Multi-ops
-        // genuinely stop waiting, so their spans close unanswered now.
-        let traced = !self.trace_waits.is_empty();
-        for p in self.pending_gets.values_mut() {
-            if let Some(pos) = p.waiting.iter().position(|&n| n == peer) {
-                p.waiting.remove(pos);
-                p.unreached.push(peer);
+        let mut struck: Vec<u64> = Vec::new();
+        for (&req, p) in &mut self.pending {
+            let before = p.waiting.len();
+            p.waiting.retain(|&n| n != peer);
+            if p.waiting.len() < before {
+                struck.push(req);
             }
         }
-        let mut touched: Vec<u64> = Vec::new();
-        let mut struck_gets: Vec<u64> = self
-            .pending_multi_gets
-            .iter_mut()
-            .filter_map(|(&req, p)| {
-                let before = p.waiting.len();
-                p.waiting.retain(|&n| n != peer);
-                if p.waiting.len() == before {
-                    return None;
+        struck.sort_unstable();
+        for req in struck {
+            let p = self.pending.get_mut(&req).expect("struck above");
+            let idle = p.waiting.is_empty();
+            match &mut p.op {
+                // A read is still semantically waiting: a heal re-fetches,
+                // and its wait span stays open so a never-healed replica
+                // shows as the hop that never answered.
+                PendingOp::Get { unreached, .. } => {
+                    unreached.push(peer);
+                    continue;
                 }
-                if traced {
-                    touched.push(req);
+                // Neither has a partial result to report, and a revived
+                // node never answers the old request: forget the op and
+                // leave its session to time out. The trace keeps the wait
+                // on `peer` open, as for a read.
+                PendingOp::Scan { .. } | PendingOp::Aggregate { .. } => {
+                    self.pending.remove(&req);
+                    continue;
                 }
-                p.full = false;
-                p.waiting.is_empty().then_some(req)
-            })
-            .collect();
-        let mut struck_puts: Vec<u64> = self
-            .pending_multi_puts
-            .iter_mut()
-            .filter_map(|(&req, p)| {
-                let before = p.waiting.len();
-                p.waiting.retain(|&n| n != peer);
-                if p.waiting.len() == before {
-                    return None;
-                }
-                if traced {
-                    touched.push(req);
-                }
-                p.waiting.is_empty().then_some(req)
-            })
-            .collect();
-        // Request order, not hash-map order: completions enter the
-        // retention log (whose cap retires by age) and close trace spans.
-        touched.sort_unstable();
-        struck_gets.sort_unstable();
-        struck_puts.sort_unstable();
-        for req in touched {
+                PendingOp::MultiGet { full, .. } => *full = false,
+                PendingOp::MultiPut { .. } => {}
+            }
+            // Multi-ops genuinely stop waiting — their span on `peer`
+            // closes unanswered now — and one whose last outstanding reply
+            // was on it completes instead of sitting out the deadline.
             self.trace_unwait(ctx, req, peer);
-        }
-        for req in struck_gets {
-            let p = self.pending_multi_gets.remove(&req).expect("present");
-            self.complete_multi_get(ctx, req, p);
-        }
-        for req in struck_puts {
-            let p = self.pending_multi_puts.remove(&req).expect("present");
-            self.complete_multi_put(ctx, req, p);
+            if idle {
+                let p = self.pending.remove(&req).expect("struck above");
+                self.finish(ctx, req, p);
+            }
         }
     }
 
@@ -927,11 +784,12 @@ impl SoftNode {
     /// repair alone cannot restore a write no live owner ever received).
     fn peer_restored(&mut self, ctx: &mut Ctx<'_, DropletMsg>, peer: NodeId) {
         let mut refetches: Vec<(u64, u64, Version)> = Vec::new();
-        for (&req, p) in &mut self.pending_gets {
-            if let Some(pos) = p.unreached.iter().position(|&n| n == peer) {
-                p.unreached.remove(pos);
+        for (&req, p) in &mut self.pending {
+            let PendingOp::Get { key_hash, version, unreached } = &mut p.op else { continue };
+            if let Some(pos) = unreached.iter().position(|&n| n == peer) {
+                unreached.remove(pos);
                 p.waiting.push(peer);
-                refetches.push((req, p.key_hash, p.version));
+                refetches.push((req, *key_hash, *version));
             }
         }
         refetches.sort_unstable_by_key(|&(req, ..)| req);
@@ -993,6 +851,36 @@ impl SoftNode {
         }
     }
 
+    /// Registers a scan or aggregate that went out to every persist peer —
+    /// unless one of them is already known dead: it will never answer and
+    /// neither op has a partial result to report, so the session times out
+    /// on its own and the replies that do come find no entry.
+    fn await_every_peer(
+        &mut self,
+        ctx: &mut Ctx<'_, DropletMsg>,
+        req: u64,
+        targets: Vec<NodeId>,
+        op: PendingOp,
+    ) {
+        if targets.iter().all(|t| self.reachable.contains(t)) {
+            self.pending.insert(req, Pending { waiting: targets, started: ctx.now(), op });
+        }
+    }
+
+    /// Registers a multi-op under the deadline sweep, or completes it on
+    /// the spot when there is nobody to wait for.
+    fn await_multi_op(&mut self, ctx: &mut Ctx<'_, DropletMsg>, req: u64, p: Pending) {
+        if p.waiting.is_empty() {
+            self.finish(ctx, req, p);
+            return;
+        }
+        self.pending.insert(req, p);
+        // When this fires, this request (and any older one) is past its
+        // timeout and completes with whatever arrived — a silently lost
+        // reply must not hang the op.
+        ctx.set_timer(Duration(MULTI_OP_TIMEOUT), MULTI_OP_TIMER);
+    }
+
     fn start_read(&mut self, ctx: &mut Ctx<'_, DropletMsg>, req: u64, key: &Key) {
         let key_hash = key.hash();
         let latest = self.metadata.latest(key_hash);
@@ -1032,7 +920,8 @@ impl SoftNode {
             let trace = self.trace_wait(ctx, req, t, "soft.fetch_wait");
             ctx.send(t, DropletMsg::Fetch { req, key_hash, version: latest, trace });
         }
-        self.pending_gets.insert(req, PendingGet { key_hash, version: latest, waiting, unreached });
+        let op = PendingOp::Get { key_hash, version: latest, unreached };
+        self.pending.insert(req, Pending { waiting, started: ctx.now(), op });
     }
 
     /// Handles soft-layer messages; shared by the composite process.
@@ -1073,12 +962,12 @@ impl SoftNode {
                     self.complete(ctx, req, Done::Scan(Vec::new()), true);
                     return;
                 }
-                self.pending_scans
-                    .insert(req, PendingGather { outstanding: targets.len(), items: Vec::new() });
-                for t in targets {
+                for &t in &targets {
                     let trace = self.trace_wait(ctx, req, t, "soft.scan_wait");
                     ctx.send(t, DropletMsg::ScanReq { req, lo, hi, trace });
                 }
+                let op = PendingOp::Scan { items: Vec::new() };
+                self.await_every_peer(ctx, req, targets, op);
             }
             DropletMsg::ClientMultiPut { req, items, trace } => {
                 ctx.metrics().incr("soft.multi_puts");
@@ -1089,7 +978,6 @@ impl SoftNode {
                     return;
                 }
                 let want = items.len();
-                let started = ctx.now();
                 let coord_trace = self.trace_ctx_of(req);
                 let mut versions = Vec::new();
                 let mut waiting = Vec::new();
@@ -1113,13 +1001,8 @@ impl SoftNode {
                     }
                 }
                 ctx.metrics().add("multi_put.msgs", forwards);
-                let pending = PendingMultiPut { waiting, versions, want, started };
-                if pending.waiting.is_empty() {
-                    self.complete_multi_put(ctx, req, pending);
-                } else {
-                    self.pending_multi_puts.insert(req, pending);
-                    ctx.set_timer(Duration(MULTI_OP_TIMEOUT), MULTI_OP_TIMER);
-                }
+                let op = PendingOp::MultiPut { versions, want };
+                self.await_multi_op(ctx, req, Pending { waiting, started: ctx.now(), op });
             }
             DropletMsg::ClientMultiGet { req, tag, trace } => {
                 let tag_hash = tag.hash();
@@ -1143,24 +1026,14 @@ impl SoftNode {
                     targets.into_iter().partition(|t| self.reachable.contains(t));
                 ctx.metrics().observe("multi_get.contacted_nodes", waiting.len() as f64);
                 ctx.metrics().add("multi_get.msgs", waiting.len() as u64);
-                let full = skipped.is_empty();
-                let pending =
-                    PendingMultiGet { waiting, items: Vec::new(), full, started: ctx.now() };
-                if pending.waiting.is_empty() {
-                    // Nothing answerable: empty result, full only when
-                    // there were no owners at all to ask.
-                    self.complete_multi_get(ctx, req, pending);
-                    return;
-                }
-                for &t in &pending.waiting {
+                for &t in &waiting {
                     let trace = self.trace_wait(ctx, req, t, "soft.tagfetch_wait");
                     ctx.send(t, DropletMsg::TagFetch { req, tag_hash, trace });
                 }
-                self.pending_multi_gets.insert(req, pending);
-                // Deadline: when this fires, this request (and any older
-                // one) is past its timeout and completes with whatever
-                // arrived — a silently lost reply must not hang the read.
-                ctx.set_timer(Duration(MULTI_OP_TIMEOUT), MULTI_OP_TIMER);
+                // With nothing answerable the result is empty, and full
+                // only when there were no owners at all to ask.
+                let op = PendingOp::MultiGet { items: Vec::new(), full: skipped.is_empty() };
+                self.await_multi_op(ctx, req, Pending { waiting, started: ctx.now(), op });
             }
             DropletMsg::SubPut { req, origin, item, trace } => {
                 ctx.metrics().incr("soft.sub_puts");
@@ -1168,21 +1041,19 @@ impl SoftNode {
                 ctx.send(origin, DropletMsg::SubPutAck { req, key_hash, version });
             }
             DropletMsg::SubPutAck { req, key_hash, version } => {
-                self.trace_reply(ctx, req, from);
-                self.note_sub_put_ack(ctx, req, Some(from), key_hash, version);
+                self.on_reply(ctx, req, from, |op| {
+                    if let PendingOp::MultiPut { versions, .. } = op {
+                        versions.push((key_hash, version));
+                    }
+                });
             }
-            DropletMsg::TagFetchReply { req, items } => {
-                let Some(p) = self.pending_multi_gets.get_mut(&req) else { return };
-                p.items.extend(items);
-                if let Some(pos) = p.waiting.iter().position(|&n| n == from) {
-                    p.waiting.remove(pos);
-                }
-                let done = p.waiting.is_empty();
-                self.trace_reply(ctx, req, from);
-                if done {
-                    let p = self.pending_multi_gets.remove(&req).expect("present");
-                    self.complete_multi_get(ctx, req, p);
-                }
+            DropletMsg::TagFetchReply { req, items: found }
+            | DropletMsg::ScanReply { req, items: found } => {
+                self.on_reply(ctx, req, from, |op| {
+                    if let PendingOp::MultiGet { items, .. } | PendingOp::Scan { items } = op {
+                        items.extend(found);
+                    }
+                });
             }
             DropletMsg::ClientAggregate { req, trace } => {
                 let targets = self.persist.peers.clone();
@@ -1193,89 +1064,47 @@ impl SoftNode {
                     self.complete(ctx, req, Done::Aggregate { sketch, min, max }, true);
                     return;
                 }
-                self.pending_aggs.insert(
-                    req,
-                    PendingAgg {
-                        outstanding: targets.len(),
-                        sketch: dd_estimation::DistSketch::new(512),
-                        min: f64::INFINITY,
-                        max: f64::NEG_INFINITY,
-                    },
-                );
-                for t in targets {
+                for &t in &targets {
                     let trace = self.trace_wait(ctx, req, t, "soft.agg_wait");
                     ctx.send(t, DropletMsg::AggReq { req, trace });
                 }
-            }
-            DropletMsg::StoredAck { key_hash, version } => {
-                self.note_stored(from, key_hash, version);
+                let op = PendingOp::Aggregate {
+                    sketch: dd_estimation::DistSketch::new(512),
+                    min: f64::INFINITY,
+                    max: f64::NEG_INFINITY,
+                };
+                self.await_every_peer(ctx, req, targets, op);
             }
             DropletMsg::StoredAckBatch { acked } => {
                 for (key_hash, version) in acked {
                     self.note_stored(from, key_hash, version);
                 }
             }
-            DropletMsg::FetchReply { req, found } => {
-                let Some(p) = self.pending_gets.get_mut(&req) else { return };
-                if let Some(pos) = p.waiting.iter().position(|&n| n == from) {
-                    p.waiting.remove(pos);
+            DropletMsg::FetchReply { req, found: Some(t) } => {
+                // The first replica holding the version answers the read.
+                if self.pending.remove(&req).is_none() {
+                    return;
                 }
                 self.trace_reply(ctx, req, from);
-                match found {
-                    Some(t) => {
-                        self.pending_gets.remove(&req);
-                        self.metadata.add_holder(t.key_hash, t.version, from);
-                        self.cache.put(t.key_hash, t.version, t.clone());
-                        self.complete(ctx, req, Done::Read((!t.deleted).then_some(t)), true);
-                    }
-                    None => {
-                        // Conclude "not found" only once every replica we
-                        // could reach said no AND none is still dark — a
-                        // dark replica may hold the write (read-your-writes
-                        // over availability).
-                        if self
-                            .pending_gets
-                            .get(&req)
-                            .is_some_and(|p| p.waiting.is_empty() && p.unreached.is_empty())
-                        {
-                            self.pending_gets.remove(&req);
-                            self.complete(ctx, req, Done::Read(None), true);
-                        }
-                    }
-                }
+                self.metadata.add_holder(t.key_hash, t.version, from);
+                self.cache.put(t.key_hash, t.version, t.clone());
+                self.complete(ctx, req, Done::Read((!t.deleted).then_some(t)), true);
             }
+            DropletMsg::FetchReply { req, found: None } => self.on_reply(ctx, req, from, |_| {}),
             DropletMsg::PeerDown(peer) if self.reachable.remove(&peer) => {
-                self.fanout_memo.set(None);
                 self.strike_peer(ctx, peer);
             }
             DropletMsg::PeerUp(peer) if self.reachable.insert(peer) => {
-                self.fanout_memo.set(None);
                 self.peer_restored(ctx, peer);
             }
-            DropletMsg::ScanReply { req, items } => {
-                let Some(p) = self.pending_scans.get_mut(&req) else { return };
-                p.items.extend(items);
-                p.outstanding -= 1;
-                let done = p.outstanding == 0;
-                self.trace_reply(ctx, req, from);
-                if done {
-                    let p = self.pending_scans.remove(&req).expect("present");
-                    self.complete(ctx, req, Done::Scan(Self::finalize_gather(p.items)), true);
-                }
-            }
-            DropletMsg::AggReply { req, sketch, min, max } => {
-                let Some(p) = self.pending_aggs.get_mut(&req) else { return };
-                p.sketch.merge(&sketch);
-                p.min = p.min.min(min);
-                p.max = p.max.max(max);
-                p.outstanding -= 1;
-                let done = p.outstanding == 0;
-                self.trace_reply(ctx, req, from);
-                if done {
-                    let p = self.pending_aggs.remove(&req).expect("present");
-                    let PendingAgg { sketch, min, max, .. } = p;
-                    self.complete(ctx, req, Done::Aggregate { sketch, min, max }, true);
-                }
+            DropletMsg::AggReply { req, sketch: theirs, min: lo, max: hi } => {
+                self.on_reply(ctx, req, from, |op| {
+                    if let PendingOp::Aggregate { sketch, min, max } = op {
+                        sketch.merge(&theirs);
+                        *min = min.min(lo);
+                        *max = max.max(hi);
+                    }
+                });
             }
             _ => {}
         }
@@ -1294,31 +1123,21 @@ impl SoftNode {
             return;
         }
         let now = ctx.now();
-        let past_deadline = |started: Time| now.0.saturating_sub(started.0) >= MULTI_OP_TIMEOUT;
-        // Both lists complete in request order, never hash-map order (see
-        // `strike_peer`).
-        let mut expired_gets: Vec<u64> = self
-            .pending_multi_gets
+        let mut expired: Vec<u64> = self
+            .pending
             .iter()
-            .filter(|(_, p)| past_deadline(p.started))
+            .filter(|(_, p)| p.op.has_deadline())
+            .filter(|(_, p)| now.0.saturating_sub(p.started.0) >= MULTI_OP_TIMEOUT)
             .map(|(&req, _)| req)
             .collect();
-        expired_gets.sort_unstable();
-        for req in expired_gets {
-            let mut p = self.pending_multi_gets.remove(&req).expect("present");
-            p.full = false;
-            self.complete_multi_get(ctx, req, p);
-        }
-        let mut expired_puts: Vec<u64> = self
-            .pending_multi_puts
-            .iter()
-            .filter(|(_, p)| past_deadline(p.started))
-            .map(|(&req, _)| req)
-            .collect();
-        expired_puts.sort_unstable();
-        for req in expired_puts {
-            let p = self.pending_multi_puts.remove(&req).expect("present");
-            self.complete_multi_put(ctx, req, p);
+        // Request order, never hash-map order (see `strike_peer`).
+        expired.sort_unstable();
+        for req in expired {
+            let mut p = self.pending.remove(&req).expect("present");
+            if let PendingOp::MultiGet { full, .. } = &mut p.op {
+                *full = false;
+            }
+            self.finish(ctx, req, p);
         }
     }
 
@@ -1327,7 +1146,7 @@ impl SoftNode {
     /// retained), so without this any op in flight at crash time would
     /// neither complete nor expire.
     pub fn arm_timers(&mut self, ctx: &mut Ctx<'_, DropletMsg>) {
-        if !self.pending_multi_gets.is_empty() || !self.pending_multi_puts.is_empty() {
+        if self.pending.values().any(|p| p.op.has_deadline()) {
             ctx.set_timer(Duration(MULTI_OP_TIMEOUT), MULTI_OP_TIMER);
         }
         if !self.outbox.is_empty() {
@@ -1347,11 +1166,7 @@ impl SoftNode {
         self.metadata = Metadata::new(8);
         self.cache.clear();
         self.put_index.clear();
-        self.pending_gets.clear();
-        self.pending_scans.clear();
-        self.pending_aggs.clear();
-        self.pending_multi_puts.clear();
-        self.pending_multi_gets.clear();
+        self.pending.clear();
         self.outbox.clear();
         self.outbox_armed = false;
         self.trace_ops.clear();
@@ -1359,7 +1174,6 @@ impl SoftNode {
         self.undelivered.clear();
         self.undelivered_order.clear();
         self.reachable = self.known_peers.iter().copied().collect();
-        self.fanout_memo.set(None);
     }
 
     /// Reconstructs metadata and version counters from a persistent-layer
@@ -1382,7 +1196,7 @@ mod tests {
     fn coordinator_is_consistent_across_nodes() {
         let members: Vec<NodeId> = (0..4).map(NodeId).collect();
         let nodes: Vec<SoftNode> =
-            (0..4).map(|_| SoftNode::new(&members, Arc::default(), 4, 16)).collect();
+            (0..4).map(|_| SoftNode::new(&members, Arc::default(), 16)).collect();
         for k in 0..100u64 {
             let c0 = nodes[0].coordinator_of(k);
             for n in &nodes {
@@ -1423,7 +1237,7 @@ mod tests {
     fn retiring_a_put_completion_releases_its_ack_route() {
         use rand::SeedableRng;
         let members = vec![NodeId(0)];
-        let mut n = SoftNode::new(&members, Arc::default(), 4, 16);
+        let mut n = SoftNode::new(&members, Arc::default(), 16);
         let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
         let mut metrics = dd_sim::Metrics::new();
         let spec = |i: u64| crate::tuple::TupleSpec::new(format!("k{i}"), vec![], None, None);
@@ -1461,18 +1275,15 @@ mod tests {
 
                 // A late storage ack for the evicted write finds no record.
                 let parked = n.completion_backlog();
-                let ack = DropletMsg::StoredAck { key_hash: route.0, version: route.1 };
+                let ack = DropletMsg::StoredAckBatch { acked: vec![route] };
                 n.on_message(ctx, NodeId(9), ack);
                 assert_eq!(n.completion_backlog(), parked);
                 assert!(!n.put_index.contains_key(&route));
                 // …while one for a parked write still counts in place.
                 let live = oldest + 2;
                 let kh = Key::from(format!("k{live}").as_str()).hash();
-                n.on_message(
-                    ctx,
-                    NodeId(9),
-                    DropletMsg::StoredAck { key_hash: kh, version: Version(1) },
-                );
+                let ack = DropletMsg::StoredAckBatch { acked: vec![(kh, Version(1))] };
+                n.on_message(ctx, NodeId(9), ack);
                 assert!(
                     matches!(n.take(live), Some(Done::Write { status, .. }) if status.acks == 1)
                 );
@@ -1482,50 +1293,136 @@ mod tests {
         assert_eq!(n.metadata.latest(first), Version(1), "eviction never touches metadata");
     }
 
-    /// Runs `f` on `n` inside a detached context at virtual time `now`.
-    fn drive(n: &mut SoftNode, now: u64, f: impl FnOnce(&mut SoftNode, &mut Ctx<'_, DropletMsg>)) {
+    /// Runs `f` on `n` inside a detached context at virtual time `now`;
+    /// returns the messages it sent.
+    fn drive(
+        n: &mut SoftNode,
+        now: u64,
+        f: impl FnOnce(&mut SoftNode, &mut Ctx<'_, DropletMsg>),
+    ) -> Vec<(NodeId, DropletMsg)> {
+        use dd_sim::engine::AdhocEffect;
         use rand::SeedableRng;
         let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
         let mut metrics = dd_sim::Metrics::new();
-        dd_sim::engine::with_adhoc_ctx(NodeId(0), Time(now), &mut rng, &mut metrics, |ctx| {
-            f(n, ctx);
+        let (_, effects) =
+            dd_sim::engine::with_adhoc_ctx(NodeId(0), Time(now), &mut rng, &mut metrics, |ctx| {
+                f(n, ctx);
+            });
+        effects
+            .into_iter()
+            .filter_map(|e| match e {
+                AdhocEffect::Send { to, msg } => Some((to, msg)),
+                AdhocEffect::Timer { .. } => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_coordinator_over_no_persist_layer_orders_writes_and_sends_nothing() {
+        let mut n = SoftNode::new(&[NodeId(0)], Arc::default(), 16);
+        let sent = drive(&mut n, 0, |n, ctx| {
+            let (key, value) = (Key::from("k"), bytes::Bytes::new());
+            let put =
+                DropletMsg::ClientPut { req: 1, key, value, attr: None, tag: None, trace: None };
+            n.on_message(ctx, NodeId(0), put);
+            // A tombstone is wanted by every peer there is: still nobody.
+            let delete = DropletMsg::ClientDelete { req: 2, key: Key::from("k"), trace: None };
+            n.on_message(ctx, NodeId(0), delete);
+            n.on_timer(ctx, BATCH_TIMER);
         });
+        assert!(sent.is_empty(), "{sent:?}");
+        for (req, version) in [(1, Version(1)), (2, Version(2))] {
+            assert!(
+                matches!(n.take(req), Some(Done::Write { status, .. }) if status.version == version)
+            );
+        }
+        assert_eq!((n.undelivered_backlog(), n.outbox_depth()), (0, 0));
     }
 
     #[test]
     fn multi_gets_struck_or_expired_together_complete_in_request_order() {
-        // One persist owner, so every tag read waits on exactly that node.
-        let owner = NodeId(10);
+        // Node 10 is the one persist owner *and* a soft member, so it owes
+        // every kind of reply: fetches, tag fetches, scans and aggregates
+        // as the owner, sub-put acks as a key coordinator.
+        let (me, peer) = (NodeId(0), NodeId(10));
         let all = crate::sieve_spec::SieveSpec::Range { index: 0, of: 1, r: 1 };
-        let persist = Arc::new(OwnerIndex::new(vec![owner], vec![all]));
-        let reqs: Vec<u64> = (1..=12).collect();
-        let with_pending_reads = || {
-            let mut n = SoftNode::new(&[NodeId(0)], Arc::clone(&persist), 4, 16);
+        let persist = Arc::new(OwnerIndex::new(vec![peer], vec![all]));
+        let reqs: Vec<u64> = (1..=15).collect();
+        let of_kind = |kind: u64| reqs.iter().copied().filter(move |req| req % 5 == kind);
+        let multi_ops: Vec<u64> = reqs.iter().copied().filter(|req| req % 5 < 2).collect();
+        let with_pending_ops = || {
+            let mut n = SoftNode::new(&[me, peer], Arc::clone(&persist), 16);
+            // The `req`-th name the soft ring routes to coordinator `who`.
+            let routed = |n: &SoftNode, who: NodeId, req: u64| {
+                (0..)
+                    .map(|i| format!("{req}:{i}"))
+                    .find(|name| n.coordinator_of(Key::from(name.as_str()).hash()) == Some(who))
+            };
             drive(&mut n, 0, |n, ctx| {
                 for &req in &reqs {
-                    let tag = crate::tuple::Tag::new(format!("feed:{req}"));
-                    let read = DropletMsg::ClientMultiGet { req, tag, trace: None };
-                    n.on_message(ctx, NodeId(0), read);
+                    let op = match req % 5 {
+                        0 => {
+                            let tag = crate::tuple::Tag::new(routed(n, me, req).unwrap());
+                            DropletMsg::ClientMultiGet { req, tag, trace: None }
+                        }
+                        1 => {
+                            let item =
+                                TupleSpec::new(routed(n, peer, req).unwrap(), vec![], None, None);
+                            DropletMsg::ClientMultiPut { req, items: vec![item], trace: None }
+                        }
+                        2 => {
+                            let key = Key::from(routed(n, me, req).unwrap().as_str());
+                            n.metadata.record_write(key.hash(), Version(1), &[peer]);
+                            DropletMsg::ClientGet { req, key, trace: None }
+                        }
+                        3 => DropletMsg::ClientScan { req, lo: 0.0, hi: 1.0, trace: None },
+                        _ => DropletMsg::ClientAggregate { req, trace: None },
+                    };
+                    n.on_message(ctx, me, op);
                 }
             });
-            assert_eq!(n.pending_multi_gets.len(), reqs.len());
+            assert_eq!(n.pending_ops(), reqs.len());
             n
         };
         // The log's order queue is age order — what the retention cap
-        // retires by — so it must not depend on hash-map iteration.
-        let mut struck = with_pending_reads();
-        drive(&mut struck, 1, |n, ctx| n.on_message(ctx, NodeId(0), DropletMsg::PeerDown(owner)));
-        assert!(struck.completed.order.iter().eq(&reqs), "{:?}", struck.completed.order);
+        // retires by — so it must not depend on hash-map iteration, nor on
+        // which kind of op a request is.
+        let mut struck = with_pending_ops();
+        drive(&mut struck, 1, |n, ctx| n.on_message(ctx, me, DropletMsg::PeerDown(peer)));
+        assert!(struck.completed.order.iter().eq(&multi_ops), "{:?}", struck.completed.order);
+        // Scans and aggregates are forgotten, reads park on the dark peer…
+        assert_eq!(struck.pending_ops(), of_kind(2).count());
+        assert!(of_kind(2).all(|req| struck.blame(req) == Some(peer)));
+        // …and are re-fetched, then answered, once it is back.
+        let refetched = drive(&mut struck, 2, |n, ctx| {
+            n.on_message(ctx, me, DropletMsg::PeerUp(peer));
+        });
+        let fetches = refetched.iter().filter_map(|(to, msg)| match msg {
+            DropletMsg::Fetch { req, .. } if *to == peer => Some(*req),
+            _ => None,
+        });
+        assert!(fetches.eq(of_kind(2)), "{refetched:?}");
+        drive(&mut struck, 3, |n, ctx| {
+            for req in of_kind(2) {
+                n.on_message(ctx, peer, DropletMsg::FetchReply { req, found: None });
+            }
+        });
+        assert_eq!(struck.pending_ops(), 0);
+        let finished: Vec<u64> = multi_ops.iter().copied().chain(of_kind(2)).collect();
+        assert!(struck.completed.order.iter().eq(&finished), "exactly once each");
+        assert!(of_kind(3).chain(of_kind(4)).all(|req| struck.take(req).is_none()));
 
-        let mut expired = with_pending_reads();
+        // The deadline is the multi-ops' alone.
+        let mut expired = with_pending_ops();
         drive(&mut expired, MULTI_OP_TIMEOUT, |n, ctx| n.on_timer(ctx, MULTI_OP_TIMER));
-        assert!(expired.completed.order.iter().eq(&reqs), "{:?}", expired.completed.order);
+        assert!(expired.completed.order.iter().eq(&multi_ops), "{:?}", expired.completed.order);
+        assert_eq!(expired.pending_ops(), reqs.len() - multi_ops.len());
     }
 
     #[test]
     fn wipe_and_reconstruct_restores_versions() {
         let members = vec![NodeId(0)];
-        let mut n = SoftNode::new(&members, Arc::default(), 4, 16);
+        let mut n = SoftNode::new(&members, Arc::default(), 16);
         // Simulate three writes' worth of authority state.
         let kh = Key::from("k").hash();
         n.authority.assign(kh);

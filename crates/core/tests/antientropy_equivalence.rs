@@ -140,7 +140,7 @@ proptest! {
         let sieves = sieve_population(family, n, r);
         let mut seed: Vec<PersistNode> = sieves
             .iter()
-            .map(|s| PersistNode::new(s.clone(), 2, vec![], None))
+            .map(|s| PersistNode::new(s.clone(), vec![], None))
             .collect();
         let mut w = 0usize;
         for (key_idx, &(versions, tombs)) in keys.iter().enumerate() {
@@ -221,8 +221,8 @@ proptest! {
         common in prop::collection::hash_set(1_000u64..2_000, 0..40),
     ) {
         let all = SieveSpec::Range { index: 0, of: 1, r: 1 };
-        let mut a = PersistNode::new(all.clone(), 2, vec![], None);
-        let mut b = PersistNode::new(all.clone(), 2, vec![], None);
+        let mut a = PersistNode::new(all.clone(), vec![], None);
+        let mut b = PersistNode::new(all.clone(), vec![], None);
         for &k in &common {
             a.apply(materialise(k as usize, 1, false));
             b.apply(materialise(k as usize, 1, false));

@@ -5,9 +5,9 @@
 //! system doing over time?* A [`Telemetry`] collector samples gauges
 //! every K virtual ticks into bounded ring-buffer time series — event
 //! queue depth, in-flight messages by kind, completion-log occupancy,
-//! store and tombstone growth, repair-round outcomes, adaptive fanout,
-//! failure-detector live sets — and [`TelemetryReport`] summarises each
-//! series and runs three built-in detectors over the result:
+//! store and tombstone growth, repair-round outcomes, failure-detector
+//! live sets — and [`TelemetryReport`] summarises each series and runs
+//! three built-in detectors over the result:
 //!
 //! * **monotonic growth (leak)** — a series that never shrinks and is
 //!   still climbing at the end of the run (a completion log nobody
@@ -63,8 +63,6 @@ pub mod names {
     pub const TOMBSTONES: &str = "cluster.tombstones";
     /// Soft-tier failure detectors' mean live-set size.
     pub const FD_LIVE: &str = "cluster.fd_live_mean";
-    /// Mean adaptive fanout across soft coordinators.
-    pub const FANOUT: &str = "cluster.fanout_mean";
     /// Anti-entropy rounds answered since the previous sample.
     pub const REPAIR_ROUNDS: &str = "rate.repair_rounds";
     /// Anti-entropy rounds that compared clean since the previous sample.
