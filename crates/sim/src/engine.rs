@@ -8,7 +8,7 @@ use crate::trace::Tracer;
 use crate::types::{NodeId, TimerTag};
 use rand::rngs::SmallRng;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::fmt;
 
 /// Protocol logic hosted on one simulated node.
@@ -175,13 +175,34 @@ impl<M> Ord for Scheduled<M> {
     }
 }
 
+/// One entry of the node table, at index `NodeId.0`.
 struct Slot<P> {
+    /// The node hosted under this id: `None` until it is added and after
+    /// it is removed. Boxed, so growing the table moves 16-byte entries
+    /// rather than whole processes and the heap stays proportional to the
+    /// population (no doubled process array in flight at a regrowth).
+    node: Option<Box<Node<P>>>,
+    /// Incremented on every crash and every removal; timers armed in an
+    /// older epoch are discarded on delivery, modelling in-memory timer
+    /// loss at reboot. It outlives [`Sim::remove`], so a node re-added
+    /// under the id starts in a fresh epoch.
+    epoch: u64,
+}
+
+struct Node<P> {
     proc: P,
     rng: SmallRng,
     alive: bool,
-    /// Incremented on every crash; timers armed in an older epoch are
-    /// discarded on delivery, modelling in-memory timer loss at reboot.
-    epoch: u64,
+}
+
+/// How far past the node table [`Sim::add_node`] accepts an id: more than
+/// twice the table's length plus this is taken for a stray id, not a
+/// population, and panics rather than allocating the gap.
+const SPARSE_SLACK: usize = 1024;
+
+/// Table index of `id`; an id beyond `usize` maps past every table.
+fn index(id: NodeId) -> usize {
+    usize::try_from(id.0).unwrap_or(usize::MAX)
 }
 
 /// Simulation-wide configuration.
@@ -226,8 +247,21 @@ impl SimConfig {
 /// Generic over a single [`Process`] type `P`; heterogeneous systems (e.g.
 /// DataDroplets' two layers) compose their behaviours into one enum-driven
 /// process type.
+///
+/// Node ids index a dense table: `NodeId(i)` lives at entry `i`, so a
+/// delivered message finds its node without a search. Populations are
+/// expected to use the ids `0..n` (an id far past the table panics in
+/// [`Sim::add_node`]); iteration is in id order.
+///
+/// Each id keeps a crash epoch across [`Sim::remove`]: a node later added
+/// under a removed id starts in a fresh epoch, so timers its predecessor
+/// armed are discarded instead of firing on the new process. Messages
+/// still in flight to the id are delivered to whoever holds it then —
+/// they are addressed to the id, not to an incarnation.
 pub struct Sim<P: Process> {
-    nodes: BTreeMap<NodeId, Slot<P>>,
+    nodes: Vec<Slot<P>>,
+    /// Occupied entries of `nodes`.
+    len: usize,
     queue: BinaryHeap<Scheduled<P::Msg>>,
     now: Time,
     seq: u64,
@@ -254,7 +288,8 @@ impl<P: Process> Sim<P> {
     #[must_use]
     pub fn new(config: SimConfig) -> Self {
         Sim {
-            nodes: BTreeMap::new(),
+            nodes: Vec::new(),
+            len: 0,
             queue: BinaryHeap::with_capacity(config.queue_capacity),
             now: Time::ZERO,
             seq: 0,
@@ -272,60 +307,90 @@ impl<P: Process> Sim<P> {
 
     /// Adds a node and schedules its [`Process::on_start`] at the current
     /// time. Returns `false` (and ignores the call) if the id exists.
+    ///
+    /// # Panics
+    /// If `id` lies far past the node table — beyond twice its length
+    /// plus 1024 — since ids index a dense table and the gap would have
+    /// to be allocated.
     pub fn add_node(&mut self, id: NodeId, proc: P) -> bool {
-        if self.nodes.contains_key(&id) {
+        let i = index(id);
+        let table = self.nodes.len();
+        assert!(
+            i <= 2 * table + SPARSE_SLACK,
+            "node id {} lies far past the node table ({table} entries): ids index a dense \
+             table, so populations use ids 0..n",
+            id.0
+        );
+        if i >= table {
+            self.nodes.resize_with(i + 1, || Slot { node: None, epoch: 0 });
+        }
+        let slot = &mut self.nodes[i];
+        if slot.node.is_some() {
             return false;
         }
-        self.nodes
-            .insert(id, Slot { proc, rng: stream_rng(self.seed, id.0), alive: true, epoch: 0 });
+        slot.node = Some(Box::new(Node { proc, rng: stream_rng(self.seed, id.0), alive: true }));
+        self.len += 1;
         self.push(self.now, Event::Start(id));
         true
+    }
+
+    fn hosted(&self, id: NodeId) -> Option<&Node<P>> {
+        self.nodes.get(index(id))?.node.as_deref()
+    }
+
+    fn hosted_mut(&mut self, id: NodeId) -> Option<&mut Node<P>> {
+        self.nodes.get_mut(index(id))?.node.as_deref_mut()
+    }
+
+    /// Occupied table entries with their ids, in id order.
+    fn hosted_iter(&self) -> impl Iterator<Item = (NodeId, &Node<P>)> + '_ {
+        self.nodes.iter().zip(0..).filter_map(|(s, i)| Some((NodeId(i), s.node.as_deref()?)))
     }
 
     /// Number of nodes ever added and not removed.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.len
     }
 
     /// True when the simulation has no nodes.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.len == 0
     }
 
     /// Immutable access to a node's process state.
     #[must_use]
     pub fn node(&self, id: NodeId) -> Option<&P> {
-        self.nodes.get(&id).map(|s| &s.proc)
+        self.hosted(id).map(|n| &n.proc)
     }
 
     /// Mutable access to a node's process state (for harness inspection and
     /// fault injection — protocols themselves must not use this).
     pub fn node_mut(&mut self, id: NodeId) -> Option<&mut P> {
-        self.nodes.get_mut(&id).map(|s| &mut s.proc)
+        self.hosted_mut(id).map(|n| &mut n.proc)
     }
 
     /// Whether the node is currently up.
     #[must_use]
     pub fn is_alive(&self, id: NodeId) -> bool {
-        self.nodes.get(&id).is_some_and(|s| s.alive)
+        self.hosted(id).is_some_and(|n| n.alive)
     }
 
     /// All node ids, in order.
     pub fn ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes.keys().copied()
+        self.hosted_iter().map(|(id, _)| id)
     }
 
     /// Ids of nodes currently up, in order.
     pub fn alive_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes.iter().filter(|(_, s)| s.alive).map(|(id, _)| *id)
+        self.hosted_iter().filter(|(_, n)| n.alive).map(|(id, _)| id)
     }
 
     /// Number of nodes currently up.
     #[must_use]
     pub fn alive_count(&self) -> usize {
-        self.nodes.values().filter(|s| s.alive).count()
+        self.hosted_iter().filter(|(_, n)| n.alive).count()
     }
 
     /// Current virtual time.
@@ -430,13 +495,15 @@ impl<P: Process> Sim<P> {
         self.push(self.now, Event::Up(id));
     }
 
-    /// Permanently removes the node and its state (disk loss).
+    /// Permanently removes the node and its state (disk loss). Its pending
+    /// timers die with it, even if another node is later added under `id`.
     pub fn remove(&mut self, id: NodeId) -> Option<P> {
-        let removed = self.nodes.remove(&id).map(|s| s.proc);
-        if removed.is_some() {
-            self.liveness_epoch += 1;
-        }
-        removed
+        let slot = self.nodes.get_mut(index(id))?;
+        let node = slot.node.take()?;
+        slot.epoch += 1;
+        self.len -= 1;
+        self.liveness_epoch += 1;
+        Some(node.proc)
     }
 
     /// Monotonic counter of liveness transitions (a node actually going
@@ -514,7 +581,7 @@ impl<P: Process> Sim<P> {
         match event {
             Event::Start(id) => self.dispatch(id, Dispatch::Start),
             Event::Deliver { to, from, msg } => {
-                if self.nodes.get(&to).is_some_and(|s| s.alive) {
+                if self.is_alive(to) {
                     self.metrics.incr("net.delivered");
                     self.dispatch(to, Dispatch::Msg(from, msg));
                 } else {
@@ -522,27 +589,24 @@ impl<P: Process> Sim<P> {
                 }
             }
             Event::Timer { node, tag, epoch } => {
-                if self.nodes.get(&node).is_some_and(|s| s.alive && s.epoch == epoch) {
+                if self.nodes.get(index(node)).is_some_and(|s| s.epoch == epoch) {
                     self.dispatch(node, Dispatch::Timer(tag));
                 }
             }
             Event::Down(id) => {
-                if let Some(slot) = self.nodes.get_mut(&id) {
-                    if slot.alive {
-                        slot.alive = false;
+                if let Some(slot) = self.nodes.get_mut(index(id)) {
+                    if let Some(node) = slot.node.as_deref_mut().filter(|n| n.alive) {
+                        node.alive = false;
                         slot.epoch += 1;
-                        slot.proc.on_down();
+                        node.proc.on_down();
                         self.liveness_epoch += 1;
                         self.metrics.incr("churn.down");
                     }
                 }
             }
             Event::Up(id) => {
-                let was_down = self.nodes.get(&id).is_some_and(|s| !s.alive);
-                if was_down {
-                    if let Some(slot) = self.nodes.get_mut(&id) {
-                        slot.alive = true;
-                    }
+                if let Some(node) = self.hosted_mut(id).filter(|n| !n.alive) {
+                    node.alive = true;
                     self.liveness_epoch += 1;
                     self.metrics.incr("churn.up");
                     self.dispatch(id, Dispatch::Up);
@@ -564,35 +628,29 @@ impl<P: Process> Sim<P> {
         true
     }
 
+    /// Runs one callback on `id` if it is hosted and up, then applies the
+    /// effects it emitted.
     fn dispatch(&mut self, id: NodeId, kind: Dispatch<P::Msg>) {
         debug_assert!(self.effects.is_empty());
+        let Some(slot) = self.nodes.get_mut(index(id)) else { return };
+        let epoch = slot.epoch;
+        let Some(node) = slot.node.as_deref_mut().filter(|n| n.alive) else { return };
         let mut effects = std::mem::take(&mut self.effects);
         let now = self.now;
-        {
-            let Some(slot) = self.nodes.get_mut(&id) else {
-                self.effects = effects;
-                return;
-            };
-            if !slot.alive {
-                self.effects = effects;
-                return;
-            }
-            let mut ctx = Ctx {
-                id,
-                now,
-                rng: &mut slot.rng,
-                metrics: &mut self.metrics,
-                effects: &mut effects,
-                tracer: self.tracer.as_deref_mut(),
-            };
-            match kind {
-                Dispatch::Start => slot.proc.on_start(&mut ctx),
-                Dispatch::Msg(from, msg) => slot.proc.on_message(&mut ctx, from, msg),
-                Dispatch::Timer(tag) => slot.proc.on_timer(&mut ctx, tag),
-                Dispatch::Up => slot.proc.on_up(&mut ctx),
-            }
+        let mut ctx = Ctx {
+            id,
+            now,
+            rng: &mut node.rng,
+            metrics: &mut self.metrics,
+            effects: &mut effects,
+            tracer: self.tracer.as_deref_mut(),
+        };
+        match kind {
+            Dispatch::Start => node.proc.on_start(&mut ctx),
+            Dispatch::Msg(from, msg) => node.proc.on_message(&mut ctx, from, msg),
+            Dispatch::Timer(tag) => node.proc.on_timer(&mut ctx, tag),
+            Dispatch::Up => node.proc.on_up(&mut ctx),
         }
-        let epoch = self.nodes.get(&id).map_or(0, |s| s.epoch);
         for eff in effects.drain(..) {
             match eff {
                 Effect::Send { to, msg } => self.route_send(id, to, msg),
@@ -852,6 +910,31 @@ mod tests {
         sim.schedule_up(Time(6), NodeId(0));
         sim.run_until(Time(100));
         assert_eq!(sim.node(NodeId(0)).unwrap().fired, 1);
+    }
+
+    #[test]
+    fn a_removed_nodes_timers_do_not_fire_on_a_node_readded_under_its_id() {
+        struct Arming {
+            tag: u32,
+            fired: Vec<u32>,
+        }
+        impl Process for Arming {
+            type Msg = ();
+            fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
+                ctx.set_timer(Duration(10), TimerTag(self.tag));
+            }
+            fn on_message(&mut self, _: &mut Ctx<'_, ()>, _: NodeId, _: ()) {}
+            fn on_timer(&mut self, _: &mut Ctx<'_, ()>, tag: TimerTag) {
+                self.fired.push(tag.0);
+            }
+        }
+        let mut sim = Sim::new(SimConfig::default());
+        sim.add_node(NodeId(0), Arming { tag: 7, fired: vec![] });
+        sim.run_until(Time(1));
+        assert!(sim.remove(NodeId(0)).is_some());
+        assert!(sim.add_node(NodeId(0), Arming { tag: 8, fired: vec![] }));
+        sim.run();
+        assert_eq!(sim.node(NodeId(0)).unwrap().fired, vec![8], "tag 7 died with its node");
     }
 
     #[test]

@@ -4,6 +4,19 @@
 //! table/figure. Keys are `&'static str` to keep the hot path
 //! allocation-free.
 //!
+//! Names are interned: counters and series live in dense `Vec`s, and a
+//! name-ordered map from name *text* to slot serves the readers
+//! ([`Metrics::counter`], [`Metrics::series`], [`Metrics::summary`], …),
+//! [`Metrics::merge`] and [`Metrics::counters`]. The recording calls —
+//! `add`, `incr`, `observe`, several per delivered message — skip the
+//! string compare: they look the slot up by the name's `(address,
+//! length)` in a small hash map with a multiplicative hasher. An address
+//! not seen before is resolved once by its text and then cached, so two
+//! copies of the same text at different addresses are still one counter;
+//! nothing relies on the linker merging equal literals. The cache cannot
+//! alias: a `&'static str` is never freed or written, so an address seen
+//! with a length names the same text for the rest of the program.
+//!
 //! Series are **O(1) per observation and bounded in memory**: every
 //! series keeps streaming aggregates (count, running sum, min, max — all
 //! exact regardless of length) plus a [`Reservoir`] of retained samples
@@ -15,7 +28,8 @@
 //! (classic algorithm R) driven by a self-contained xorshift, never the
 //! simulation RNG, so metrics can never perturb a run.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Samples a series retains for quantile queries. Below this count a
 /// series is stored exactly; beyond it, a uniform reservoir subsample.
@@ -219,17 +233,99 @@ struct SeriesCell {
     win_max: f64,
 }
 
-impl SeriesCell {
-    fn new() -> Self {
+impl Default for SeriesCell {
+    fn default() -> Self {
         SeriesCell { res: Reservoir::new(), win_n: 0, win_sum: 0.0, win_max: f64::NEG_INFINITY }
+    }
+}
+
+/// Multiplicative hash of a name's `(address, length)` — a multiply and
+/// a rotate per word. Plenty for the few dozen names a sink holds, and a
+/// fraction of what std's `SipHash` costs on the recording path.
+#[derive(Default, Clone, Copy)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves its best bits on top; the table indexes by
+        // the low ones.
+        self.0.rotate_left(26)
+    }
+}
+
+/// One kind of named cell (counters, or series) in a dense `Vec`.
+#[derive(Debug, Clone, Default)]
+struct Interned<T> {
+    cells: Vec<T>,
+    /// Name text → slot, in name order: the readers, `merge` and export.
+    by_name: BTreeMap<&'static str, usize>,
+    /// `(address, length)` of every name recorded through → slot.
+    by_addr: HashMap<(usize, usize), usize, BuildHasherDefault<AddrHasher>>,
+}
+
+impl<T: Default> Interned<T> {
+    /// The cell named `name`, created at `T::default()` on first use.
+    fn cell(&mut self, name: &'static str) -> &mut T {
+        let key = (name.as_ptr() as usize, name.len());
+        let slot = match self.by_addr.get(&key) {
+            Some(&slot) => slot,
+            None => self.intern(name, key),
+        };
+        &mut self.cells[slot]
+    }
+
+    /// Resolves a name seen at a new address by its text, creating the
+    /// cell if the text is new too, and caches the address.
+    #[cold]
+    fn intern(&mut self, name: &'static str, key: (usize, usize)) -> usize {
+        let fresh = self.cells.len();
+        let slot = *self.by_name.entry(name).or_insert(fresh);
+        if slot == fresh {
+            self.cells.push(T::default());
+        }
+        self.by_addr.insert(key, slot);
+        slot
+    }
+
+    fn get(&self, name: &str) -> Option<&T> {
+        self.by_name.get(name).map(|&slot| &self.cells[slot])
+    }
+
+    fn get_mut(&mut self, name: &str) -> Option<&mut T> {
+        self.by_name.get(name).map(|&slot| &mut self.cells[slot])
+    }
+
+    /// Every cell with its name, in name order.
+    fn iter(&self) -> impl Iterator<Item = (&'static str, &T)> + '_ {
+        self.by_name.iter().map(|(&name, &slot)| (name, &self.cells[slot]))
+    }
+
+    fn clear(&mut self) {
+        self.cells.clear();
+        self.by_name.clear();
+        self.by_addr.clear();
     }
 }
 
 /// Counter and series sink shared by the kernel and the protocols.
 #[derive(Debug, Default, Clone)]
 pub struct Metrics {
-    counters: BTreeMap<&'static str, u64>,
-    series: BTreeMap<&'static str, SeriesCell>,
+    counters: Interned<u64>,
+    series: Interned<SeriesCell>,
 }
 
 impl Metrics {
@@ -241,7 +337,7 @@ impl Metrics {
 
     /// Adds `v` to the named counter (creating it at zero).
     pub fn add(&mut self, name: &'static str, v: u64) {
-        *self.counters.entry(name).or_insert(0) += v;
+        *self.counters.cell(name) += v;
     }
 
     /// Increments the named counter by one.
@@ -258,7 +354,7 @@ impl Metrics {
     /// Appends an observation to the named series: O(1) and, once the
     /// series buffer reaches [`RESERVOIR_CAP`], allocation-free.
     pub fn observe(&mut self, name: &'static str, v: f64) {
-        let cell = self.series.entry(name).or_insert_with(SeriesCell::new);
+        let cell = self.series.cell(name);
         cell.res.observe(v);
         cell.win_n += 1;
         cell.win_sum += v;
@@ -340,18 +436,18 @@ impl Metrics {
 
     /// Iterates over all counters in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(k, v)| (*k, *v))
+        self.counters.iter().map(|(name, &v)| (name, v))
     }
 
     /// Merges another sink into this one (counters add, series fold
     /// together; see [`Reservoir::merge`]). The other sink's open
     /// windows fold into this one's.
     pub fn merge(&mut self, other: &Metrics) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k).or_insert(0) += v;
+        for (name, v) in other.counters.iter() {
+            *self.counters.cell(name) += v;
         }
-        for (k, cell) in &other.series {
-            let mine = self.series.entry(k).or_insert_with(SeriesCell::new);
+        for (name, cell) in other.series.iter() {
+            let mine = self.series.cell(name);
             mine.res.merge(&cell.res);
             mine.win_n += cell.win_n;
             mine.win_sum += cell.win_sum;

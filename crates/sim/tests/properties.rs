@@ -1,9 +1,14 @@
 //! Property-based tests for kernel invariants: virtual time never runs
-//! backwards, replay is deterministic, churn schedules are well-formed.
+//! backwards, replay is deterministic, churn schedules are well-formed,
+//! the node table and the metric names behave like the ordered maps they
+//! replace.
 
 use dd_sim::churn::{ChurnEvent, ChurnModel, ChurnSchedule};
-use dd_sim::{Ctx, Metrics, NodeId, Process, Sim, SimConfig, Time};
+use dd_sim::metrics::{quantiles_of, Summary, Window};
+use dd_sim::{Ctx, Duration, Metrics, NodeId, Process, Sim, SimConfig, Time, TimerTag};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// Test process: every node relays a decrementing counter to a
 /// pseudo-random neighbour and records the time of each delivery.
@@ -24,8 +29,236 @@ impl Process for Relay {
     }
 }
 
+/// Test process for the node-table model: keeps a timer armed under its
+/// own incarnation's tag and pings a pseudo-random id on every firing, so
+/// steps deliver to live, dead, removed and never-added ids alike.
+struct Member {
+    incarnation: u32,
+    span: u64,
+}
+
+impl Process for Member {
+    type Msg = ();
+    fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
+        ctx.set_timer(Duration(1), TimerTag(self.incarnation));
+    }
+    fn on_message(&mut self, _: &mut Ctx<'_, ()>, _: NodeId, _: ()) {}
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, ()>, tag: TimerTag) {
+        assert_eq!(tag, TimerTag(self.incarnation), "a timer fired on the wrong incarnation");
+        use rand::Rng;
+        let to = NodeId(ctx.rng().gen_range(0..self.span));
+        ctx.send(to, ());
+        ctx.set_timer(Duration(1 + u64::from(self.incarnation % 3)), tag);
+    }
+    fn on_up(&mut self, ctx: &mut Ctx<'_, ()>) {
+        ctx.set_timer(Duration(1), TimerTag(self.incarnation));
+    }
+}
+
+/// Every observable of the node table against the model (`id → alive`).
+fn assert_table_matches(sim: &mut Sim<Member>, model: &BTreeMap<NodeId, bool>, span: u64) {
+    assert_eq!(sim.len(), model.len());
+    assert_eq!(sim.is_empty(), model.is_empty());
+    assert_eq!(sim.ids().collect::<Vec<_>>(), model.keys().copied().collect::<Vec<_>>());
+    let alive: Vec<NodeId> = model.iter().filter(|(_, &up)| up).map(|(&id, _)| id).collect();
+    assert_eq!(sim.alive_ids().collect::<Vec<_>>(), alive);
+    assert_eq!(sim.alive_count(), alive.len());
+    for id in (0..span + 2).map(NodeId) {
+        let hosted = model.contains_key(&id);
+        assert_eq!(sim.is_alive(id), model.get(&id) == Some(&true), "is_alive({id:?})");
+        assert_eq!(sim.node(id).is_some(), hosted, "node({id:?})");
+        assert_eq!(sim.node_mut(id).is_some(), hosted, "node_mut({id:?})");
+    }
+}
+
+/// Metric names whose equal texts sit at two or more addresses: the
+/// literal, heap copies, and a prefix slice sharing an address with a
+/// longer name.
+fn name_pool() -> &'static [&'static str] {
+    static POOL: OnceLock<Vec<&'static str>> = OnceLock::new();
+    POOL.get_or_init(|| {
+        let leak = |text: &str| -> &'static str { Box::leak(text.to_owned().into_boxed_str()) };
+        let sent = leak("net.sent");
+        let pool = vec![
+            "net.sent",
+            sent,
+            leak("net.sent"),
+            &sent[..3],
+            "net",
+            "lat",
+            leak("lat"),
+            "op.contacts",
+            leak("op.contacts"),
+        ];
+        assert_ne!(pool[0].as_ptr(), pool[1].as_ptr(), "copies must live at new addresses");
+        assert_eq!(pool[1].as_ptr(), pool[3].as_ptr(), "the prefix shares its name's address");
+        pool
+    })
+}
+
+/// Text-keyed model of one [`Metrics`] sink. Values are small integers,
+/// so every sum is exact in whatever order it is taken.
+#[derive(Clone, Default)]
+struct MetricsModel {
+    counters: BTreeMap<String, u64>,
+    series: BTreeMap<String, Vec<f64>>,
+    /// Open window per series: count, sum, max.
+    windows: BTreeMap<String, (u64, f64, f64)>,
+}
+
+impl MetricsModel {
+    fn observe(&mut self, name: &str, v: f64) {
+        self.series.entry(name.to_owned()).or_default().push(v);
+        let w = self.windows.entry(name.to_owned()).or_insert((0, 0.0, f64::NEG_INFINITY));
+        *w = (w.0 + 1, w.1 + v, w.2.max(v));
+    }
+
+    fn take_window(&mut self, name: &str) -> Window {
+        match self.windows.get_mut(name) {
+            Some(w) => {
+                let (n, sum, max) = std::mem::replace(w, (0, 0.0, f64::NEG_INFINITY));
+                Window { n, sum, max: if n == 0 { 0.0 } else { max } }
+            }
+            None => Window::default(),
+        }
+    }
+
+    fn merge(&mut self, other: &MetricsModel) {
+        for (name, v) in &other.counters {
+            *self.counters.entry(name.clone()).or_default() += v;
+        }
+        for (name, xs) in &other.series {
+            self.series.entry(name.clone()).or_default().extend(xs);
+            let theirs = other.windows[name];
+            let w = self.windows.entry(name.clone()).or_insert((0, 0.0, f64::NEG_INFINITY));
+            *w = (w.0 + theirs.0, w.1 + theirs.1, w.2.max(theirs.2));
+        }
+    }
+
+    fn longest_series(&self) -> usize {
+        self.series.values().map(Vec::len).max().unwrap_or(0)
+    }
+}
+
+/// Every text-keyed reader of `m` against the model, each asked with a
+/// key that is not `'static`.
+fn assert_metrics_match(m: &Metrics, model: &MetricsModel) {
+    let counters: Vec<(String, u64)> = m.counters().map(|(k, v)| (k.to_owned(), v)).collect();
+    let expected: Vec<(String, u64)> =
+        model.counters.iter().map(|(k, &v)| (k.clone(), v)).collect();
+    assert_eq!(counters, expected, "counters() in name order");
+    let ps = [0.0, 0.5, 0.99, 1.0];
+    for text in name_pool().iter().copied().chain(["absent"]) {
+        let key = String::from(text);
+        assert_eq!(m.counter(&key), model.counters.get(text).copied().unwrap_or(0), "{text}");
+        let xs = model.series.get(text).map_or(&[][..], Vec::as_slice);
+        assert_eq!(m.series(&key), xs, "series({text})");
+        assert_eq!(m.summary(&key), Summary::of(xs), "summary({text})");
+        assert_eq!(m.quantiles(&key, &ps), quantiles_of(xs, &ps), "quantiles({text})");
+        assert_eq!(m.reservoir(&key).is_some(), model.series.contains_key(text), "{text}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The dense node table answers exactly like an ordered `id → alive`
+    /// map through random adds (fresh and duplicate), removals, re-adds,
+    /// kills, revivals and steps — and a removed node's timers never fire
+    /// on the node re-added under its id (`Member` asserts its own tag).
+    #[test]
+    fn node_table_matches_an_ordered_map(
+        seed in any::<u64>(),
+        ops in prop::collection::vec((0u8..6, 0u64..24), 1..160),
+    ) {
+        const SPAN: u64 = 24;
+        let mut sim: Sim<Member> = Sim::new(SimConfig::default().seed(seed));
+        let mut model: BTreeMap<NodeId, bool> = BTreeMap::new();
+        let mut incarnations = 0u32;
+        for (op, raw) in ops {
+            let id = NodeId(raw);
+            match op {
+                0 | 1 => {
+                    incarnations += 1;
+                    let fresh = !model.contains_key(&id);
+                    let added = sim.add_node(id, Member { incarnation: incarnations, span: SPAN });
+                    prop_assert_eq!(added, fresh, "add_node({:?})", id);
+                    model.entry(id).or_insert(true);
+                }
+                2 => {
+                    prop_assert_eq!(sim.remove(id).is_some(), model.remove(&id).is_some());
+                }
+                3 | 4 => {
+                    let up = op == 4;
+                    if up { sim.revive(id) } else { sim.kill(id) }
+                    // Liveness moves when the queued event runs; run the
+                    // current instant so the model can follow.
+                    sim.run_until(sim.now());
+                    if let Some(alive) = model.get_mut(&id) {
+                        *alive = up;
+                    }
+                }
+                _ => {
+                    sim.step();
+                }
+            }
+            assert_table_matches(&mut sim, &model, SPAN);
+        }
+    }
+
+    /// Interned metric names behave like a text-keyed map: equal text at
+    /// different addresses (and a prefix sharing an address with a longer
+    /// name) is one counter or series, through recording, windows, merges
+    /// in both directions and resets.
+    #[test]
+    fn metric_names_intern_by_text(
+        ops in prop::collection::vec((0u8..8, any::<bool>(), 0usize..9, 0u64..100), 1..120),
+    ) {
+        let pool = name_pool();
+        let mut sinks = [Metrics::new(), Metrics::new()];
+        let mut models = [MetricsModel::default(), MetricsModel::default()];
+        for (op, second, pick, v) in ops {
+            let (i, name) = (usize::from(second), pool[pick % pool.len()]);
+            match op {
+                0 => {
+                    sinks[i].incr(name);
+                    *models[i].counters.entry(name.to_owned()).or_default() += 1;
+                }
+                1 => {
+                    // Includes `add(name, 0)`, which creates the counter.
+                    let v = v % 3;
+                    sinks[i].add(name, v);
+                    *models[i].counters.entry(name.to_owned()).or_default() += v;
+                }
+                2 | 3 => {
+                    sinks[i].observe(name, v as f64);
+                    models[i].observe(name, v as f64);
+                }
+                4 => {
+                    let got = sinks[i].take_window(name);
+                    prop_assert_eq!(got, models[i].take_window(name), "window of {}", name);
+                }
+                5 | 6 => {
+                    // Merge the other sink into this one, unless the series
+                    // would outgrow what the model holds exactly.
+                    let j = 1 - i;
+                    if models[i].longest_series() + models[j].longest_series() < 1_000 {
+                        let other = sinks[j].clone();
+                        sinks[i].merge(&other);
+                        let other = models[j].clone();
+                        models[i].merge(&other);
+                    }
+                }
+                _ => {
+                    sinks[i].reset();
+                    models[i] = MetricsModel::default();
+                }
+            }
+            for (m, model) in sinks.iter().zip(&models) {
+                assert_metrics_match(m, model);
+            }
+        }
+    }
 
     /// Delivery timestamps observed by any node never decrease relative to
     /// the global clock, and the final clock bounds every observation.
@@ -137,4 +370,24 @@ proptest! {
         sim.run_until(Time(kill_at + 1_000));
         prop_assert_eq!(sim.node(NodeId(1)).unwrap().got, 0);
     }
+}
+
+/// Ids index a dense table: one far past it is refused instead of
+/// allocating the gap.
+#[test]
+#[should_panic(expected = "node id 5000 lies far past the node table")]
+fn a_far_sparse_node_id_panics() {
+    let mut sim: Sim<Member> = Sim::new(SimConfig::default());
+    sim.add_node(NodeId(0), Member { incarnation: 0, span: 1 });
+    sim.add_node(NodeId(5_000), Member { incarnation: 1, span: 1 });
+}
+
+/// Up to twice the table plus 1024 past its end is still accepted; ids
+/// skipped over are simply absent.
+#[test]
+fn a_moderately_sparse_node_id_is_accepted() {
+    let mut sim: Sim<Member> = Sim::new(SimConfig::default());
+    assert!(sim.add_node(NodeId(1_024), Member { incarnation: 0, span: 1 }));
+    assert_eq!(sim.ids().collect::<Vec<_>>(), vec![NodeId(1_024)]);
+    assert!(sim.node(NodeId(3)).is_none());
 }
