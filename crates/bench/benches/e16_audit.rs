@@ -15,7 +15,7 @@ use dd_audit::{AuditReport, History, ReplicaTuple};
 use dd_bench::planes::{self, Cell, SEED};
 use dd_bench::{f, n, table_header, table_row};
 use dd_core::scenario::library;
-use dd_core::{Cluster, ClusterConfig, Placement, Scenario};
+use dd_core::{Cluster, ClusterConfig, Placement, Planes, Scenario};
 
 fn audit(cell: &Cell) -> &AuditReport {
     cell.observed.audit.as_ref().expect("audited run attaches a verdict")
@@ -102,10 +102,10 @@ fn checker_input() -> (History, Vec<ReplicaTuple>) {
     let config = ClusterConfig::small().persist_n(12).placement(Placement::TagCollocation);
     let mut c = Cluster::new(config, SEED);
     c.settle();
-    c.begin_audit();
+    c.observe(Planes { audit: true, ..Planes::default() });
     let report = c.run_scenario(&library::calm(SEED));
     assert!(report.issued() > 0);
-    (c.end_audit().expect("recorder installed"), c.audit_snapshot())
+    (c.stop_observing().audit.expect("the audit was on"), c.audit_snapshot())
 }
 
 fn bench(c: &mut Criterion) {

@@ -22,7 +22,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use dd_bench::planes::{self, json_str, Cell, SEED};
 use dd_bench::{f, n, table_header, table_row};
 use dd_core::scenario::library;
-use dd_core::{Cluster, ClusterConfig, EnvChange, OpMix, Phase, Placement, Scenario, WorkloadKind};
+use dd_core::{
+    Cluster, ClusterConfig, EnvChange, OpMix, Phase, Placement, Planes, Scenario, WorkloadKind,
+};
 use dd_trace::TraceReport;
 
 fn trace(cell: &Cell) -> &TraceReport {
@@ -194,10 +196,10 @@ fn kernel_input() -> dd_trace::TraceSet {
     let config = ClusterConfig::small().persist_n(12).placement(Placement::TagCollocation);
     let mut c = Cluster::new(config, SEED);
     c.settle();
-    c.begin_trace();
+    c.observe(Planes { trace: true, ..Planes::default() });
     let report = c.run_scenario(&library::churn_storm(SEED));
     assert!(report.issued() > 0);
-    c.end_trace().expect("recorder installed")
+    c.stop_observing().trace.expect("the trace was on")
 }
 
 fn bench(c: &mut Criterion) {

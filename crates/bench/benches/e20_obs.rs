@@ -24,7 +24,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use dd_bench::planes::{self, json_str, Cell, SEED};
 use dd_bench::{f, n, table_header, table_row};
 use dd_core::scenario::library;
-use dd_core::{Cluster, ClusterConfig, Detector, Placement, Scenario};
+use dd_core::{Cluster, ClusterConfig, Detector, Placement, Planes, Scenario};
 use dd_obs::{names, Label, Series, TelemetryReport};
 
 fn telemetry(cell: &Cell) -> &TelemetryReport {
@@ -61,12 +61,12 @@ const LEAK_PACE: u64 = 80;
 fn leaky_run() -> TelemetryReport {
     let mut c = planes::cluster();
     let mut abandoned = c.client();
-    c.begin_instrument();
+    c.observe(Planes { telemetry: true, ..Planes::default() });
     for i in 0..LEAK_READS {
         let _ = abandoned.get(&mut c, format!("never-harvested:{i}"));
         c.pump(LEAK_PACE);
     }
-    TelemetryReport::build(c.end_instrument().expect("sampler installed"))
+    TelemetryReport::build(c.stop_observing().telemetry.expect("telemetry was on"))
 }
 
 fn write_summary(cells: &[Cell], leaky: &TelemetryReport) {
@@ -178,10 +178,10 @@ fn kernel_input() -> dd_obs::Telemetry {
     let config = ClusterConfig::small().persist_n(12).placement(Placement::TagCollocation);
     let mut c = Cluster::new(config, SEED);
     c.settle();
-    c.begin_instrument();
+    c.observe(Planes { telemetry: true, ..Planes::default() });
     let report = c.run_scenario(&library::churn_storm(SEED));
     assert!(report.issued() > 0);
-    c.end_instrument().expect("sampler installed")
+    c.stop_observing().telemetry.expect("telemetry was on")
 }
 
 fn bench(c: &mut Criterion) {

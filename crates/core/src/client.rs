@@ -31,7 +31,7 @@ use crate::soft::Done;
 use crate::tuple::{Key, StoredTuple, Tag, TupleSpec};
 use bytes::Bytes;
 use dd_audit::{OpDesc, OpFailure, Outcome};
-use dd_sim::{NodeId, Time, TraceCtx};
+use dd_sim::{NodeId, Time, TraceCtx, Tracer};
 use rand::rngs::SmallRng;
 use std::collections::HashMap;
 use std::fmt;
@@ -341,6 +341,12 @@ fn resolve(done: Done, o: Outstanding, audit: bool) -> (Completion, Option<Outco
     }
 }
 
+/// `desc()` when the audit plane is recording; built lazily, so an
+/// unaudited run allocates nothing for it.
+fn audit_desc(cluster: &mut Cluster, desc: impl FnOnce() -> OpDesc) -> Option<OpDesc> {
+    cluster.observers().is_some_and(|o| o.audit.is_some()).then(desc)
+}
+
 /// A client session against one [`Cluster`].
 ///
 /// Obtained from [`Cluster::client`]; each session owns a private RNG
@@ -389,39 +395,38 @@ impl Client {
         self.outstanding.len()
     }
 
+    /// Submits one operation: `make` builds its message for a fresh request
+    /// id, injected at a live entry node. The observer planes see the
+    /// submission: the audit records the invocation `audit` describes, and
+    /// the trace opens the op's root span (always id 0) at the entry node,
+    /// under which everything downstream nests.
     fn submit(
         &mut self,
         cluster: &mut Cluster,
         kind: Kind,
         want: usize,
+        audit: Option<OpDesc>,
         make: impl FnOnce(u64, Option<TraceCtx>) -> DropletMsg,
     ) -> u64 {
         let req = cluster.fresh_req();
         let issued = cluster.sim.now();
-        let stillborn = match cluster.entry_for(&mut self.rng) {
-            Some(entry) => {
-                // Traced runs open the op's root span (always id 0) at the
-                // entry node; everything downstream nests under it.
-                let trace = cluster.sim.tracer_mut().map(|tr| {
-                    let span = tr.open(issued, entry, req, None, kind.trace_label());
-                    TraceCtx { op: req, span }
-                });
-                cluster.sim.inject(entry, entry, make(req, trace));
-                false
+        let entry = cluster.entry_for(&mut self.rng);
+        let mut trace = None;
+        if let Some(o) = cluster.observers() {
+            if let (Some(a), Some(desc)) = (o.audit.as_mut(), audit) {
+                a.invoke(req, self.session, issued.0, desc);
             }
-            None => true,
-        };
-        self.outstanding.insert(req, Outstanding { kind, issued, want, stillborn });
-        req
-    }
-
-    /// Records the invocation half of an audit pair (no-op without a
-    /// recorder; the descriptor is built lazily so the disabled path
-    /// allocates nothing).
-    fn record_invoke(&self, cluster: &mut Cluster, req: u64, desc: impl FnOnce() -> OpDesc) {
-        if cluster.audit_enabled() {
-            cluster.record_invoke(req, self.session, desc());
+            if let (Some(tr), Some(entry)) = (o.trace.as_mut(), entry) {
+                let span = tr.open(issued, entry, req, None, kind.trace_label());
+                trace = Some(TraceCtx { op: req, span });
+            }
         }
+        if let Some(entry) = entry {
+            cluster.sim.inject(entry, entry, make(req, trace));
+        }
+        self.outstanding
+            .insert(req, Outstanding { kind, issued, want, stillborn: entry.is_none() });
+        req
     }
 
     /// Submits a write; completes with the assigned version and the
@@ -435,11 +440,11 @@ impl Client {
         tag: Option<&str>,
     ) -> Pending<ops::Put> {
         let (key, value, tag) = (key.into(), Bytes::from(value), tag.map(Tag::from));
-        let audit = cluster.audit_enabled().then(|| OpDesc::Put {
+        let audit = audit_desc(cluster, || OpDesc::Put {
             key: key.as_str().to_owned(),
             tag: tag.as_ref().map(|t| t.as_str().to_owned()),
         });
-        let req = self.submit(cluster, Kind::Put, 0, |req, trace| DropletMsg::ClientPut {
+        let req = self.submit(cluster, Kind::Put, 0, audit, |req, trace| DropletMsg::ClientPut {
             req,
             key,
             value,
@@ -447,9 +452,6 @@ impl Client {
             tag,
             trace,
         });
-        if let Some(desc) = audit {
-            cluster.record_invoke(req, self.session, desc);
-        }
         Pending::new(req)
     }
 
@@ -457,52 +459,43 @@ impl Client {
     /// written (or is deleted) — distinct from `Err(OpError::Timeout)`.
     pub fn get(&mut self, cluster: &mut Cluster, key: impl Into<Key>) -> Pending<ops::Get> {
         let key = key.into();
-        let audit = cluster.audit_enabled().then(|| OpDesc::Get { key: key.as_str().to_owned() });
-        let req = self.submit(cluster, Kind::Get, 0, |req, trace| DropletMsg::ClientGet {
+        let audit = audit_desc(cluster, || OpDesc::Get { key: key.as_str().to_owned() });
+        let req = self.submit(cluster, Kind::Get, 0, audit, |req, trace| DropletMsg::ClientGet {
             req,
             key,
             trace,
         });
-        if let Some(desc) = audit {
-            cluster.record_invoke(req, self.session, desc);
-        }
         Pending::new(req)
     }
 
     /// Submits a delete (a versioned tombstone).
     pub fn delete(&mut self, cluster: &mut Cluster, key: impl Into<Key>) -> Pending<ops::Delete> {
         let key = key.into();
-        let audit =
-            cluster.audit_enabled().then(|| OpDesc::Delete { key: key.as_str().to_owned() });
-        let req = self.submit(cluster, Kind::Delete, 0, |req, trace| DropletMsg::ClientDelete {
-            req,
-            key,
-            trace,
+        let audit = audit_desc(cluster, || OpDesc::Delete { key: key.as_str().to_owned() });
+        let req = self.submit(cluster, Kind::Delete, 0, audit, |req, trace| {
+            DropletMsg::ClientDelete { req, key, trace }
         });
-        if let Some(desc) = audit {
-            cluster.record_invoke(req, self.session, desc);
-        }
         Pending::new(req)
     }
 
     /// Submits an attribute range scan over `[lo, hi]`.
     pub fn scan(&mut self, cluster: &mut Cluster, lo: f64, hi: f64) -> Pending<ops::Scan> {
-        let req = self.submit(cluster, Kind::Scan, 0, |req, trace| DropletMsg::ClientScan {
+        let audit = audit_desc(cluster, || OpDesc::Scan);
+        let req = self.submit(cluster, Kind::Scan, 0, audit, |req, trace| DropletMsg::ClientScan {
             req,
             lo,
             hi,
             trace,
         });
-        self.record_invoke(cluster, req, || OpDesc::Scan);
         Pending::new(req)
     }
 
     /// Submits an aggregate query over all stored tuples.
     pub fn aggregate(&mut self, cluster: &mut Cluster) -> Pending<ops::Aggregate> {
-        let req = self.submit(cluster, Kind::Aggregate, 0, |req, trace| {
+        let audit = audit_desc(cluster, || OpDesc::Aggregate);
+        let req = self.submit(cluster, Kind::Aggregate, 0, audit, |req, trace| {
             DropletMsg::ClientAggregate { req, trace }
         });
-        self.record_invoke(cluster, req, || OpDesc::Aggregate);
         Pending::new(req)
     }
 
@@ -516,7 +509,7 @@ impl Client {
     ) -> Pending<ops::MultiPut> {
         let items: Vec<TupleSpec> = items.into_iter().collect();
         let want = items.len();
-        let audit = cluster.audit_enabled().then(|| {
+        let audit = audit_desc(cluster, || {
             let keys: Vec<String> = items.iter().map(|i| i.key.as_str().to_owned()).collect();
             // The batch's shared tag, when every item carries the same one.
             let tag = items
@@ -526,12 +519,9 @@ impl Client {
                 .map(|t| t.as_str().to_owned());
             OpDesc::MultiPut { keys, tag }
         });
-        let req = self.submit(cluster, Kind::MultiPut, want, |req, trace| {
+        let req = self.submit(cluster, Kind::MultiPut, want, audit, |req, trace| {
             DropletMsg::ClientMultiPut { req, items, trace }
         });
-        if let Some(desc) = audit {
-            cluster.record_invoke(req, self.session, desc);
-        }
         Pending::new(req)
     }
 
@@ -539,14 +529,11 @@ impl Client {
     /// tuple carrying `tag`, deduplicated and attribute-ordered, plus the
     /// union's completeness marker ([`MultiGetResult::complete`]).
     pub fn multi_get(&mut self, cluster: &mut Cluster, tag: &str) -> Pending<ops::MultiGet> {
-        let audit = cluster.audit_enabled().then(|| OpDesc::MultiGet { tag: tag.to_owned() });
+        let audit = audit_desc(cluster, || OpDesc::MultiGet { tag: tag.to_owned() });
         let tag = Tag::from(tag);
-        let req = self.submit(cluster, Kind::MultiGet, 0, |req, trace| {
+        let req = self.submit(cluster, Kind::MultiGet, 0, audit, |req, trace| {
             DropletMsg::ClientMultiGet { req, tag, trace }
         });
-        if let Some(desc) = audit {
-            cluster.record_invoke(req, self.session, desc);
-        }
         Pending::new(req)
     }
 
@@ -604,38 +591,47 @@ impl Client {
     /// resolves outstanding operation `req` (`o`) if it can be — stillborn at
     /// submission, completed at some coordinator, or past [`OP_TIMEOUT`]
     /// (blaming the replica it was waiting on) — retiring it from the
-    /// session and reporting it to the audit recorder. `None` = in flight.
+    /// session and reporting its end to the observer planes. `None` = in
+    /// flight.
     fn harvest(&mut self, cluster: &mut Cluster, req: u64, o: Outstanding) -> Option<Completion> {
         if o.stillborn {
-            self.retire(cluster, req, None);
-            cluster.record_failure(req, OpFailure::NoLiveEntry);
+            self.retire(cluster, req, None, Some(Outcome::Failed(OpFailure::NoLiveEntry)));
             return Some(o.kind.failed(OpError::NoLiveEntry));
         }
         if let Some(done) = cluster.take_completion(req) {
-            let (completion, outcome) = resolve(done, o, cluster.audit_enabled());
-            self.retire(cluster, req, Some(o.issued));
-            if let Some(outcome) = outcome {
-                cluster.record_outcome(req, outcome);
-            }
+            let audited = cluster.observers().is_some_and(|obs| obs.audit.is_some());
+            let (completion, outcome) = resolve(done, o, audited);
+            self.retire(cluster, req, Some(o.issued), outcome);
             return Some(completion);
         }
         if cluster.sim.now().since(o.issued).0 >= OP_TIMEOUT {
             let waiting_on = cluster.blame_for(req);
-            self.retire(cluster, req, None);
+            self.retire(cluster, req, None, Some(Outcome::Failed(OpFailure::Timeout)));
             cluster.sim.metrics_mut().incr("client.timeouts");
-            cluster.record_failure(req, OpFailure::Timeout);
             return Some(o.kind.failed(OpError::Timeout { waiting_on }));
         }
         None
     }
 
-    fn retire(&mut self, cluster: &mut Cluster, req: u64, harvested_issue: Option<Time>) {
+    /// Forgets `req`. The trace closes the op's root span (harvest =
+    /// answered, failure = not; a stillborn op has no trace and the close
+    /// is ignored) and the audit records `outcome`.
+    fn retire(
+        &mut self,
+        cluster: &mut Cluster,
+        req: u64,
+        harvested_issue: Option<Time>,
+        outcome: Option<Outcome>,
+    ) {
         self.outstanding.remove(&req);
-        // Close the op's root span (harvest = answered, timeout = not; a
-        // stillborn op has no trace and the close is ignored).
         let now = cluster.sim.now();
-        if let Some(tr) = cluster.sim.tracer_mut() {
-            tr.close(now, req, 0, harvested_issue.is_some());
+        if let Some(o) = cluster.observers() {
+            if let Some(tr) = o.trace.as_mut() {
+                tr.close(now, req, 0, harvested_issue.is_some());
+            }
+            if let (Some(a), Some(outcome)) = (o.audit.as_mut(), outcome) {
+                a.complete(req, now.0, outcome);
+            }
         }
         if let Some(issued) = harvested_issue {
             let latency = cluster.sim.now().since(issued).0 as f64;

@@ -275,25 +275,64 @@ impl Process for DropletNode {
     }
 }
 
-/// The telemetry plane's collector: the kernel polls it through the
-/// [`dd_sim::Sampler`] hook, and every due sweep walks the live nodes
-/// feeding per-node gauges, cluster aggregates and counter rates into a
-/// [`dd_obs::Telemetry`]. The sampler only *reads* — node state, RNGs,
-/// the queue and the network model are untouched — so instrumented runs
-/// replay byte-identically (bench E20 asserts it bit for bit).
-struct ClusterSampler {
-    telemetry: dd_obs::Telemetry,
+/// Which observer planes [`Cluster::observe`] records. The default is
+/// none of them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Planes {
+    /// Record every client operation's invocation and completion into a
+    /// [`dd_audit::History`].
+    pub audit: bool,
+    /// Record every client operation's causal span tree — client root,
+    /// coordinator, per-replica waits, persist stores — into a
+    /// [`dd_trace::TraceSet`].
+    pub trace: bool,
+    /// Sample per-node gauges, cluster aggregates, engine queue depth,
+    /// in-flight messages by kind and counter rates into a
+    /// [`dd_obs::Telemetry`] every [`dd_obs::DEFAULT_SAMPLE_PERIOD`] ticks.
+    pub telemetry: bool,
 }
 
-impl dd_sim::Sampler<DropletNode> for ClusterSampler {
-    fn period(&self) -> u64 {
-        self.telemetry.period()
+/// What [`Cluster::stop_observing`] hands back: each plane's recording,
+/// `None` for a plane that was off.
+#[derive(Debug, Default)]
+pub struct Observed {
+    /// The invocation/completion history.
+    pub audit: Option<dd_audit::History>,
+    /// The span trees. Spans of ops still in flight are closed unanswered
+    /// at their trace's horizon.
+    pub trace: Option<dd_trace::TraceSet>,
+    /// The sampled time series.
+    pub telemetry: Option<dd_obs::Telemetry>,
+}
+
+/// The cluster's one observer: the recorder of each plane that is on.
+/// The kernel hands the span recorder to every callback and samples the
+/// telemetry collector; the client plane reaches the audit and span
+/// recorders through [`Cluster::observers`]. Every plane only *reads* —
+/// node state, RNGs, the queue and the network model are untouched — so
+/// an observed run replays byte-identically.
+#[derive(Default)]
+pub(crate) struct Observers {
+    pub(crate) audit: Option<dd_audit::Recorder>,
+    pub(crate) trace: Option<dd_trace::Recorder>,
+    telemetry: Option<dd_obs::Telemetry>,
+}
+
+impl dd_sim::Observer<DropletNode> for Observers {
+    fn tracer(&mut self) -> Option<&mut (dyn dd_sim::Tracer + 'static)> {
+        self.trace.as_mut().map(|r| r as _)
     }
 
+    fn period(&self) -> Option<u64> {
+        self.telemetry.as_ref().map(dd_obs::Telemetry::period)
+    }
+
+    /// One telemetry sweep: walks the live nodes feeding per-node gauges,
+    /// cluster aggregates and counter rates into the collector.
     fn sample(&mut self, sim: &Sim<DropletNode>) {
         use dd_obs::{names, Label};
+        let Some(t) = self.telemetry.as_mut() else { return };
         let tick = sim.now().0;
-        let t = &mut self.telemetry;
 
         // Engine: event-queue depth and in-flight messages by kind.
         t.gauge(tick, names::QUEUE_DEPTH, Label::None, sim.queue_depth() as f64);
@@ -372,10 +411,6 @@ impl dd_sim::Sampler<DropletNode> for ClusterSampler {
         }
         t.mark_sample();
     }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-        self
-    }
 }
 
 /// A complete simulated DataDroplets deployment.
@@ -410,9 +445,6 @@ pub struct Cluster {
     /// exact, and keeps even the O(n) look at every node off the per-pump
     /// path.
     fd_epochs: Option<(u64, u64)>,
-    /// History recorder; `None` (the default) makes every capture hook a
-    /// no-op, so auditing is zero-cost when disabled.
-    pub(crate) audit: Option<Box<dd_audit::Recorder>>,
 }
 
 impl Cluster {
@@ -500,93 +532,39 @@ impl Cluster {
             fd_seen,
             fd_soft_rows_reset: false,
             fd_epochs: None,
-            audit: None,
         }
     }
 
-    /// Starts recording every client operation into a fresh
-    /// [`dd_audit::History`] (invocation/completion pairs). Recording is
-    /// passive — it never touches the simulation's RNG or message flow —
-    /// so an audited run replays byte-identically to an unaudited one.
-    /// Auditing assumes its history covers *all* writes: begin before the
-    /// first write of the run you intend to check.
-    pub fn begin_audit(&mut self) {
-        self.audit = Some(Box::default());
+    /// Starts recording the observer planes `planes` turns on, replacing
+    /// whatever was being recorded. Recording is passive — it never
+    /// touches the simulation's RNG or message flow — so an observed run
+    /// replays byte-identically to a plain one. The audit assumes its
+    /// history covers *all* writes: start it before the first write of the
+    /// run you intend to check.
+    pub fn observe(&mut self, planes: Planes) {
+        self.sim.set_observer(Box::new(Observers {
+            audit: planes.audit.then(dd_audit::Recorder::default),
+            trace: planes.trace.then(dd_trace::Recorder::default),
+            telemetry: planes.telemetry.then(dd_obs::Telemetry::default),
+        }));
     }
 
-    /// Stops recording and returns the captured history (`None` when
-    /// [`Cluster::begin_audit`] was never called).
-    pub fn end_audit(&mut self) -> Option<dd_audit::History> {
-        self.audit.take().map(|r| r.finish())
+    /// Stops recording and hands back what each plane recorded (all `None`
+    /// when [`Cluster::observe`] was never called).
+    pub fn stop_observing(&mut self) -> Observed {
+        let Some(o) = self.observers().map(std::mem::take) else { return Observed::default() };
+        self.sim.take_observer();
+        Observed {
+            audit: o.audit.map(dd_audit::Recorder::finish),
+            trace: o.trace.map(dd_trace::Recorder::finish),
+            telemetry: o.telemetry,
+        }
     }
 
-    /// Whether a history recorder is installed.
-    #[must_use]
-    pub fn audit_enabled(&self) -> bool {
-        self.audit.is_some()
-    }
-
-    /// Starts recording a causal trace of every client operation into a
-    /// fresh [`dd_trace::Recorder`]: one span tree per op, from the
-    /// client-side root through coordinator and per-replica waits down to
-    /// persist stores. Tracing is passive — it never touches the
-    /// simulation's RNG or message flow — so a traced run replays
-    /// byte-identically to an untraced one.
-    pub fn begin_trace(&mut self) {
-        self.sim.set_tracer(Box::<dd_trace::Recorder>::default());
-    }
-
-    /// Stops recording and returns the captured span trees (`None` when
-    /// [`Cluster::begin_trace`] was never called). Dangling spans — ops
-    /// still in flight — are closed unanswered at their trace's horizon.
-    pub fn end_trace(&mut self) -> Option<dd_trace::TraceSet> {
-        self.sim.take_tracer().map(|t| {
-            t.into_any()
-                .downcast::<dd_trace::Recorder>()
-                .expect("tracer installed by begin_trace")
-                .finish()
-        })
-    }
-
-    /// Whether a span recorder is installed.
-    #[must_use]
-    pub fn trace_enabled(&self) -> bool {
-        self.sim.tracer_installed()
-    }
-
-    /// Starts continuous telemetry sampling at the default period
-    /// ([`dd_obs::DEFAULT_SAMPLE_PERIOD`] ticks): every sweep walks the
-    /// live nodes and records per-node gauges (completion/pending/
-    /// undelivered backlogs, failure-detector view, store size, tombstones,
-    /// summary occupancy), cluster aggregates, engine queue depth,
-    /// in-flight messages by kind, and counter rates. Sampling is
-    /// read-only on a detached collector, so an instrumented run replays
-    /// byte-identically to a plain one.
-    pub fn begin_instrument(&mut self) {
-        self.begin_instrument_with(dd_obs::Telemetry::default());
-    }
-
-    /// Starts telemetry sampling into a caller-configured collector
-    /// (custom period or ring capacity).
-    pub fn begin_instrument_with(&mut self, telemetry: dd_obs::Telemetry) {
-        self.sim.set_sampler(Box::new(ClusterSampler { telemetry }));
-    }
-
-    /// Stops sampling and returns the collected series (`None` when
-    /// [`Cluster::begin_instrument`] was never called).
-    pub fn end_instrument(&mut self) -> Option<dd_obs::Telemetry> {
-        self.sim.take_sampler().map(|s| {
-            s.into_any()
-                .downcast::<ClusterSampler>()
-                .expect("sampler installed by begin_instrument")
-                .telemetry
-        })
-    }
-
-    /// Whether a telemetry sampler is installed.
-    #[must_use]
-    pub fn instrument_enabled(&self) -> bool {
-        self.sim.sampler_installed()
+    /// The recorders [`Cluster::observe`] installed, if any.
+    pub(crate) fn observers(&mut self) -> Option<&mut Observers> {
+        let observer: &mut dyn std::any::Any = self.sim.observer_mut()?;
+        observer.downcast_mut()
     }
 
     /// Harvests the reply to `req` from whichever coordinator parked it.
@@ -604,32 +582,6 @@ impl Cluster {
         self.soft_ids.iter().find_map(|&id| {
             self.sim.node(id).and_then(DropletNode::as_soft).and_then(|s| s.blame(req))
         })
-    }
-
-    pub(crate) fn set_audit_phase(&mut self, phase: Option<u32>) {
-        if let Some(a) = self.audit.as_mut() {
-            a.set_phase(phase);
-        }
-    }
-
-    pub(crate) fn record_invoke(&mut self, req: u64, session: u64, desc: dd_audit::OpDesc) {
-        let now = self.sim.now().0;
-        if let Some(a) = self.audit.as_mut() {
-            a.invoke(req, session, now, desc);
-        }
-    }
-
-    pub(crate) fn record_outcome(&mut self, req: u64, outcome: dd_audit::Outcome) {
-        let now = self.sim.now().0;
-        if let Some(a) = self.audit.as_mut() {
-            a.complete(req, now, outcome);
-        }
-    }
-
-    pub(crate) fn record_failure(&mut self, req: u64, failure: dd_audit::OpFailure) {
-        if self.audit.is_some() {
-            self.record_outcome(req, dd_audit::Outcome::Failed(failure));
-        }
     }
 
     /// The convergence checker's input: every `(node, key_hash, version,
@@ -960,6 +912,22 @@ mod tests {
         let mut c = Cluster::new(ClusterConfig::small(), seed);
         c.settle();
         c
+    }
+
+    #[test]
+    fn stop_observing_hands_back_what_the_last_observe_turned_on() {
+        let mut c = cluster(3);
+        let none = c.stop_observing();
+        assert!(none.audit.is_none() && none.trace.is_none() && none.telemetry.is_none());
+        c.observe(Planes { audit: true, trace: true, telemetry: true });
+        c.observe(Planes { trace: true, ..Planes::default() });
+        let mut client = c.client();
+        let w = client.put(&mut c, "k", b"v".to_vec(), None, None);
+        client.recv(&mut c, w).expect("write ordered");
+        let seen = c.stop_observing();
+        assert!(seen.audit.is_none() && seen.telemetry.is_none(), "the second observe replaced");
+        assert_eq!(seen.trace.expect("the trace was on").len(), 1);
+        assert!(c.stop_observing().trace.is_none(), "stopping detached the recorder");
     }
 
     #[test]

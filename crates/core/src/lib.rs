@@ -106,8 +106,8 @@ pub mod workload;
 
 pub use client::{ops, Client, Completion, OpError, OpKind, Pending, OP_TIMEOUT};
 pub use cluster::{
-    AggregateResult, Cluster, ClusterConfig, GetResult, MultiGetResult, MultiPutResult, Placement,
-    PutResult,
+    AggregateResult, Cluster, ClusterConfig, GetResult, MultiGetResult, MultiPutResult, Observed,
+    Placement, Planes, PutResult,
 };
 pub use dd_audit::{AuditReport, History, Violation, ViolationKind};
 pub use dd_obs::{Detector, Finding, Telemetry, TelemetryReport};

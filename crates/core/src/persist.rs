@@ -26,6 +26,9 @@ pub const REPAIR_TIMER: TimerTag = TimerTag(0xFE4A);
 /// steady-state anti-entropy round, independent of store size.
 pub const REPAIR_BUCKETS: usize = 64;
 
+/// Capacity of the bottom-k sketch an aggregate reply carries.
+const SKETCH_K: usize = 256;
+
 /// One round in [`FAR_PULL_PERIOD`] under ring-biased peering makes a
 /// uniform far pull instead of a neighbour pull.
 const FAR_PULL_PERIOD: u32 = 4;
@@ -74,8 +77,6 @@ pub struct PersistNode {
     pub repair_period: Option<Duration>,
     /// How the periodic round picks its partner.
     pub repair_peering: RepairPeering,
-    /// Sketch capacity for aggregate replies.
-    pub sketch_k: usize,
     /// Secondary index: tag hash → key hashes of live tuples carrying the
     /// tag. Serves tag-scoped reads ([`DropletMsg::TagFetch`]) without a
     /// store scan; maintained by [`PersistNode::apply`].
@@ -124,7 +125,6 @@ impl PersistNode {
             store: HashMap::new(),
             repair_period,
             repair_peering: RepairPeering::Random,
-            sketch_k: 256,
             tag_index: HashMap::new(),
             summary_scratch: Summary::new(REPAIR_BUCKETS),
         }
@@ -225,7 +225,7 @@ impl PersistNode {
     /// are empty-valued, so the cost is metadata-only.
     #[must_use]
     pub fn wants(&self, tuple: &StoredTuple) -> bool {
-        tuple.deleted || self.sieve.accepts(&tuple.item_meta())
+        wants_with(&self.sieve, tuple)
     }
 
     /// Live tuples carrying `tag_hash`, via the secondary index.
@@ -256,12 +256,9 @@ impl PersistNode {
         their_digest: &Digest,
         their_sieve: &SieveSpec,
     ) -> Vec<StoredTuple> {
-        let theirs: std::collections::HashSet<RumorId> =
-            their_digest.ids().iter().copied().collect();
-        self.store
-            .values()
+        let theirs: HashSet<RumorId> = their_digest.ids().iter().copied().collect();
+        self.shared(their_sieve)
             .filter(|t| !theirs.contains(&RumorId(t.rumor_id())))
-            .filter(|t| t.deleted || their_sieve.accepts(&t.item_meta()))
             .cloned()
             .collect()
     }
@@ -275,17 +272,17 @@ impl PersistNode {
     // on the shared key-space without any per-peer state.
     // ------------------------------------------------------------------
 
+    /// Our store projected through the peer's sieve: every tuple a node
+    /// with `their_sieve` wants. The one store scan of the repair exchange.
+    fn shared<'a>(&'a self, their_sieve: &'a SieveSpec) -> impl Iterator<Item = &'a StoredTuple> {
+        self.store.values().filter(|t| wants_with(their_sieve, t))
+    }
+
     /// Constant-size summary of our store projected through the peer's
     /// sieve.
     #[must_use]
     pub fn shared_summary(&self, their_sieve: &SieveSpec) -> Summary {
-        Summary::from_ids(
-            REPAIR_BUCKETS,
-            self.store
-                .values()
-                .filter(|t| wants_with(their_sieve, t))
-                .map(|t| RumorId(t.rumor_id())),
-        )
+        Summary::from_ids(REPAIR_BUCKETS, self.shared(their_sieve).map(|t| RumorId(t.rumor_id())))
     }
 
     /// Buckets where our shared projection diverges from the peer's
@@ -296,13 +293,7 @@ impl PersistNode {
     #[must_use]
     pub fn shared_summary_diff(&mut self, their_sieve: &SieveSpec, theirs: &Summary) -> Vec<u32> {
         let mut scratch = std::mem::take(&mut self.summary_scratch);
-        scratch.rebuild(
-            REPAIR_BUCKETS,
-            self.store
-                .values()
-                .filter(|t| wants_with(their_sieve, t))
-                .map(|t| RumorId(t.rumor_id())),
-        );
+        scratch.rebuild(REPAIR_BUCKETS, self.shared(their_sieve).map(|t| RumorId(t.rumor_id())));
         let diff = scratch.diff(theirs);
         self.summary_scratch = scratch;
         diff
@@ -314,9 +305,7 @@ impl PersistNode {
     pub fn shared_ids_in(&self, their_sieve: &SieveSpec, buckets: &[u32]) -> Vec<RumorId> {
         let chosen: HashSet<u32> = buckets.iter().copied().collect();
         let mut ids: Vec<RumorId> = self
-            .store
-            .values()
-            .filter(|t| wants_with(their_sieve, t))
+            .shared(their_sieve)
             .map(|t| RumorId(t.rumor_id()))
             .filter(|&id| chosen.contains(&(Summary::bucket_of(REPAIR_BUCKETS, id) as u32)))
             .collect();
@@ -339,7 +328,7 @@ impl PersistNode {
         let chosen: HashSet<u32> = buckets.iter().copied().collect();
         let mut items = Vec::new();
         let mut ours = HashSet::new();
-        for t in self.store.values().filter(|t| wants_with(their_sieve, t)) {
+        for t in self.shared(their_sieve) {
             let id = RumorId(t.rumor_id());
             if chosen.contains(&(Summary::bucket_of(REPAIR_BUCKETS, id) as u32)) {
                 ours.insert(id);
@@ -471,7 +460,7 @@ impl PersistNode {
                 ctx.send(from, DropletMsg::ScanReply { req, items });
             }
             DropletMsg::AggReq { req, trace } => {
-                let mut sketch = DistSketch::new(self.sketch_k);
+                let mut sketch = DistSketch::new(SKETCH_K);
                 let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
                 for t in self.store.values().filter(|t| !t.deleted) {
                     if let Some(a) = t.attr {

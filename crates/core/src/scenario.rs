@@ -36,7 +36,7 @@
 //! assert_eq!(report.phases[1].reads_found, 40);
 //! ```
 
-use crate::cluster::Cluster;
+use crate::cluster::{Cluster, Observed, Planes};
 use crate::driver::{Engine, OpMix, PhaseStats};
 use crate::workload::{Workload, WorkloadKind};
 use dd_sim::churn::{ChurnEvent, ChurnModel, ChurnSchedule};
@@ -290,9 +290,7 @@ pub struct Scenario {
     pub(crate) phases: Vec<Phase>,
     pub(crate) faults: Vec<(u64, Fault)>,
     pub(crate) env: Vec<(u64, EnvChange)>,
-    pub(crate) audited: bool,
-    pub(crate) traced: bool,
-    pub(crate) instrumented: bool,
+    pub(crate) planes: Planes,
 }
 
 impl Scenario {
@@ -308,9 +306,7 @@ impl Scenario {
             phases: Vec::new(),
             faults: Vec::new(),
             env: Vec::new(),
-            audited: false,
-            traced: false,
-            instrumented: false,
+            planes: Planes::default(),
         }
     }
 
@@ -324,14 +320,8 @@ impl Scenario {
     /// the cluster's only writes, so run it against a fresh cluster.
     #[must_use]
     pub fn audited(mut self) -> Self {
-        self.audited = true;
+        self.planes.audit = true;
         self
-    }
-
-    /// Whether this scenario runs with auditing on.
-    #[must_use]
-    pub fn is_audited(&self) -> bool {
-        self.audited
     }
 
     /// Turns on causal tracing for this scenario: the run records every
@@ -342,14 +332,8 @@ impl Scenario {
     /// byte-identical to the untraced one.
     #[must_use]
     pub fn traced(mut self) -> Self {
-        self.traced = true;
+        self.planes.trace = true;
         self
-    }
-
-    /// Whether this scenario runs with tracing on.
-    #[must_use]
-    pub fn is_traced(&self) -> bool {
-        self.traced
     }
 
     /// Turns on continuous telemetry for this scenario: the run samples
@@ -361,14 +345,14 @@ impl Scenario {
     /// uninstrumented one.
     #[must_use]
     pub fn instrumented(mut self) -> Self {
-        self.instrumented = true;
+        self.planes.telemetry = true;
         self
     }
 
-    /// Whether this scenario runs with telemetry sampling on.
+    /// The observer planes this scenario runs with.
     #[must_use]
-    pub fn is_instrumented(&self) -> bool {
-        self.instrumented
+    pub fn planes(&self) -> Planes {
+        self.planes
     }
 
     /// Appends a workload phase (phases run back to back).
@@ -798,13 +782,13 @@ impl std::fmt::Display for Scenario {
         for (at, change) in &self.env {
             write!(f, "\n    .env({at}, {change})")?;
         }
-        if self.audited {
+        if self.planes.audit {
             f.write_str("\n    .audited()")?;
         }
-        if self.traced {
+        if self.planes.trace {
             f.write_str("\n    .traced()")?;
         }
-        if self.instrumented {
+        if self.planes.telemetry {
             f.write_str("\n    .instrumented()")?;
         }
         Ok(())
@@ -1051,14 +1035,11 @@ impl Cluster {
     fn run_scenario_unchecked(&mut self, scenario: &Scenario) -> ScenarioReport {
         let start = self.sim.now();
         let msgs_at_start = self.sim.metrics().counter("net.sent");
-        if scenario.audited {
-            self.begin_audit();
-        }
-        if scenario.traced {
-            self.begin_trace();
-        }
-        if scenario.instrumented {
-            self.begin_instrument();
+        // A scenario with no plane on leaves whatever its caller observes
+        // running, so a hand-started recording can span the run.
+        let observing = scenario.planes != Planes::default();
+        if observing {
+            self.observe(scenario.planes);
         }
         let harness = self.schedule_faults(scenario, start);
         self.schedule_env(scenario, start);
@@ -1078,7 +1059,9 @@ impl Cluster {
         let mut next_harness = 0usize;
 
         for (pi, phase) in scenario.phases.iter().enumerate() {
-            self.set_audit_phase(Some(pi as u32));
+            if let Some(a) = self.observers().and_then(|o| o.audit.as_mut()) {
+                a.set_phase(Some(pi as u32));
+            }
             let phase_start = self.sim.now();
             let phase_end = phase_start + Duration(phase.ticks);
             starts.push(self.sim.metrics().counter("net.sent"));
@@ -1123,7 +1106,9 @@ impl Cluster {
         // retires anything older than OP_TIMEOUT) while still firing any
         // harness fault scheduled at or past the last phase boundary at
         // its declared tick, not early.
-        self.set_audit_phase(None);
+        if let Some(a) = self.observers().and_then(|o| o.audit.as_mut()) {
+            a.set_phase(None);
+        }
         while engine.in_flight() > 0 || next_harness < harness.len() {
             while next_harness < harness.len() && harness[next_harness].0 <= self.sim.now() {
                 self.apply_harness(harness[next_harness].1);
@@ -1150,20 +1135,12 @@ impl Cluster {
         contact_windows.push(self.sim.metrics_mut().take_window("multi_get.contacted_nodes"));
         let run_ticks = self.sim.now().since(start).0;
         let run_msgs = msgs_end - msgs_at_start;
-        // The trace closes with the drain (before the audit's settling)
-        // so span trees cover exactly the operations the report counts.
-        let trace = scenario.traced.then(|| {
-            let set = self.end_trace().expect("traced run installed a recorder");
-            dd_trace::TraceReport::build(set)
-        });
-        // Telemetry closes at the same boundary as the trace so its
-        // series cover exactly the run the report counts, not the
-        // audit's convergence settling.
-        let telemetry = scenario.instrumented.then(|| {
-            let data = self.end_instrument().expect("instrumented run installed a sampler");
-            dd_obs::TelemetryReport::build(data)
-        });
-        let audit = scenario.audited.then(|| self.finish_audit());
+        // Every plane stops with the drain, before the audit's settling, so
+        // span trees and series cover exactly the run the report counts.
+        let observed = if observing { self.stop_observing() } else { Observed::default() };
+        let trace = observed.trace.map(dd_trace::TraceReport::build);
+        let telemetry = observed.telemetry.map(dd_obs::TelemetryReport::build);
+        let audit = observed.audit.map(|history| self.finish_audit(&history));
         let mut phases = Vec::with_capacity(scenario.phases.len());
         let mut all_latencies = Reservoir::new();
         for (pi, (phase, st)) in scenario.phases.iter().zip(&stats).enumerate() {
@@ -1211,7 +1188,8 @@ impl Cluster {
 
     /// Closes out an audited run: settles the cluster until the
     /// live-replica snapshot agrees per key (bounded at
-    /// [`MAX_AUDIT_SETTLES`] rounds), then runs the checker suite.
+    /// [`MAX_AUDIT_SETTLES`] rounds), then runs the checker suite over
+    /// `history`.
     ///
     /// Each unconverged round drives a deterministic
     /// [`Cluster::repair_sweep`] before settling. Periodic repair picks
@@ -1224,8 +1202,7 @@ impl Cluster {
     /// anti-entropy is divergence the protocol itself cannot repair (and
     /// with repair disabled the sweep is a no-op, so lingering
     /// divergence still surfaces).
-    fn finish_audit(&mut self) -> dd_audit::AuditReport {
-        let history = self.end_audit().expect("audited run installed a recorder");
+    fn finish_audit(&mut self, history: &dd_audit::History) -> dd_audit::AuditReport {
         let mut snapshot = self.audit_snapshot();
         for _ in 0..MAX_AUDIT_SETTLES {
             if dd_audit::snapshot_converged(&snapshot) {
@@ -1235,7 +1212,7 @@ impl Cluster {
             self.settle();
             snapshot = self.audit_snapshot();
         }
-        dd_audit::check(&history, &snapshot)
+        dd_audit::check(history, &snapshot)
     }
 
     fn tier_ids(&self, tier: Tier) -> Vec<NodeId> {

@@ -39,34 +39,40 @@ pub const UNDELIVERED_RETENTION: usize = 4096;
 /// clients that never poll cannot grow node state without bound.
 pub const COMPLETION_RETENTION: usize = 512;
 
-/// Bounded completion store: a map plus insertion-order retirement.
+/// Persist peers a read without location hints fetches from, drawn at
+/// random.
+const FALLBACK_FETCHES: usize = 5;
+
+/// Bounded insertion-ordered log: a map plus age-order retirement. It
+/// holds a coordinator's completions (by request id) and its undelivered
+/// writes (by `(key_hash, version)`).
 ///
-/// A record is written exactly once, when its operation completes (later
-/// acks update in place), so insertion order is age order and retiring
-/// from the front retires the oldest completion, whatever its kind.
-/// [`CompletionLog::take`] is the harvest path — clients remove what they
-/// consume, so under a well-behaved session the log stays near-empty and
-/// the cap never bites.
+/// An id enters at most once — a completion is written when its operation
+/// completes (later acks update in place), a write is tracked once per
+/// version — so insertion order is age order, and retiring from the front
+/// retires the oldest live entry. [`CompletionLog::take`] is the removal
+/// path (a harvest, a last storage ack), so under well-behaved sessions
+/// the log stays near-empty and the cap never bites.
 #[derive(Debug, Clone)]
-struct CompletionLog<T> {
+struct CompletionLog<K, T> {
     cap: usize,
-    map: HashMap<u64, T>,
-    order: VecDeque<u64>,
-    /// Records retired by the cap over the log's lifetime (telemetry: the
+    map: HashMap<K, T>,
+    order: VecDeque<K>,
+    /// Entries retired by the cap over the log's lifetime (telemetry: the
     /// leak guard firing; 0 under well-behaved sessions).
     retired: u64,
 }
 
-impl<T> CompletionLog<T> {
+impl<K: Copy + Eq + std::hash::Hash, T> CompletionLog<K, T> {
     fn new(cap: usize) -> Self {
         CompletionLog { cap, map: HashMap::new(), order: VecDeque::new(), retired: 0 }
     }
 
-    /// Records a completion; returns the record retired to stay within the
+    /// Records an entry; returns the entry retired to stay within the
     /// cap, if any, so the caller can release auxiliary state.
-    fn insert(&mut self, req: u64, v: T) -> Option<(u64, T)> {
-        if self.map.insert(req, v).is_none() {
-            self.order.push_back(req);
+    fn insert(&mut self, id: K, v: T) -> Option<(K, T)> {
+        if self.map.insert(id, v).is_none() {
+            self.order.push_back(id);
         }
         if self.map.len() <= self.cap {
             return None;
@@ -80,21 +86,26 @@ impl<T> CompletionLog<T> {
         None
     }
 
-    /// Harvests (removes) the completion for `req`. The order queue is
-    /// compacted lazily once it outgrows the live map.
-    fn take(&mut self, req: u64) -> Option<T> {
-        let v = self.map.remove(&req);
+    /// Removes the entry for `id`. The order queue is compacted lazily
+    /// once it outgrows the live map.
+    fn take(&mut self, id: K) -> Option<T> {
+        let v = self.map.remove(&id);
         if self.order.len() > 2 * self.map.len() + 16 {
             self.order.retain(|id| self.map.contains_key(id));
         }
         v
     }
 
-    fn get_mut(&mut self, req: u64) -> Option<&mut T> {
-        self.map.get_mut(&req)
+    fn get_mut(&mut self, id: K) -> Option<&mut T> {
+        self.map.get_mut(&id)
     }
 
-    /// Number of retained (un-harvested) completions.
+    /// Live entries, in no particular order.
+    fn values(&self) -> impl Iterator<Item = &T> {
+        self.map.values()
+    }
+
+    /// Number of retained entries.
     fn len(&self) -> usize {
         self.map.len()
     }
@@ -226,8 +237,6 @@ pub struct SoftNode {
     /// that will store it (batched [`DropletMsg::DeliverBatch`]) instead of
     /// being broadcast epidemically.
     pub persist: Arc<OwnerIndex>,
-    /// Fallback fetch width when no location hints exist.
-    pub fallback_fetches: usize,
     /// Tag placement parameters when the persistent layer runs tag
     /// sieves; `None` means tag-scoped reads fan out epidemically.
     pub tag_routing: Option<TagRouting>,
@@ -235,7 +244,7 @@ pub struct SoftNode {
     /// Completed operations of every kind: req → reply. Written only by
     /// [`SoftNode::complete`], harvested (and retired) only by
     /// [`SoftNode::take`].
-    completed: CompletionLog<Done>,
+    completed: CompletionLog<u64, Done>,
     /// Ack routing for parked writes: `(key_hash, version)` → req. An entry
     /// lives exactly as long as its [`Done::Write`] record.
     put_index: HashMap<(u64, Version), u64>,
@@ -260,9 +269,8 @@ pub struct SoftNode {
     /// (a multi-put may wait on the same coordinator for several items).
     trace_waits: HashMap<u64, Vec<(NodeId, u32)>>,
     /// Acked writes not yet confirmed stored at every owner, keyed by
-    /// `(key_hash, version)`, plus insertion order for cap retirement.
-    undelivered: HashMap<(u64, Version), Undelivered>,
-    undelivered_order: VecDeque<(u64, Version)>,
+    /// `(key_hash, version)`.
+    undelivered: CompletionLog<(u64, Version), Undelivered>,
 }
 
 impl SoftNode {
@@ -282,7 +290,6 @@ impl SoftNode {
             metadata: Metadata::new(8),
             cache: TupleCache::new(cache_capacity),
             persist,
-            fallback_fetches: 5,
             tag_routing: None,
             completed: CompletionLog::new(COMPLETION_RETENTION),
             put_index: HashMap::new(),
@@ -293,8 +300,7 @@ impl SoftNode {
             outbox_armed: false,
             trace_ops: HashMap::new(),
             trace_waits: HashMap::new(),
-            undelivered: HashMap::new(),
-            undelivered_order: VecDeque::new(),
+            undelivered: CompletionLog::new(UNDELIVERED_RETENTION),
         }
     }
 
@@ -388,19 +394,6 @@ impl SoftNode {
         }
         let id = (tuple.key_hash, tuple.version);
         self.undelivered.insert(id, Undelivered { tuple: tuple.clone(), pending: owners.to_vec() });
-        self.undelivered_order.push_back(id);
-        while self.undelivered.len() > UNDELIVERED_RETENTION {
-            match self.undelivered_order.pop_front() {
-                Some(old) => {
-                    self.undelivered.remove(&old);
-                }
-                None => break,
-            }
-        }
-        if self.undelivered_order.len() > 2 * self.undelivered.len() + 16 {
-            let live = &self.undelivered;
-            self.undelivered_order.retain(|id| live.contains_key(id));
-        }
     }
 
     /// Queues one tuple for a target; flushes eagerly at [`BATCH_MAX`],
@@ -582,10 +575,10 @@ impl SoftNode {
                 status.acks += 1;
             }
         }
-        if let Some(u) = self.undelivered.get_mut(&(key_hash, version)) {
+        if let Some(u) = self.undelivered.get_mut((key_hash, version)) {
             u.pending.retain(|&n| n != from);
             if u.pending.is_empty() {
-                self.undelivered.remove(&(key_hash, version));
+                self.undelivered.take((key_hash, version));
             }
         }
     }
@@ -799,17 +792,16 @@ impl SoftNode {
             let trace = self.trace_wait(ctx, req, peer, "soft.fetch_wait");
             ctx.send(peer, DropletMsg::Fetch { req, key_hash, version, trace });
         }
-        let mut owed: Vec<(u64, Version)> = self
+        let mut owed: Vec<StoredTuple> = self
             .undelivered
-            .iter()
-            .filter(|(_, u)| u.pending.contains(&peer))
-            .map(|(&id, _)| id)
+            .values()
+            .filter(|u| u.pending.contains(&peer))
+            .map(|u| u.tuple.clone())
             .collect();
         // Deterministic order: versions of the same key must apply oldest
         // first so the receiver's store-changed accounting is replayable.
-        owed.sort_unstable_by_key(|&(kh, v)| (kh, v.0));
-        for id in owed {
-            let tuple = self.undelivered[&id].tuple.clone();
+        owed.sort_unstable_by_key(|t| (t.key_hash, t.version.0));
+        for tuple in owed {
             // Re-deliveries are untraced: the originating op was acked
             // (and its trace closed) long before the heal.
             self.enqueue_delivery(ctx, peer, tuple, None);
@@ -903,7 +895,7 @@ impl SoftNode {
         if targets.is_empty() {
             let mut pool = self.persist.peers.clone();
             pool.shuffle(ctx.rng());
-            pool.truncate(self.fallback_fetches);
+            pool.truncate(FALLBACK_FETCHES);
             targets = pool;
             ctx.metrics().incr("soft.fallback_fetches");
         }
@@ -1171,8 +1163,7 @@ impl SoftNode {
         self.outbox_armed = false;
         self.trace_ops.clear();
         self.trace_waits.clear();
-        self.undelivered.clear();
-        self.undelivered_order.clear();
+        self.undelivered = CompletionLog::new(UNDELIVERED_RETENTION);
         self.reachable = self.known_peers.iter().copied().collect();
     }
 
@@ -1291,6 +1282,53 @@ mod tests {
             },
         );
         assert_eq!(n.metadata.latest(first), Version(1), "eviction never touches metadata");
+    }
+
+    #[test]
+    fn undelivered_writes_retire_oldest_live_first_and_redeliver_sorted() {
+        let (me, peer) = (NodeId(0), NodeId(10));
+        let all = crate::sieve_spec::SieveSpec::Range { index: 0, of: 1, r: 1 };
+        let mut n = SoftNode::new(&[me], Arc::new(OwnerIndex::new(vec![peer], vec![all])), 16);
+        let id = |i: u64| (Key::from(format!("k{i}").as_str()).hash(), Version(1));
+        let write = |n: &mut SoftNode, ctx: &mut Ctx<'_, DropletMsg>, i: u64| {
+            n.start_write(ctx, i, TupleSpec::new(format!("k{i}"), vec![], None, None), false, None);
+        };
+        // The only owner is dark: every write stays owed to it.
+        let cap = UNDELIVERED_RETENTION as u64;
+        let sent = drive(&mut n, 0, |n, ctx| {
+            n.on_message(ctx, me, DropletMsg::PeerDown(peer));
+            (0..cap + 3).for_each(|i| write(n, ctx, i));
+        });
+        assert!(sent.is_empty(), "nothing reaches a dark owner");
+        assert_eq!(n.undelivered_backlog(), UNDELIVERED_RETENTION);
+        assert!(
+            (0..3).all(|i| !n.undelivered.map.contains_key(&id(i))),
+            "the three oldest retired"
+        );
+        // A storage ack clears k3; past the cap again, the oldest *live*
+        // entry (k4) retires, not k3's stale slot.
+        drive(&mut n, 1, |n, ctx| {
+            n.on_message(ctx, peer, DropletMsg::StoredAckBatch { acked: vec![id(3)] });
+            (cap + 3..cap + 5).for_each(|i| write(n, ctx, i));
+        });
+        assert_eq!(n.undelivered_backlog(), UNDELIVERED_RETENTION);
+        assert!(!n.undelivered.map.contains_key(&id(4)) && n.undelivered.map.contains_key(&id(5)));
+        // The owner's return re-delivers everything still owed, in
+        // `(key_hash, version)` order.
+        let sent = drive(&mut n, 2, |n, ctx| {
+            n.on_message(ctx, me, DropletMsg::PeerUp(peer));
+            n.on_timer(ctx, BATCH_TIMER);
+        });
+        let redelivered: Vec<(u64, Version)> = sent
+            .iter()
+            .flat_map(|(_, msg)| match msg {
+                DropletMsg::DeliverBatch { tuples, .. } => tuples.as_slice(),
+                _ => &[],
+            })
+            .map(|t| (t.key_hash, t.version))
+            .collect();
+        assert_eq!(redelivered.len(), UNDELIVERED_RETENTION);
+        assert!(redelivered.is_sorted(), "re-deliveries go out sorted");
     }
 
     /// Runs `f` on `n` inside a detached context at virtual time `now`;

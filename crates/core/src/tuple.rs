@@ -20,175 +20,113 @@ use dd_sieve::ItemMeta;
 use dd_sim::rng::{mix, stable_hash};
 use std::sync::Arc;
 
-/// A tuple key: UTF-8 text hashed to a uniform 64-bit key space. The
-/// text is interned (`Arc<str>`) and the hash cached, so clones are
-/// cheap and hot-path routing never re-hashes.
-#[derive(Clone)]
-pub struct Key {
-    text: Arc<str>,
-    hash: u64,
-}
-
-impl Key {
-    /// Interns `text` as a key, hashing it once.
-    #[must_use]
-    pub fn new(text: impl Into<Arc<str>>) -> Self {
-        let text = text.into();
-        let hash = stable_hash(text.as_bytes());
-        Key { text, hash }
-    }
-
-    /// The key's position in the hashed key space (cached).
-    #[must_use]
-    pub fn hash(&self) -> u64 {
-        self.hash
-    }
-
-    /// The key text.
-    #[must_use]
-    pub fn as_str(&self) -> &str {
-        &self.text
-    }
-}
-
-impl PartialEq for Key {
-    fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.text, &other.text) || (self.hash == other.hash && self.text == other.text)
-    }
-}
-
-impl Eq for Key {}
-
-impl PartialOrd for Key {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Key {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        if Arc::ptr_eq(&self.text, &other.text) {
-            std::cmp::Ordering::Equal
-        } else {
-            self.text.cmp(&other.text)
+/// Defines an interned-text type: UTF-8 text behind a shared `Arc<str>`
+/// plus its `stable_hash`, computed once. Equality, ordering and `Hash`
+/// are on the text (with an `Arc::ptr_eq` fast path), so the type behaves
+/// exactly like the `String` it stands for.
+macro_rules! interned_text {
+    ($(#[$doc:meta])* $name:ident, $what:literal) => {
+        $(#[$doc])*
+        #[derive(Clone)]
+        pub struct $name {
+            text: Arc<str>,
+            hash: u64,
         }
-    }
-}
 
-impl std::hash::Hash for Key {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.text.hash(state);
-    }
-}
+        impl $name {
+            #[doc = concat!("Interns `text` as a ", $what, ", hashing it once.")]
+            #[must_use]
+            pub fn new(text: impl Into<Arc<str>>) -> Self {
+                let text = text.into();
+                let hash = stable_hash(text.as_bytes());
+                $name { text, hash }
+            }
 
-impl std::fmt::Debug for Key {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("Key").field(&self.text).finish()
-    }
-}
+            #[doc = concat!("The ", $what, "'s position in the hashed ", $what, " space (cached).")]
+            #[must_use]
+            pub fn hash(&self) -> u64 {
+                self.hash
+            }
 
-impl From<&str> for Key {
-    fn from(s: &str) -> Self {
-        Key::new(s)
-    }
-}
-
-impl From<String> for Key {
-    fn from(s: String) -> Self {
-        Key::new(s)
-    }
-}
-
-impl std::fmt::Display for Key {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.text)
-    }
-}
-
-/// A correlation tag, interned like [`Key`]: shared text, hash computed
-/// once. Batched writes clone the batch's tag into every item and the
-/// write path hashes it for slot routing — both now O(1).
-#[derive(Clone)]
-pub struct Tag {
-    text: Arc<str>,
-    hash: u64,
-}
-
-impl Tag {
-    /// Interns `text` as a tag, hashing it once.
-    #[must_use]
-    pub fn new(text: impl Into<Arc<str>>) -> Self {
-        let text = text.into();
-        let hash = stable_hash(text.as_bytes());
-        Tag { text, hash }
-    }
-
-    /// The tag's position in the hashed tag space (cached).
-    #[must_use]
-    pub fn hash(&self) -> u64 {
-        self.hash
-    }
-
-    /// The tag text.
-    #[must_use]
-    pub fn as_str(&self) -> &str {
-        &self.text
-    }
-}
-
-impl PartialEq for Tag {
-    fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.text, &other.text) || (self.hash == other.hash && self.text == other.text)
-    }
-}
-
-impl Eq for Tag {}
-
-impl PartialOrd for Tag {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Tag {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        if Arc::ptr_eq(&self.text, &other.text) {
-            std::cmp::Ordering::Equal
-        } else {
-            self.text.cmp(&other.text)
+            #[doc = concat!("The ", $what, " text.")]
+            #[must_use]
+            pub fn as_str(&self) -> &str {
+                &self.text
+            }
         }
-    }
+
+        impl PartialEq for $name {
+            fn eq(&self, other: &Self) -> bool {
+                Arc::ptr_eq(&self.text, &other.text)
+                    || (self.hash == other.hash && self.text == other.text)
+            }
+        }
+
+        impl Eq for $name {}
+
+        impl PartialOrd for $name {
+            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+
+        impl Ord for $name {
+            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+                if Arc::ptr_eq(&self.text, &other.text) {
+                    std::cmp::Ordering::Equal
+                } else {
+                    self.text.cmp(&other.text)
+                }
+            }
+        }
+
+        impl std::hash::Hash for $name {
+            fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+                self.text.hash(state);
+            }
+        }
+
+        impl std::fmt::Debug for $name {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                f.debug_tuple(stringify!($name)).field(&self.text).finish()
+            }
+        }
+
+        impl From<&str> for $name {
+            fn from(s: &str) -> Self {
+                $name::new(s)
+            }
+        }
+
+        impl From<String> for $name {
+            fn from(s: String) -> Self {
+                $name::new(s)
+            }
+        }
+
+        impl std::fmt::Display for $name {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                f.write_str(&self.text)
+            }
+        }
+    };
 }
 
-impl std::hash::Hash for Tag {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.text.hash(state);
-    }
-}
+interned_text!(
+    /// A tuple key: UTF-8 text hashed to a uniform 64-bit key space. The
+    /// text is interned (`Arc<str>`) and the hash cached, so clones are
+    /// cheap and hot-path routing never re-hashes.
+    Key,
+    "key"
+);
 
-impl std::fmt::Debug for Tag {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("Tag").field(&self.text).finish()
-    }
-}
-
-impl From<&str> for Tag {
-    fn from(s: &str) -> Self {
-        Tag::new(s)
-    }
-}
-
-impl From<String> for Tag {
-    fn from(s: String) -> Self {
-        Tag::new(s)
-    }
-}
-
-impl std::fmt::Display for Tag {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.text)
-    }
-}
+interned_text!(
+    /// A correlation tag, interned like [`Key`]: shared text, hash computed
+    /// once. Batched writes clone the batch's tag into every item and the
+    /// write path hashes it for slot routing — both O(1).
+    Tag,
+    "tag"
+);
 
 /// A client-supplied tuple for batched writes ([`crate::Client::multi_put`]):
 /// everything a write needs *except* the version, which the key's
@@ -398,6 +336,13 @@ mod tests {
         assert_eq!(t, t.clone());
         assert_ne!(Tag::from("feed:3"), Tag::from("feed:4"));
         assert!(Tag::from("a") < Tag::from("b"));
+    }
+
+    #[test]
+    fn debug_renders_the_type_and_its_text() {
+        assert_eq!(format!("{:?}", Key::from("users:7")), "Key(\"users:7\")");
+        assert_eq!(format!("{:?}", Tag::from("feed:3")), "Tag(\"feed:3\")");
+        assert_eq!(Key::new("x").hash(), Tag::new("x").hash(), "one hash for both types");
     }
 
     #[test]

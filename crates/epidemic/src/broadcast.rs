@@ -112,7 +112,7 @@ impl<S: PeerSampler, T: Clone + fmt::Debug> BroadcastNode<S, T> {
     }
 }
 
-impl<S: PeerSampler, T: Clone + fmt::Debug> Process for BroadcastNode<S, T> {
+impl<S: PeerSampler + 'static, T: Clone + fmt::Debug + 'static> Process for BroadcastNode<S, T> {
     type Msg = BroadcastMsg<T>;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, Self::Msg>) {

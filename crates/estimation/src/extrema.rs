@@ -101,7 +101,7 @@ impl<S: PeerSampler> ExtremaNode<S> {
     }
 }
 
-impl<S: PeerSampler> Process for ExtremaNode<S> {
+impl<S: PeerSampler + 'static> Process for ExtremaNode<S> {
     type Msg = ExtremaMsg;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, Self::Msg>) {

@@ -58,7 +58,7 @@ impl<S: PeerSampler> DistEstimationNode<S> {
     }
 }
 
-impl<S: PeerSampler> Process for DistEstimationNode<S> {
+impl<S: PeerSampler + 'static> Process for DistEstimationNode<S> {
     type Msg = DistMsg;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, Self::Msg>) {

@@ -157,7 +157,7 @@ impl<S: PeerSampler> PushSumNode<S> {
     }
 }
 
-impl<S: PeerSampler> Process for PushSumNode<S> {
+impl<S: PeerSampler + 'static> Process for PushSumNode<S> {
     type Msg = PushSumMsg;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, Self::Msg>) {

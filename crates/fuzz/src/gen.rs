@@ -275,7 +275,7 @@ mod tests {
             let a = generate(&cfg, seed);
             let b = generate(&cfg, seed);
             assert_eq!(a, b, "seed {seed} not deterministic");
-            assert!(a.scenario.is_audited());
+            assert!(a.scenario.planes().audit);
             assert_eq!(a.scenario.validate(), Ok(()), "seed {seed} generated invalid scenario");
             assert!(a.replication as u64 <= a.persist_n);
             assert!(a.size() > 0);

@@ -17,10 +17,10 @@
 //! * **repair divergence** — anti-entropy rounds staying dirty while
 //!   recovering nothing (summaries that disagree forever).
 //!
-//! The collector is installed on the simulation through the kernel's
-//! [`dd_sim::Sampler`] hook, so it is read-only by construction: an
-//! instrumented run replays byte-identically, and when no sampler is
-//! installed the hook costs one branch per event.
+//! The collector is sampled through the kernel's one observer hook
+//! ([`dd_sim::Observer::sample`]), so it is read-only by construction: an
+//! instrumented run replays byte-identically, and when nothing samples
+//! the hook costs one compare per event.
 //!
 //! Runs export two ways: [`Telemetry::to_prometheus`] renders the final
 //! sample in Prometheus text-exposition format (promtool/Grafana), and

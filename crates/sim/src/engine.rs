@@ -7,6 +7,7 @@ use crate::time::{Duration, Time};
 use crate::trace::Tracer;
 use crate::types::{NodeId, TimerTag};
 use rand::rngs::SmallRng;
+use std::any::Any;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -15,8 +16,9 @@ use std::fmt;
 ///
 /// All methods receive a [`Ctx`] through which the process sends messages,
 /// arms timers, draws randomness and records metrics. Only `on_message` is
-/// mandatory; the rest default to no-ops.
-pub trait Process: Sized {
+/// mandatory; the rest default to no-ops. A process owns its state
+/// (`'static`), so the simulation hosting it can carry an [`Observer`].
+pub trait Process: Sized + 'static {
     /// Message type exchanged between nodes running this process.
     type Msg: Clone + fmt::Debug;
 
@@ -46,26 +48,44 @@ pub trait Process: Sized {
     }
 }
 
-/// A periodic read-only observer of the running simulation — the hook the
-/// telemetry plane (`dd-obs`) installs with [`Sim::set_sampler`].
+/// A passive observer of the running simulation — the one slot the
+/// observer planes (audit, trace, telemetry) install into with
+/// [`Sim::set_observer`].
 ///
-/// The engine polls the sampler once per processed event: whenever virtual
-/// time has reached the next sampling deadline, [`Sampler::sample`] runs
-/// against an immutable view of the simulation and the deadline advances
-/// by [`Sampler::period`] ticks. Sampling is passive — the sampler cannot
-/// send, schedule, or mutate node state, and the engine's RNGs and queue
-/// are untouched — so an instrumented run replays byte-identically, and
-/// when no sampler is installed the poll costs one branch.
-pub trait Sampler<P: Process> {
-    /// Virtual ticks between samples (values below 1 are treated as 1).
-    fn period(&self) -> u64;
+/// The kernel gives its observer two things. Its span sink
+/// ([`Observer::tracer`]) is handed to every callback through
+/// [`Ctx::tracer`]. And it is sampled: once before each processed event and
+/// once after [`Sim::run_until`]'s loop, whenever virtual time has reached
+/// the next sampling deadline, [`Observer::sample`] runs against an
+/// immutable view of the simulation and the deadline advances by
+/// [`Observer::period`] ticks. An observer cannot send, schedule or mutate
+/// node state, and the engine's RNGs and queue are untouched, so an
+/// observed run replays byte-identically. With no observer installed, or
+/// one that never samples, the poll costs one compare.
+///
+/// `Any` is a supertrait so whoever installed the observer recovers its
+/// concrete type by upcasting to `dyn Any` and downcasting.
+pub trait Observer<P: Process>: Any {
+    /// The span sink handed to every callback; `None` (the default) for an
+    /// observer that does not trace.
+    fn tracer(&mut self) -> Option<&mut (dyn Tracer + 'static)> {
+        None
+    }
+
+    /// Virtual ticks between samples (values below 1 are treated as 1);
+    /// `None` (the default) for an observer that never samples.
+    fn period(&self) -> Option<u64> {
+        None
+    }
 
     /// Takes one sample at the current virtual time.
-    fn sample(&mut self, sim: &Sim<P>);
-
-    /// Recovers the concrete collector once detached ([`Sim::take_sampler`]).
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any>;
+    fn sample(&mut self, sim: &Sim<P>) {
+        let _ = sim;
+    }
 }
+
+/// The sampling deadline while nothing samples.
+const NEVER: Time = Time(u64::MAX);
 
 /// Side-effect handle passed to every [`Process`] callback.
 pub struct Ctx<'a, M> {
@@ -112,9 +132,9 @@ impl<M> Ctx<'_, M> {
         self.metrics
     }
 
-    /// The installed span sink, when the run is traced ([`Sim::set_tracer`]);
-    /// `None` otherwise — traced code paths guard on this so tracing costs
-    /// one branch when off.
+    /// The installed observer's span sink ([`Observer::tracer`]); `None`
+    /// when the run is not traced — traced code paths guard on this so
+    /// tracing costs one branch when off.
     pub fn tracer(&mut self) -> Option<&mut (dyn Tracer + 'static)> {
         self.tracer.as_deref_mut()
     }
@@ -275,11 +295,9 @@ pub struct Sim<P: Process> {
     /// [`Sim::is_alive`] answers can only change when this does — the
     /// companion of [`NetConfig::topology_epoch`] for sweep gating.
     liveness_epoch: u64,
-    /// Span sink handed to every callback while a traced run is active.
-    tracer: Option<Box<dyn Tracer>>,
-    /// Telemetry sampler polled by the run loop while instrumentation is
-    /// active, plus the virtual time the next sample falls due.
-    sampler: Option<Box<dyn Sampler<P>>>,
+    /// The observer planes' one slot, plus the virtual time its next
+    /// sample falls due ([`NEVER`] while nothing samples).
+    observer: Option<Box<dyn Observer<P>>>,
     next_sample: Time,
 }
 
@@ -299,9 +317,8 @@ impl<P: Process> Sim<P> {
             net_rng: stream_rng(config.seed, u64::MAX),
             effects: Vec::new(),
             liveness_epoch: 0,
-            tracer: None,
-            sampler: None,
-            next_sample: Time::ZERO,
+            observer: None,
+            next_sample: NEVER,
         }
     }
 
@@ -410,49 +427,25 @@ impl<P: Process> Sim<P> {
         &mut self.metrics
     }
 
-    /// Installs a span sink: every subsequent callback sees it through
-    /// [`Ctx::tracer`] until [`Sim::take_tracer`] removes it. Replaces any
-    /// sink already installed.
-    pub fn set_tracer(&mut self, tracer: Box<dyn Tracer>) {
-        self.tracer = Some(tracer);
+    /// Installs `observer`, replacing any already installed: every
+    /// subsequent callback sees its span sink through [`Ctx::tracer`], and
+    /// one that samples takes a sample every [`Observer::period`] ticks
+    /// starting from the current time.
+    pub fn set_observer(&mut self, observer: Box<dyn Observer<P>>) {
+        self.next_sample = if observer.period().is_some() { self.now } else { NEVER };
+        self.observer = Some(observer);
     }
 
-    /// Removes and returns the installed span sink (downcast it via
-    /// [`Tracer::into_any`] to recover the concrete recorder).
-    pub fn take_tracer(&mut self) -> Option<Box<dyn Tracer>> {
-        self.tracer.take()
+    /// Removes and returns the installed observer.
+    pub fn take_observer(&mut self) -> Option<Box<dyn Observer<P>>> {
+        self.next_sample = NEVER;
+        self.observer.take()
     }
 
-    /// The installed span sink, if any (harness-side span bookkeeping —
-    /// e.g. opening an operation's root span at injection time).
-    pub fn tracer_mut(&mut self) -> Option<&mut (dyn Tracer + 'static)> {
-        self.tracer.as_deref_mut()
-    }
-
-    /// Whether a span sink is currently installed.
-    #[must_use]
-    pub fn tracer_installed(&self) -> bool {
-        self.tracer.is_some()
-    }
-
-    /// Installs a telemetry sampler: the run loop polls it as virtual time
-    /// advances, taking one sample every [`Sampler::period`] ticks starting
-    /// from the current time. Replaces any sampler already installed.
-    pub fn set_sampler(&mut self, sampler: Box<dyn Sampler<P>>) {
-        self.next_sample = self.now;
-        self.sampler = Some(sampler);
-    }
-
-    /// Removes and returns the installed sampler (downcast it via
-    /// [`Sampler::into_any`] to recover the concrete collector).
-    pub fn take_sampler(&mut self) -> Option<Box<dyn Sampler<P>>> {
-        self.sampler.take()
-    }
-
-    /// Whether a telemetry sampler is currently installed.
-    #[must_use]
-    pub fn sampler_installed(&self) -> bool {
-        self.sampler.is_some()
+    /// The installed observer, if any (harness-side bookkeeping — e.g.
+    /// opening an operation's root span at injection time).
+    pub fn observer_mut(&mut self) -> Option<&mut dyn Observer<P>> {
+        self.observer.as_deref_mut()
     }
 
     /// Depth of the event queue (scheduled deliveries, timers and
@@ -471,17 +464,17 @@ impl<P: Process> Sim<P> {
         })
     }
 
-    /// Polls the installed sampler, taking a sample when one is due. The
-    /// sampler is detached while it runs (the field is `None`), so it gets
-    /// a clean immutable view of the simulation.
-    fn poll_sampler(&mut self) {
-        if self.sampler.is_none() || self.now < self.next_sample {
+    /// Samples the installed observer when a sample is due. The observer
+    /// is detached while it runs (the slot is `None`), so it gets a clean
+    /// immutable view of the simulation.
+    fn poll_observer(&mut self) {
+        if self.now < self.next_sample {
             return;
         }
-        let Some(mut s) = self.sampler.take() else { return };
-        s.sample(self);
-        self.next_sample = self.now + Duration(s.period().max(1));
-        self.sampler = Some(s);
+        let Some(mut observer) = self.observer.take() else { return };
+        observer.sample(self);
+        self.next_sample = observer.period().map_or(NEVER, |p| self.now + Duration(p.max(1)));
+        self.observer = Some(observer);
     }
 
     /// Takes the node down *now* (transient failure: state kept, timers and
@@ -560,7 +553,7 @@ impl<P: Process> Sim<P> {
             self.step();
         }
         self.now = self.now.max(deadline);
-        self.poll_sampler();
+        self.poll_observer();
     }
 
     /// Runs for `d` more ticks of virtual time.
@@ -577,7 +570,7 @@ impl<P: Process> Sim<P> {
         };
         debug_assert!(at >= self.now, "time went backwards");
         self.now = at;
-        self.poll_sampler();
+        self.poll_observer();
         match event {
             Event::Start(id) => self.dispatch(id, Dispatch::Start),
             Event::Deliver { to, from, msg } => {
@@ -643,7 +636,7 @@ impl<P: Process> Sim<P> {
             rng: &mut node.rng,
             metrics: &mut self.metrics,
             effects: &mut effects,
-            tracer: self.tracer.as_deref_mut(),
+            tracer: self.observer.as_deref_mut().and_then(Observer::tracer),
         };
         match kind {
             Dispatch::Start => node.proc.on_start(&mut ctx),
@@ -1055,6 +1048,59 @@ mod tests {
         sim.inject(NodeId(0), NodeId(1), ());
         sim.run();
         assert!(sim.node(NodeId(1)).unwrap().infected, "after the spike, traffic flows");
+    }
+
+    #[test]
+    fn the_observer_traces_callbacks_and_samples_on_its_period() {
+        struct Timed;
+        impl Process for Timed {
+            type Msg = ();
+            fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
+                ctx.set_timer(Duration(25), TimerTag(0));
+            }
+            fn on_message(&mut self, _: &mut Ctx<'_, ()>, _: NodeId, _: ()) {}
+            fn on_timer(&mut self, ctx: &mut Ctx<'_, ()>, _: TimerTag) {
+                let (now, me) = (ctx.now(), ctx.id());
+                if let Some(tr) = ctx.tracer() {
+                    tr.open(now, me, 1, None, "timer");
+                }
+            }
+        }
+        #[derive(Default)]
+        struct Watch {
+            opened: Vec<u64>,
+            samples: Vec<u64>,
+        }
+        impl Tracer for Watch {
+            fn open(&mut self, at: Time, _: NodeId, _: u64, _: Option<u32>, _: &str) -> u32 {
+                self.opened.push(at.0);
+                0
+            }
+            fn close(&mut self, _: Time, _: u64, _: u32, _: bool) {}
+        }
+        impl Observer<Timed> for Watch {
+            fn tracer(&mut self) -> Option<&mut (dyn Tracer + 'static)> {
+                Some(self)
+            }
+            fn period(&self) -> Option<u64> {
+                Some(10)
+            }
+            fn sample(&mut self, sim: &Sim<Timed>) {
+                self.samples.push(sim.now().0);
+            }
+        }
+        let mut sim = Sim::new(SimConfig::default());
+        sim.add_node(NodeId(0), Timed);
+        sim.set_observer(Box::<Watch>::default());
+        sim.run_until(Time(40));
+        let watch: Box<dyn Any> = sim.take_observer().expect("installed");
+        let watch = watch.downcast::<Watch>().expect("the installed type");
+        assert_eq!(watch.opened, vec![25], "the callback saw the observer's span sink");
+        // Polled before each event (t0 start, t25 timer) and after the
+        // run's loop (t40), whenever the previous sample's period elapsed.
+        assert_eq!(watch.samples, vec![0, 25, 40]);
+        assert!(sim.observer_mut().is_none());
+        sim.run_until(Time(100));
     }
 
     #[test]

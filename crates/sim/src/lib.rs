@@ -58,7 +58,7 @@ pub mod time;
 pub mod trace;
 pub mod types;
 
-pub use engine::{Ctx, NetChange, Process, Sampler, Sim, SimConfig};
+pub use engine::{Ctx, NetChange, Observer, Process, Sim, SimConfig};
 pub use json::json_escape;
 pub use metrics::Metrics;
 pub use net::{LatencyModel, NetConfig};

@@ -1,9 +1,10 @@
 //! Tracing hooks for the simulation kernel: causal context and the span
 //! sink.
 //!
-//! The kernel itself records nothing — it only *carries* an optional
-//! [`Tracer`] (installed with [`crate::Sim::set_tracer`]) and hands it to
-//! every [`crate::Process`] callback through [`crate::Ctx::tracer`].
+//! The kernel itself records nothing — it only hands the installed
+//! observer's [`Tracer`] ([`crate::Observer::tracer`], installed with
+//! [`crate::Sim::set_observer`]) to every [`crate::Process`] callback
+//! through [`crate::Ctx::tracer`].
 //! Protocol code opens and closes spans against whatever sink is
 //! installed; when none is, the accessor returns `None` and the traced
 //! code paths cost one branch. Timestamps are virtual time, so a traced
@@ -19,7 +20,6 @@
 
 use crate::time::Time;
 use crate::types::NodeId;
-use std::any::Any;
 
 /// Causal context a message envelope carries: which traced operation the
 /// message belongs to and which span its consequences nest under.
@@ -54,9 +54,4 @@ pub trait Tracer {
     /// by a failure detector, expired by a deadline sweep, or still open
     /// when the operation resolved.
     fn close(&mut self, at: Time, op: u64, span: u32, answered: bool);
-
-    /// Converts the boxed sink back into [`Any`] so the harness that
-    /// installed it ([`crate::Sim::take_tracer`] callers) can downcast to
-    /// the concrete recorder and extract the finished traces.
-    fn into_any(self: Box<Self>) -> Box<dyn Any>;
 }

@@ -9,7 +9,8 @@
 //! — client submit → soft coordinator → per-target waits → persist
 //! stores/serves — stamped in virtual time, so a traced run replays
 //! byte-identically from its seed. The [`Recorder`] implements
-//! [`dd_sim::Tracer`] and is installed on the simulator; protocol code
+//! [`dd_sim::Tracer`] and reaches the simulator as the installed
+//! observer's span sink ([`dd_sim::Observer::tracer`]); protocol code
 //! opens and closes spans through [`dd_sim::Ctx::tracer`], which costs one
 //! branch when no recorder is installed.
 //!
@@ -47,7 +48,6 @@
 #![warn(missing_docs)]
 
 use dd_sim::{NodeId, Time, Tracer};
-use std::any::Any;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -213,9 +213,10 @@ impl Trace {
     }
 }
 
-/// The span sink the simulator drives during a traced run. Install with
-/// `Sim::set_tracer(Box::<Recorder>::default())`, run, then take it back
-/// and call [`Recorder::finish`].
+/// The span sink the simulator drives during a traced run. An observer
+/// holds it and hands it to the kernel as its [`dd_sim::Observer::tracer`]
+/// (dd-core's `Cluster::observe` does); once the run is over, take the
+/// observer back and call [`Recorder::finish`].
 #[derive(Debug, Clone, Default)]
 pub struct Recorder {
     traces: Vec<Trace>,
@@ -278,10 +279,6 @@ impl Tracer for Recorder {
             s.end = Some(at.0.max(s.start));
             s.answered = answered;
         }
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
     }
 }
 

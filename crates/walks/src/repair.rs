@@ -73,7 +73,7 @@ impl<S: PeerSampler, T: Clone + std::fmt::Debug> RepairNode<S, T> {
     }
 }
 
-impl<S: PeerSampler, T: Clone + std::fmt::Debug> Process for RepairNode<S, T> {
+impl<S: PeerSampler + 'static, T: Clone + std::fmt::Debug + 'static> Process for RepairNode<S, T> {
     type Msg = RepairMsg<T>;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, Self::Msg>) {

@@ -90,7 +90,7 @@ impl<S: PeerSampler> WalkNode<S> {
     }
 }
 
-impl<S: PeerSampler> Process for WalkNode<S> {
+impl<S: PeerSampler + 'static> Process for WalkNode<S> {
     type Msg = WalkMsg;
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, Self::Msg>, _from: NodeId, msg: Self::Msg) {

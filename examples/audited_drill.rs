@@ -18,7 +18,7 @@
 //! ```
 
 use dd_core::scenario::library;
-use dd_core::{Cluster, ClusterConfig, History, Placement, Violation};
+use dd_core::{Cluster, ClusterConfig, History, Placement, Planes, Violation};
 
 fn main() {
     // Act 1 — the stock partition+heal drill, audited.
@@ -49,7 +49,7 @@ fn main() {
     // write the session had already seen acknowledged.
     let mut cluster = Cluster::new(ClusterConfig::small(), 8);
     cluster.settle();
-    cluster.begin_audit();
+    cluster.observe(Planes { audit: true, ..Planes::default() });
     let mut session = cluster.client();
     for round in 1..=2u8 {
         let w = session.put(&mut cluster, "demo", vec![round], None, None);
@@ -57,7 +57,7 @@ fn main() {
     }
     let r = session.get(&mut cluster, "demo");
     session.recv(&mut cluster, r).expect("read completes").expect("found");
-    let history = cluster.end_audit().expect("recorder installed");
+    let history = cluster.stop_observing().audit.expect("the audit was on");
     assert!(dd_audit::check(&history, &cluster.audit_snapshot()).is_clean());
 
     let mut ops = history.ops().to_vec();

@@ -23,7 +23,7 @@
 //! ```
 
 use dd_core::scenario::library;
-use dd_core::{Cluster, ClusterConfig, Detector, Placement, TelemetryReport};
+use dd_core::{Cluster, ClusterConfig, Detector, Placement, Planes, TelemetryReport};
 
 fn cluster() -> Cluster {
     let config =
@@ -50,12 +50,13 @@ fn main() {
     // stops, and the leak detector must say exactly that.
     let mut leaky = cluster();
     let mut abandoned = leaky.client();
-    leaky.begin_instrument();
+    leaky.observe(Planes { telemetry: true, ..Planes::default() });
     for i in 0..300 {
         let _ = abandoned.get(&mut leaky, format!("never-harvested:{i}"));
         leaky.pump(80);
     }
-    let verdict = TelemetryReport::build(leaky.end_instrument().expect("sampler installed"));
+    let series = leaky.stop_observing().telemetry.expect("telemetry was on");
+    let verdict = TelemetryReport::build(series);
     println!("seeded regression verdicts:");
     for finding in &verdict.findings {
         println!("  detector {finding}");

@@ -11,7 +11,7 @@ use dd_audit::{
     check_read_your_writes, check_tombstone_safety, snapshot_converged, History, Op, OpDesc,
     Outcome, ReplicaTuple, Violation,
 };
-use dd_core::{Cluster, ClusterConfig, Placement, TupleSpec};
+use dd_core::{Cluster, ClusterConfig, Placement, Planes, TupleSpec};
 use dd_dht::Version;
 
 /// Drives a real (tag-collocated) cluster through writes, overwrites,
@@ -20,7 +20,7 @@ use dd_dht::Version;
 fn recorded_fixture() -> (History, Vec<ReplicaTuple>) {
     let mut c = Cluster::new(ClusterConfig::small().placement(Placement::TagCollocation), 4242);
     c.settle();
-    c.begin_audit();
+    c.observe(Planes { audit: true, ..Planes::default() });
     let mut writer = c.client();
     let mut reader = c.client();
 
@@ -63,7 +63,7 @@ fn recorded_fixture() -> (History, Vec<ReplicaTuple>) {
         assert_eq!(session.recv(&mut c, r), Ok(None), "deleted key reads absent");
     }
 
-    let history = c.end_audit().expect("recorder installed");
+    let history = c.stop_observing().audit.expect("the audit was on");
     // Settle until every key's live replicas agree.
     for _ in 0..32 {
         if snapshot_converged(&c.audit_snapshot()) {

@@ -48,6 +48,34 @@ fn hostile(seed: u64) -> Scenario {
         .env(11_000, EnvChange::DropProb(0.0))
 }
 
+/// The observer planes are independent: on fresh identical clusters, all
+/// three at once attach exactly what each attaches alone, and with all
+/// three detached the report is the plain run's.
+#[test]
+fn all_three_planes_at_once_record_what_each_records_alone() {
+    for placement in [Placement::RangePartition, Placement::TagCollocation] {
+        for drill in [library::calm(11), library::partition_heal(13)] {
+            let run = |scenario: Scenario| {
+                settled(ClusterConfig::small().placement(placement), 42).run_scenario(&scenario)
+            };
+            let plain = run(drill.clone());
+            let audit = run(drill.clone().audited()).audit.expect("audited");
+            let trace = run(drill.clone().traced()).trace.expect("traced");
+            let telemetry = run(drill.clone().instrumented()).telemetry.expect("instrumented");
+            let mut all = run(drill.clone().audited().traced().instrumented());
+            let name = format!("{} under {placement:?}", drill.name());
+            let alone = format!("{audit:?}");
+            assert_eq!(format!("{:?}", all.audit.take().expect("audited")), alone, "{name}");
+            let alone = format!("{trace:?}");
+            assert_eq!(format!("{:?}", all.trace.take().expect("traced")), alone, "{name}");
+            let alone = format!("{telemetry:?}");
+            let together = format!("{:?}", all.telemetry.take().expect("instrumented"));
+            assert_eq!(together, alone, "{name}");
+            assert_eq!(format!("{all:?}"), format!("{plain:?}"), "{name}");
+        }
+    }
+}
+
 #[test]
 fn same_scenario_same_seed_replays_byte_identically() {
     // The determinism regression: the full report — availability,
