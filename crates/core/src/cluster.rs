@@ -324,7 +324,7 @@ impl dd_sim::Observer<DropletNode> for Observers {
     }
 
     fn period(&self) -> Option<u64> {
-        self.telemetry.as_ref().map(dd_obs::Telemetry::period)
+        self.telemetry.as_ref().map(|_| dd_obs::DEFAULT_SAMPLE_PERIOD)
     }
 
     /// One telemetry sweep: walks the live nodes feeding per-node gauges,
@@ -490,12 +490,7 @@ impl Cluster {
         let mut sim: Sim<DropletNode> =
             Sim::new(SimConfig::default().seed(seed).queue_capacity(queue_capacity));
         for &id in &soft_ids {
-            let mut soft = SoftNode::new(&soft_ids, Arc::clone(&persist), config.cache_capacity);
-            if config.placement == Placement::TagCollocation {
-                // Slot s is run by persist_ids[s]; the soft node's peer
-                // list is in that order, so routed slots map directly.
-                soft = soft.with_tag_routing(config.persist_n, config.replication);
-            }
+            let soft = SoftNode::new(&soft_ids, Arc::clone(&persist), config.cache_capacity);
             sim.add_node(id, DropletNode::Soft(soft));
         }
         for (i, (&id, sieve)) in persist_ids.iter().zip(&persist.sieves).enumerate() {

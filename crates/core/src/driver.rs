@@ -13,6 +13,7 @@
 
 use crate::client::{Client, Completion, OpError};
 use crate::cluster::Cluster;
+use crate::scenario::PhaseReport;
 use crate::tuple::TupleSpec;
 use crate::workload::Workload;
 use dd_audit::VersionOracle;
@@ -27,13 +28,20 @@ use std::collections::HashMap;
 /// phase just lets protocols run, e.g. a repair window).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpMix {
-    put: u32,
-    get: u32,
-    delete: u32,
-    scan: u32,
-    multi_put: u32,
-    multi_get: u32,
-    batch: usize,
+    /// Weight of single writes.
+    pub put: u32,
+    /// Weight of single reads.
+    pub get: u32,
+    /// Weight of deletes.
+    pub delete: u32,
+    /// Weight of attribute range scans.
+    pub scan: u32,
+    /// Weight of batched writes.
+    pub multi_put: u32,
+    /// Weight of tag-scoped reads.
+    pub multi_get: u32,
+    /// Items per batched write.
+    pub batch: usize,
 }
 
 impl OpMix {
@@ -122,48 +130,6 @@ impl OpMix {
         self.total() == 0
     }
 
-    /// The weight of single writes.
-    #[must_use]
-    pub fn weight_put(&self) -> u32 {
-        self.put
-    }
-
-    /// The weight of single reads.
-    #[must_use]
-    pub fn weight_get(&self) -> u32 {
-        self.get
-    }
-
-    /// The weight of deletes.
-    #[must_use]
-    pub fn weight_delete(&self) -> u32 {
-        self.delete
-    }
-
-    /// The weight of attribute range scans.
-    #[must_use]
-    pub fn weight_scan(&self) -> u32 {
-        self.scan
-    }
-
-    /// The weight of batched writes.
-    #[must_use]
-    pub fn weight_multi_put(&self) -> u32 {
-        self.multi_put
-    }
-
-    /// The weight of tag-scoped reads.
-    #[must_use]
-    pub fn weight_multi_get(&self) -> u32 {
-        self.multi_get
-    }
-
-    /// Items per batched write.
-    #[must_use]
-    pub fn batch_items(&self) -> usize {
-        self.batch
-    }
-
     fn total(&self) -> u64 {
         u64::from(self.put)
             + u64::from(self.get)
@@ -207,25 +173,6 @@ enum MixOp {
     MultiGet,
 }
 
-/// Raw per-phase accumulators, folded into a
-/// [`crate::scenario::PhaseReport`] when the scenario ends.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct PhaseStats {
-    pub issued: u64,
-    pub ok: u64,
-    pub timeouts: u64,
-    pub partials: u64,
-    pub no_entry: u64,
-    pub reads_found: u64,
-    pub reads_absent: u64,
-    pub stale_reads: u64,
-    pub tuples_read: u64,
-    /// Completion latency of successful ops, in virtual ticks — bounded
-    /// streaming aggregates plus retained samples for the quantiles
-    /// (exact until a phase outgrows the reservoir cap).
-    pub latencies: Reservoir,
-}
-
 /// One outstanding operation, as the engine tracks it.
 #[derive(Debug, Clone)]
 struct Inflight {
@@ -237,9 +184,9 @@ struct Inflight {
 }
 
 /// The session pool plus the bookkeeping that turns completions into
-/// phase-attributed statistics. Sessions opened for earlier phases keep
-/// being drained, so an op always lands in the stats of the phase that
-/// issued it even when it completes later.
+/// phase-attributed counts. Sessions opened for earlier phases keep being
+/// drained, so an op always lands in the report of the phase that issued
+/// it even when it completes later.
 pub(crate) struct Engine {
     sessions: Vec<Client>,
     /// Sessions the *current* phase issues into: `sessions[active..]`.
@@ -336,25 +283,30 @@ impl Engine {
         issued
     }
 
-    /// Drains every session and folds each resolved op into the stats of
-    /// the phase that issued it.
-    pub(crate) fn harvest(&mut self, cluster: &mut Cluster, stats: &mut [PhaseStats]) {
+    /// Drains every session and counts each resolved op into the report
+    /// of the phase that issued it, its latency (when successful) into
+    /// the reservoir beside that report.
+    pub(crate) fn harvest(
+        &mut self,
+        cluster: &mut Cluster,
+        phases: &mut [(PhaseReport, Reservoir)],
+    ) {
         let now = cluster.sim.now();
         for session in &mut self.sessions {
             for (req, completion) in session.drain(cluster) {
                 let Some(op) = self.inflight.remove(&req) else { continue };
-                let st = &mut stats[op.phase];
+                let (st, latencies) = &mut phases[op.phase];
                 if completion.is_ok() {
                     st.ok += 1;
-                    st.latencies.observe(now.since(op.issued).0 as f64);
+                    latencies.observe(now.since(op.issued).0 as f64);
                 } else {
                     match completion.err() {
-                        Some(OpError::Timeout { .. }) => st.timeouts += 1,
-                        Some(OpError::PartialResult { .. }) => st.partials += 1,
-                        Some(OpError::NoLiveEntry) => st.no_entry += 1,
+                        Some(OpError::Timeout { .. }) => st.errors.timeouts += 1,
+                        Some(OpError::PartialResult { .. }) => st.errors.partials += 1,
+                        Some(OpError::NoLiveEntry) => st.errors.no_entry += 1,
                         // Drain never yields AlreadyHarvested for its own
                         // session; count defensively as a timeout.
-                        Some(OpError::AlreadyHarvested) | None => st.timeouts += 1,
+                        Some(OpError::AlreadyHarvested) | None => st.errors.timeouts += 1,
                     }
                 }
                 match completion {

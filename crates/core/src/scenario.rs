@@ -17,6 +17,10 @@
 //!   engine's scheduled network mutations ([`dd_sim::NetChange`]):
 //!   latency shifts, loss spikes, partition and heal events.
 //!
+//! [`Scenario`], [`Phase`] and [`crate::OpMix`] are plain data: public
+//! fields plus builders, with [`Scenario::validate`] as the one gate
+//! between a value and a run.
+//!
 //! [`Cluster::run_scenario`] merges the three timelines, executes them
 //! deterministically from the scenario seed, and returns a
 //! [`ScenarioReport`]: per-phase availability, staleness, error taxonomy,
@@ -37,7 +41,7 @@
 //! ```
 
 use crate::cluster::{Cluster, Observed, Planes};
-use crate::driver::{Engine, OpMix, PhaseStats};
+use crate::driver::{Engine, OpMix};
 use crate::workload::{Workload, WorkloadKind};
 use dd_sim::churn::{ChurnEvent, ChurnModel, ChurnSchedule};
 use dd_sim::metrics::{Reservoir, Window};
@@ -119,21 +123,32 @@ pub enum EnvChange {
     Heal,
 }
 
-/// One phase of a scenario's workload program. A full value type:
-/// `Clone + Debug + PartialEq`, with builders for construction and
-/// accessors for programmatic mutation (the dd-fuzz shrinker rewrites
-/// phases without ever round-tripping through strings).
+/// One phase of a scenario's workload program: plain data, built with the
+/// builders below or edited field by field (the dd-fuzz shrinker rewrites
+/// phases in place). [`Scenario::validate`] is the gate a value passes
+/// before it runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Phase {
-    pub(crate) name: String,
-    pub(crate) ticks: u64,
-    pub(crate) sessions: usize,
-    pub(crate) depth: usize,
-    pub(crate) quantum: u64,
-    pub(crate) mix: OpMix,
-    pub(crate) rate: Option<f64>,
-    pub(crate) ops: Option<u64>,
-    pub(crate) workload: Option<WorkloadKind>,
+    /// Name carried into the phase's [`PhaseReport`].
+    pub name: String,
+    /// Scheduled duration in ticks.
+    pub ticks: u64,
+    /// Concurrent client sessions.
+    pub sessions: usize,
+    /// Operations each session keeps in flight.
+    pub depth: usize,
+    /// Virtual ticks pumped between harvest rounds.
+    pub quantum: u64,
+    /// The op mix this phase offers.
+    pub mix: OpMix,
+    /// Open-loop cap in operations per tick, on top of the closed-loop
+    /// depth bound.
+    pub rate: Option<f64>,
+    /// Total operation budget; once issued, the phase idles out its
+    /// remaining ticks.
+    pub ops: Option<u64>,
+    /// Phase-local workload generator, instead of the scenario-shared one.
+    pub workload: Option<WorkloadKind>,
 }
 
 impl Phase {
@@ -210,87 +225,35 @@ impl Phase {
         self.workload = Some(kind);
         self
     }
-
-    /// Builder: replace the phase duration (the shrinker's
-    /// shorten-a-phase move; `new` is the only other place ticks are
-    /// set).
-    #[must_use]
-    pub fn with_ticks(mut self, ticks: u64) -> Self {
-        self.ticks = ticks;
-        self
-    }
-
-    /// The phase's name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Scheduled duration in ticks.
-    #[must_use]
-    pub fn ticks(&self) -> u64 {
-        self.ticks
-    }
-
-    /// Concurrent client sessions.
-    #[must_use]
-    pub fn session_count(&self) -> usize {
-        self.sessions
-    }
-
-    /// Operations each session keeps in flight.
-    #[must_use]
-    pub fn pipeline_depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Virtual ticks pumped between harvest rounds.
-    #[must_use]
-    pub fn quantum_ticks(&self) -> u64 {
-        self.quantum
-    }
-
-    /// The op mix this phase offers.
-    #[must_use]
-    pub fn op_mix(&self) -> &OpMix {
-        &self.mix
-    }
-
-    /// The open-loop rate cap, if one is set.
-    #[must_use]
-    pub fn rate_cap(&self) -> Option<f64> {
-        self.rate
-    }
-
-    /// The total operation budget, if one is set.
-    #[must_use]
-    pub fn op_budget(&self) -> Option<u64> {
-        self.ops
-    }
-
-    /// The phase-local workload override, if one is set.
-    #[must_use]
-    pub fn local_workload(&self) -> Option<WorkloadKind> {
-        self.workload
-    }
 }
 
 /// A complete experiment, as a value: workload program, fault schedule
 /// and environment timeline, all replayable from `seed`.
 ///
-/// A full value type (`Clone + Debug + PartialEq`) with accessors and
-/// setters for programmatic mutation, and a [`std::fmt::Display`] that
-/// prints the scenario as a runnable Rust constructor snippet — the
-/// repro artifact dd-fuzz emits for every shrunk finding.
+/// Plain data (`Clone + Debug + PartialEq`): build it with the builders
+/// below, edit the public fields directly, and let [`Scenario::validate`]
+/// reject what cannot run. Its [`std::fmt::Display`] prints the scenario
+/// as a runnable Rust constructor snippet — the repro artifact dd-fuzz
+/// emits for every shrunk finding.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
-    pub(crate) name: String,
-    pub(crate) seed: u64,
-    pub(crate) workload: WorkloadKind,
-    pub(crate) phases: Vec<Phase>,
-    pub(crate) faults: Vec<(u64, Fault)>,
-    pub(crate) env: Vec<(u64, EnvChange)>,
-    pub(crate) planes: Planes,
+    /// Name carried into the [`ScenarioReport`].
+    pub name: String,
+    /// The seed every random choice of the run (op picking, fault
+    /// victims, churn draws) derives from.
+    pub seed: u64,
+    /// The scenario-shared workload shape.
+    pub workload: WorkloadKind,
+    /// The workload program; phases run back to back.
+    pub phases: Vec<Phase>,
+    /// The fault schedule: `(at, fault)` clauses, `at` ticks after the
+    /// scenario starts, in declaration order.
+    pub faults: Vec<(u64, Fault)>,
+    /// The environment timeline: `(at, change)` clauses, in declaration
+    /// order.
+    pub env: Vec<(u64, EnvChange)>,
+    /// The observer planes the run records with.
+    pub planes: Planes,
 }
 
 impl Scenario {
@@ -349,12 +312,6 @@ impl Scenario {
         self
     }
 
-    /// The observer planes this scenario runs with.
-    #[must_use]
-    pub fn planes(&self) -> Planes {
-        self.planes
-    }
-
     /// Appends a workload phase (phases run back to back).
     #[must_use]
     pub fn phase(mut self, phase: Phase) -> Self {
@@ -377,69 +334,10 @@ impl Scenario {
         self
     }
 
-    /// The scenario's name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Total scheduled duration: the sum of the phase ticks.
     #[must_use]
     pub fn duration(&self) -> u64 {
         self.phases.iter().map(|p| p.ticks).sum()
-    }
-
-    /// The seed every random choice of the run derives from.
-    #[must_use]
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The scenario-shared workload shape.
-    #[must_use]
-    pub fn workload(&self) -> WorkloadKind {
-        self.workload
-    }
-
-    /// The workload program, in phase order.
-    #[must_use]
-    pub fn phases(&self) -> &[Phase] {
-        &self.phases
-    }
-
-    /// The fault schedule: `(at, fault)` clauses in declaration order.
-    #[must_use]
-    pub fn faults(&self) -> &[(u64, Fault)] {
-        &self.faults
-    }
-
-    /// The environment timeline: `(at, change)` clauses in declaration
-    /// order.
-    #[must_use]
-    pub fn env_timeline(&self) -> &[(u64, EnvChange)] {
-        &self.env
-    }
-
-    /// Setter: replace the workload program (shrinker phase moves).
-    pub fn set_phases(&mut self, phases: Vec<Phase>) {
-        self.phases = phases;
-    }
-
-    /// Setter: replace the fault schedule (shrinker fault-drop moves).
-    pub fn set_faults(&mut self, faults: Vec<(u64, Fault)>) {
-        self.faults = faults;
-    }
-
-    /// Setter: replace the environment timeline (shrinker env-drop
-    /// moves).
-    pub fn set_env(&mut self, env: Vec<(u64, EnvChange)>) {
-        self.env = env;
-    }
-
-    /// Setter: replace the scenario name (shrunk repros get suffixed
-    /// names so artifacts stay distinguishable from their originals).
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
     }
 }
 
@@ -479,6 +377,14 @@ pub enum ScenarioError {
     EmptyBatch {
         /// Index of the offending phase.
         phase: usize,
+    },
+    /// A phase's rate cap is not a finite positive number of ops per tick:
+    /// zero, negative or NaN would never issue, infinite caps nothing.
+    BadRate {
+        /// Index of the offending phase.
+        phase: usize,
+        /// The offending rate.
+        rate: f64,
     },
     /// A workload's parameters cannot generate (zero key/user
     /// populations, non-finite distribution parameters).
@@ -538,6 +444,9 @@ impl std::fmt::Display for ScenarioError {
             ScenarioError::EmptyBatch { phase } => {
                 write!(f, "phase {phase} weights batched writes of zero items")
             }
+            ScenarioError::BadRate { phase, rate } => {
+                write!(f, "phase {phase} rate {rate} is not a finite positive ops/tick")
+            }
             ScenarioError::BadWorkload { phase: Some(p), reason } => {
                 write!(f, "phase {p} workload: {reason}")
             }
@@ -591,9 +500,12 @@ impl Scenario {
                 if p.depth == 0 {
                     errs.push(ScenarioError::NoDepth { phase: i });
                 }
-                if p.mix.weight_multi_put() > 0 && p.mix.batch_items() == 0 {
+                if p.mix.multi_put > 0 && p.mix.batch == 0 {
                     errs.push(ScenarioError::EmptyBatch { phase: i });
                 }
+            }
+            if let Some(rate) = p.rate.filter(|r| !(r.is_finite() && *r > 0.0)) {
+                errs.push(ScenarioError::BadRate { phase: i, rate });
             }
             if let Some(kind) = p.workload {
                 if let Err(reason) = kind.validate() {
@@ -713,20 +625,19 @@ impl std::fmt::Display for OpMix {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("OpMix::idle()")?;
         for (weight, method) in [
-            (self.weight_put(), "put"),
-            (self.weight_get(), "get"),
-            (self.weight_delete(), "delete"),
-            (self.weight_scan(), "scan"),
-            (self.weight_multi_put(), "multi_put"),
-            (self.weight_multi_get(), "multi_get"),
+            (self.put, "put"),
+            (self.get, "get"),
+            (self.delete, "delete"),
+            (self.scan, "scan"),
+            (self.multi_put, "multi_put"),
+            (self.multi_get, "multi_get"),
         ] {
             if weight > 0 {
                 write!(f, ".{method}({weight})")?;
             }
         }
-        let default_batch = OpMix::idle().batch_items();
-        if self.batch_items() != default_batch {
-            write!(f, ".batch({})", self.batch_items())?;
+        if self.batch != OpMix::idle().batch {
+            write!(f, ".batch({})", self.batch)?;
         }
         Ok(())
     }
@@ -817,7 +728,7 @@ impl ErrorCounts {
 /// What one phase achieved. Every operation is attributed to the phase
 /// that *issued* it, even when it resolved later (or only in the
 /// scenario's final drain).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PhaseReport {
     /// Phase name.
     pub name: String,
@@ -989,15 +900,6 @@ impl std::fmt::Display for ScenarioReport {
     }
 }
 
-/// A wipe/rebuild is harness-level (it reaches into node state), so it
-/// cannot ride the simulator's event queue; the run loop applies these
-/// between pump quanta, cut exactly at the event time.
-#[derive(Debug, Clone, Copy)]
-enum HarnessOp {
-    Wipe,
-    Rebuild,
-}
-
 impl Cluster {
     /// Executes `scenario` against this cluster: merges its workload
     /// program, fault schedule and environment timeline into one
@@ -1029,10 +931,6 @@ impl Cluster {
         scenario: &Scenario,
     ) -> Result<ScenarioReport, Vec<ScenarioError>> {
         scenario.validate()?;
-        Ok(self.run_scenario_unchecked(scenario))
-    }
-
-    fn run_scenario_unchecked(&mut self, scenario: &Scenario) -> ScenarioReport {
         let start = self.sim.now();
         let msgs_at_start = self.sim.metrics().counter("net.sent");
         // A scenario with no plane on leaves whatever its caller observes
@@ -1042,21 +940,30 @@ impl Cluster {
             self.observe(scenario.planes);
         }
         let harness = self.schedule_faults(scenario, start);
+        let mut harness = harness.as_slice();
         self.schedule_env(scenario, start);
 
         let mut engine = Engine::new(stream_rng(scenario.seed ^ 0x0E15_0E15, 0));
         let mut shared = Workload::new(scenario.workload, mix(scenario.seed, 0x3057));
-        let mut stats: Vec<PhaseStats> =
-            scenario.phases.iter().map(|_| PhaseStats::default()).collect();
+        // Each phase's report, counted into as its ops resolve, beside the
+        // latencies of its successful ops.
+        let mut phases: Vec<(PhaseReport, Reservoir)> = scenario
+            .phases
+            .iter()
+            .map(|p| {
+                let report =
+                    PhaseReport { name: p.name.clone(), ticks: p.ticks, ..PhaseReport::default() };
+                (report, Reservoir::new())
+            })
+            .collect();
         // Per-phase net.sent at phase start; the windows are cut after
         // the final drain so the last phase's accounting includes what
         // its stragglers sent. Contact accounting rides the metrics
         // sink's O(1) windows: taking the window at each phase boundary
         // yields the finished phase's exact count/sum/max without ever
         // slicing (or retaining) an unbounded series.
-        let mut starts: Vec<u64> = Vec::with_capacity(scenario.phases.len());
-        let mut contact_windows: Vec<Window> = Vec::with_capacity(scenario.phases.len());
-        let mut next_harness = 0usize;
+        let mut starts: Vec<u64> = Vec::with_capacity(phases.len());
+        let mut contact_windows: Vec<Window> = Vec::with_capacity(phases.len());
 
         for (pi, phase) in scenario.phases.iter().enumerate() {
             if let Some(a) = self.observers().and_then(|o| o.audit.as_mut()) {
@@ -1078,27 +985,20 @@ impl Cluster {
                 .workload
                 .map(|kind| Workload::new(kind, mix(scenario.seed, 0x9100 + pi as u64)));
             loop {
-                while next_harness < harness.len() && harness[next_harness].0 <= self.sim.now() {
-                    self.apply_harness(harness[next_harness].1);
-                    next_harness += 1;
-                }
+                harness = self.apply_due(harness);
                 let now = self.sim.now();
                 if now >= phase_end {
                     break;
                 }
-                let budget = phase_budget(phase, &stats[pi], now.since(phase_start).0);
+                let budget = phase_budget(phase, phases[pi].0.issued, now.since(phase_start).0);
                 if budget > 0 {
                     let workload = local.as_mut().unwrap_or(&mut shared);
-                    stats[pi].issued +=
+                    phases[pi].0.issued +=
                         engine.refill(self, workload, pi, &phase.mix, phase.depth, budget);
                 }
-                let mut stop = phase_end;
-                if next_harness < harness.len() {
-                    stop = stop.min(harness[next_harness].0);
-                }
-                let step = stop.since(now).0.min(phase.quantum).max(1);
-                self.pump(step);
-                engine.harvest(self, &mut stats);
+                let stop = harness.first().map_or(phase_end, |&(at, _)| at.min(phase_end));
+                self.pump(stop.since(now).0.min(phase.quantum).max(1));
+                engine.harvest(self, &mut phases);
             }
         }
 
@@ -1109,20 +1009,15 @@ impl Cluster {
         if let Some(a) = self.observers().and_then(|o| o.audit.as_mut()) {
             a.set_phase(None);
         }
-        while engine.in_flight() > 0 || next_harness < harness.len() {
-            while next_harness < harness.len() && harness[next_harness].0 <= self.sim.now() {
-                self.apply_harness(harness[next_harness].1);
-                next_harness += 1;
-            }
-            if engine.in_flight() == 0 && next_harness >= harness.len() {
+        loop {
+            harness = self.apply_due(harness);
+            if engine.in_flight() == 0 && harness.is_empty() {
                 break;
             }
-            let mut step = 50;
-            if next_harness < harness.len() {
-                step = step.min(harness[next_harness].0.since(self.sim.now()).0);
-            }
+            let now = self.sim.now();
+            let step = harness.first().map_or(50, |&(at, _)| at.since(now).0.min(50));
             self.pump(step.max(1));
-            engine.harvest(self, &mut stats);
+            engine.harvest(self, &mut phases);
         }
 
         // Cut the per-phase message/contact windows: each phase ends
@@ -1134,56 +1029,39 @@ impl Cluster {
         let msgs_end = self.sim.metrics().counter("net.sent");
         contact_windows.push(self.sim.metrics_mut().take_window("multi_get.contacted_nodes"));
         let run_ticks = self.sim.now().since(start).0;
-        let run_msgs = msgs_end - msgs_at_start;
         // Every plane stops with the drain, before the audit's settling, so
         // span trees and series cover exactly the run the report counts.
         let observed = if observing { self.stop_observing() } else { Observed::default() };
         let trace = observed.trace.map(dd_trace::TraceReport::build);
         let telemetry = observed.telemetry.map(dd_obs::TelemetryReport::build);
         let audit = observed.audit.map(|history| self.finish_audit(&history));
-        let mut phases = Vec::with_capacity(scenario.phases.len());
         let mut all_latencies = Reservoir::new();
-        for (pi, (phase, st)) in scenario.phases.iter().zip(&stats).enumerate() {
-            let msgs_start = starts[pi];
-            let next_msgs = starts.get(pi + 1).copied().unwrap_or(msgs_end);
-            let contacts = contact_windows[pi];
-            let q = st.latencies.quantiles(&[0.5, 0.95, 0.99]);
-            all_latencies.merge(&st.latencies);
-            phases.push(PhaseReport {
-                name: phase.name.clone(),
-                ticks: phase.ticks,
-                issued: st.issued,
-                ok: st.ok,
-                errors: ErrorCounts {
-                    timeouts: st.timeouts,
-                    partials: st.partials,
-                    no_entry: st.no_entry,
-                },
-                reads_found: st.reads_found,
-                reads_absent: st.reads_absent,
-                stale_reads: st.stale_reads,
-                tuples_read: st.tuples_read,
-                latency_p50: q[0].unwrap_or(0.0),
-                latency_p95: q[1].unwrap_or(0.0),
-                latency_p99: q[2].unwrap_or(0.0),
-                msgs: next_msgs - msgs_start,
-                contacts_mean: contacts.mean(),
-                contacts_max: contacts.max,
-            });
-        }
-        let q = all_latencies.quantiles(&[0.5, 0.95, 0.99]);
-        ScenarioReport {
+        let phases = phases
+            .into_iter()
+            .enumerate()
+            .map(|(pi, (mut report, latencies))| {
+                [report.latency_p50, report.latency_p95, report.latency_p99] =
+                    latency_quantiles(&latencies);
+                all_latencies.merge(&latencies);
+                report.msgs = starts.get(pi + 1).copied().unwrap_or(msgs_end) - starts[pi];
+                report.contacts_mean = contact_windows[pi].mean();
+                report.contacts_max = contact_windows[pi].max;
+                report
+            })
+            .collect();
+        let [latency_p50, latency_p95, latency_p99] = latency_quantiles(&all_latencies);
+        Ok(ScenarioReport {
             name: scenario.name.clone(),
             phases,
             ticks: run_ticks,
-            msgs: run_msgs,
-            latency_p50: q[0].unwrap_or(0.0),
-            latency_p95: q[1].unwrap_or(0.0),
-            latency_p99: q[2].unwrap_or(0.0),
+            msgs: msgs_end - msgs_at_start,
+            latency_p50,
+            latency_p95,
+            latency_p99,
             audit,
             trace,
             telemetry,
-        }
+        })
     }
 
     /// Closes out an audited run: settles the cluster until the
@@ -1223,11 +1101,12 @@ impl Cluster {
     }
 
     /// Compiles the fault schedule: simulator-schedulable faults are
-    /// queued on the engine up front; wipe/rebuild ops come back as a
-    /// time-sorted harness list.
-    fn schedule_faults(&mut self, scenario: &Scenario, start: Time) -> Vec<(Time, HarnessOp)> {
+    /// queued on the engine up front; the soft-layer wipes and rebuilds
+    /// come back as the harness list, sorted by time (stable, so clauses
+    /// due at the same tick keep their declaration order).
+    fn schedule_faults(&mut self, scenario: &Scenario, start: Time) -> Vec<(Time, Fault)> {
         let mut victims_rng = stream_rng(scenario.seed ^ 0xFA01_7FA0, 1);
-        let mut harness: Vec<(Time, HarnessOp)> = Vec::new();
+        let mut harness = Vec::new();
         for (idx, (at, fault)) in scenario.faults.iter().enumerate() {
             let t = start + Duration(*at);
             match fault {
@@ -1267,8 +1146,7 @@ impl Cluster {
                         self.sim.schedule_up(t, id);
                     }
                 }
-                Fault::WipeSoftLayer => harness.push((t, HarnessOp::Wipe)),
-                Fault::RebuildSoftLayer => harness.push((t, HarnessOp::Rebuild)),
+                Fault::WipeSoftLayer | Fault::RebuildSoftLayer => harness.push((t, fault.clone())),
             }
         }
         harness.sort_by_key(|&(t, _)| t);
@@ -1309,11 +1187,20 @@ impl Cluster {
         }
     }
 
-    fn apply_harness(&mut self, op: HarnessOp) {
-        match op {
-            HarnessOp::Wipe => self.wipe_soft_layer(),
-            HarnessOp::Rebuild => self.rebuild_soft_layer(),
+    /// Applies every harness clause due by now, in schedule order, and
+    /// returns the clauses still to come. A wipe or rebuild reaches into
+    /// node state, so it cannot ride the simulator's event queue: the run
+    /// loops cut their pump quanta at these clauses' times instead.
+    fn apply_due<'h>(&mut self, harness: &'h [(Time, Fault)]) -> &'h [(Time, Fault)] {
+        let due = harness.partition_point(|&(at, _)| at <= self.sim.now());
+        for (_, fault) in &harness[..due] {
+            match fault {
+                Fault::WipeSoftLayer => self.wipe_soft_layer(),
+                Fault::RebuildSoftLayer => self.rebuild_soft_layer(),
+                _ => unreachable!("every other fault rides the event queue"),
+            }
         }
+        &harness[due..]
     }
 }
 
@@ -1326,17 +1213,23 @@ impl Cluster {
 const MAX_AUDIT_SETTLES: u32 = 32;
 
 /// How many more operations the phase may issue right now, given its op
-/// budget and target rate.
-fn phase_budget(phase: &Phase, stats: &PhaseStats, elapsed: u64) -> u64 {
+/// budget, its target rate and the `issued` count so far.
+fn phase_budget(phase: &Phase, issued: u64, elapsed: u64) -> u64 {
     let mut budget = u64::MAX;
     if let Some(cap) = phase.ops {
-        budget = budget.min(cap.saturating_sub(stats.issued));
+        budget = budget.min(cap.saturating_sub(issued));
     }
     if let Some(rate) = phase.rate {
         let allowed = (rate * (elapsed + 1) as f64).ceil() as u64;
-        budget = budget.min(allowed.saturating_sub(stats.issued));
+        budget = budget.min(allowed.saturating_sub(issued));
     }
     budget
+}
+
+/// The p50 / p95 / p99 of `latencies`, 0 for an empty sample.
+fn latency_quantiles(latencies: &Reservoir) -> [f64; 3] {
+    let q = latencies.quantiles(&[0.5, 0.95, 0.99]);
+    [0, 1, 2].map(|i| q[i].unwrap_or(0.0))
 }
 
 /// The scenario library: the dependability drills the benches, tests and
@@ -1563,6 +1456,18 @@ mod tests {
                 ScenarioError::EmptyBatch { phase: 0 },
             ),
             (
+                base().phase(Phase::new("p", 10).rate(0.0)),
+                ScenarioError::BadRate { phase: 0, rate: 0.0 },
+            ),
+            (
+                base().phase(Phase::new("p", 10).rate(-1.0)),
+                ScenarioError::BadRate { phase: 0, rate: -1.0 },
+            ),
+            (
+                base().phase(Phase::new("p", 10).rate(f64::INFINITY)),
+                ScenarioError::BadRate { phase: 0, rate: f64::INFINITY },
+            ),
+            (
                 base().phase(Phase::new("p", 10)).env(5, EnvChange::DropProb(1.5)),
                 ScenarioError::BadDropProb { at: 5, prob: 1.5 },
             ),
@@ -1584,6 +1489,12 @@ mod tests {
             let errs = sc.validate().expect_err("scenario should be rejected");
             assert!(errs.contains(&want), "expected {want:?} in {errs:?}");
         }
+        // NaN equals nothing, so its reject is matched by shape.
+        let sc = base().phase(Phase::new("p", 10).rate(f64::NAN));
+        assert!(matches!(
+            sc.validate().unwrap_err()[..],
+            [ScenarioError::BadRate { phase: 0, rate }] if rate.is_nan()
+        ));
         // Degenerate workload populations are rejected wherever declared.
         let sc = Scenario::new("bad", WorkloadKind::SocialFeed { users: 0 }, 1)
             .phase(Phase::new("p", 10));
@@ -1636,21 +1547,16 @@ mod tests {
         };
         assert_eq!(make(), make(), "structural equality over the whole timeline");
         let mut other = make();
-        other.set_faults(vec![]);
+        other.faults.clear();
         assert_ne!(make(), other);
-        // Accessors expose what the builders set.
+        // The fields hold what the builders set.
         let sc = make();
-        assert_eq!(sc.seed(), 3);
-        assert_eq!(sc.workload(), WorkloadKind::SocialFeed { users: 8 });
-        assert_eq!(sc.phases().len(), 4);
-        assert_eq!(sc.faults().len(), 1);
-        assert_eq!(sc.env_timeline().len(), 1);
-        let p = &sc.phases()[0];
-        assert_eq!((p.name(), p.ticks()), ("load", 6_000));
-        assert_eq!((p.session_count(), p.pipeline_depth()), (3, 8));
-        assert_eq!(p.op_budget(), Some(240));
-        assert_eq!(p.op_mix().weight_put(), 3);
-        assert_eq!(p.clone().with_ticks(7).ticks(), 7);
+        assert_eq!(sc.seed, 3);
+        assert_eq!(sc.workload, WorkloadKind::SocialFeed { users: 8 });
+        assert_eq!((sc.phases.len(), sc.faults.len(), sc.env.len()), (4, 1, 1));
+        let p = &sc.phases[0];
+        assert_eq!((p.name.as_str(), p.ticks), ("load", 6_000));
+        assert_eq!((p.sessions, p.depth, p.ops, p.mix.put), (3, 8, Some(240), 3));
     }
 
     #[test]

@@ -72,10 +72,18 @@ pub enum SieveSpec {
     },
 }
 
+/// `(to − from) mod modulus`: how many positions `to` lies past `from`.
+fn ahead(from: u64, to: u64, modulus: u64) -> u64 {
+    if to >= from {
+        to - from
+    } else {
+        to + (modulus - from)
+    }
+}
+
 /// `ahead(from, to, modulus) < r`: `to` is one of the `r` positions from `from`.
 fn within(from: u64, to: u64, modulus: u64, r: u32) -> bool {
-    let ahead = if to >= from { to - from } else { to + (modulus - from) };
-    ahead < u64::from(r)
+    ahead(from, to, modulus) < u64::from(r)
 }
 
 /// The preconditions the concrete constructors assert, at the same words.
@@ -203,8 +211,9 @@ pub struct OwnerIndex {
     pub(crate) peers: Vec<NodeId>,
     /// The sieve each peer runs, parallel to `peers`.
     pub(crate) sieves: Vec<SieveSpec>,
-    /// Bucket → owners in peer order; empty when the population has none.
-    table: Vec<Vec<NodeId>>,
+    /// Bucket → its owners' positions in `peers`, in peer order; empty
+    /// when the population has none.
+    table: Vec<Vec<usize>>,
     /// The buckets are tag home slots (else key-hash segments).
     by_tag: bool,
 }
@@ -220,7 +229,7 @@ impl OwnerIndex {
         OwnerIndex { peers, sieves, table, by_tag }
     }
 
-    fn tabulate(peers: &[NodeId], sieves: &[SieveSpec]) -> Option<(bool, Vec<Vec<NodeId>>)> {
+    fn tabulate(peers: &[NodeId], sieves: &[SieveSpec]) -> Option<(bool, Vec<Vec<usize>>)> {
         // `((by_tag, buckets, r), position)` of a sieve that has buckets.
         let shape = |sieve: &SieveSpec| match *sieve {
             SieveSpec::Range { index, of, r } => Some(((false, of, r), index)),
@@ -237,12 +246,12 @@ impl OwnerIndex {
         // node the tags whose home is at most `span − 1` slots behind it.
         let span = u64::from(r).min(buckets);
         let mut table = vec![Vec::new(); buckets as usize];
-        for (&peer, sieve) in peers.iter().zip(sieves) {
+        for (position, sieve) in sieves.iter().enumerate() {
             let (_, at) = shape(sieve).expect("alike");
             check(buckets, r, at);
             let first = if by_tag { at + buckets - (span - 1) } else { at };
             for k in 0..span {
-                table[((first + k) % buckets) as usize].push(peer);
+                table[((first + k) % buckets) as usize].push(position);
             }
         }
         Some((by_tag, table))
@@ -263,7 +272,7 @@ impl OwnerIndex {
             (_, false) => Some(segment_of(item.key_hash, buckets)),
         };
         match bucket {
-            Some(bucket) => self.table[bucket as usize].clone(),
+            Some(bucket) => self.table[bucket as usize].iter().map(|&i| self.peers[i]).collect(),
             None => self
                 .peers
                 .iter()
@@ -272,6 +281,25 @@ impl OwnerIndex {
                 .map(|(&peer, _)| peer)
                 .collect(),
         }
+    }
+
+    /// The peers a read of everything tagged `tag_hash` asks. For a
+    /// population tabled by tag, the peers running the tag's home slot and
+    /// the `r − 1` slots after it, in that slot order (wrapping; peer order
+    /// among peers sharing a slot). Otherwise every peer, in peer order.
+    #[must_use]
+    pub fn tag_targets(&self, tag_hash: u64) -> Vec<NodeId> {
+        if !self.by_tag {
+            return self.peers.clone();
+        }
+        let slots = self.table.len() as u64;
+        let home = TagSieve::home_slot(tag_hash, slots);
+        let mut owners = self.table[home as usize].clone();
+        owners.sort_by_key(|&i| match self.sieves[i] {
+            SieveSpec::Tag { slot, .. } => ahead(home, slot, slots),
+            _ => unreachable!("a table by tag holds tag sieves"),
+        });
+        owners.into_iter().map(|i| self.peers[i]).collect()
     }
 }
 

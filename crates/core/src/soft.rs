@@ -5,7 +5,6 @@ use crate::msg::DropletMsg;
 use crate::sieve_spec::OwnerIndex;
 use crate::tuple::{Key, StoredTuple, TupleSpec};
 use dd_dht::{HashRing, Metadata, TupleCache, Version, VersionAuthority};
-use dd_sieve::TagSieve;
 use dd_sim::{Ctx, Duration, NodeId, Time, TimerTag, TraceCtx};
 use rand::seq::SliceRandom;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -161,17 +160,6 @@ pub struct MultiPutStatus {
     pub versions: Vec<(u64, Version)>,
 }
 
-/// Tag placement parameters mirrored into the soft layer so coordinators
-/// can route a tag-scoped read to the tag's `r` slot-owners directly
-/// (the slot order matches the persist-peer order).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TagRouting {
-    /// Number of tag slots (the persist population size).
-    pub slots: u64,
-    /// Tag replication degree.
-    pub r: u32,
-}
-
 /// An operation in flight at its coordinator, awaiting replies.
 #[derive(Debug, Clone)]
 struct Pending {
@@ -237,9 +225,6 @@ pub struct SoftNode {
     /// that will store it (batched [`DropletMsg::DeliverBatch`]) instead of
     /// being broadcast epidemically.
     pub persist: Arc<OwnerIndex>,
-    /// Tag placement parameters when the persistent layer runs tag
-    /// sieves; `None` means tag-scoped reads fan out epidemically.
-    pub tag_routing: Option<TagRouting>,
 
     /// Completed operations of every kind: req → reply. Written only by
     /// [`SoftNode::complete`], harvested (and retired) only by
@@ -290,7 +275,6 @@ impl SoftNode {
             metadata: Metadata::new(8),
             cache: TupleCache::new(cache_capacity),
             persist,
-            tag_routing: None,
             completed: CompletionLog::new(COMPLETION_RETENTION),
             put_index: HashMap::new(),
             pending: HashMap::new(),
@@ -302,15 +286,6 @@ impl SoftNode {
             trace_waits: HashMap::new(),
             undelivered: CompletionLog::new(UNDELIVERED_RETENTION),
         }
-    }
-
-    /// Builder: enables tag-aware routing for tag-scoped reads. `slots`
-    /// and `r` must match the persistent layer's tag-sieve parameters,
-    /// and `persist.peers[s]` must be the node running slot `s`.
-    #[must_use]
-    pub fn with_tag_routing(mut self, slots: u64, r: u32) -> Self {
-        self.tag_routing = Some(TagRouting { slots, r });
-        self
     }
 
     /// Peers the local failure detector currently trusts.
@@ -831,18 +806,6 @@ impl SoftNode {
         out
     }
 
-    /// The persist nodes a tag-scoped read must contact: the tag's `r`
-    /// slot-owners under tag placement, every persist peer otherwise.
-    fn tag_read_targets(&self, tag_hash: u64) -> Vec<NodeId> {
-        match self.tag_routing {
-            Some(rt) => TagSieve::tag_slots(tag_hash, rt.slots, rt.r)
-                .into_iter()
-                .filter_map(|slot| self.persist.peers.get(slot as usize).copied())
-                .collect(),
-            None => self.persist.peers.clone(),
-        }
-    }
-
     /// Registers a scan or aggregate that went out to every persist peer —
     /// unless one of them is already known dead: it will never answer and
     /// neither op has a partial result to report, so the session times out
@@ -1010,7 +973,7 @@ impl SoftNode {
                 }
                 ctx.metrics().incr("soft.multi_gets");
                 self.trace_coord(ctx, req, trace, "soft.multi_get");
-                let targets = self.tag_read_targets(tag_hash);
+                let targets = self.persist.tag_targets(tag_hash);
                 // Only reachable slot-owners are contacted; skipping a
                 // known-dead one marks the result partial immediately
                 // instead of waiting out the deadline for it.

@@ -353,6 +353,16 @@ mod placement {
             .collect()
     }
 
+    /// What a tag read asked before the index named its targets: the peers
+    /// running each of the tag's slots, in `TagSieve::tag_slots` order.
+    fn slot_runners(peers: &[NodeId], slots: &[u64], tag_hash: u64, r: u32) -> Vec<NodeId> {
+        TagSieve::tag_slots(tag_hash, slots.len() as u64, r)
+            .into_iter()
+            .flat_map(|want| peers.iter().zip(slots).filter(move |&(_, &s)| s == want))
+            .map(|(&peer, _)| peer)
+            .collect()
+    }
+
     /// A permutation of `0..n` drawn from `seed` (Fisher–Yates).
     fn permutation(n: u64, seed: u64) -> Vec<u64> {
         let mut order: Vec<u64> = (0..n).collect();
@@ -412,7 +422,9 @@ mod placement {
         /// Indexed lookup returns the scan's owners, in peer order, for
         /// every population shape the index distinguishes — tabled
         /// (`Range`, `Tag`, either with positions permuted against peer
-        /// order) and scanned (`Uniform`, `Histogram`, mixed).
+        /// order) and scanned (`Uniform`, `Histogram`, mixed). A tag read
+        /// asks the tag's slot-runners in slot order under `Tag`, and
+        /// every peer otherwise.
         #[test]
         fn owner_index_matches_the_linear_scan(
             n in 2u64..40,
@@ -457,8 +469,23 @@ mod placement {
                 t.key_hash = h;
                 tuples.push(t);
             }
+            // Tags homed within r − 1 of the last slot, so their reads wrap.
+            let wrapping = (0u64..).filter(|&h| TagSieve::home_slot(h, n) + u64::from(r) >= n);
+            let tags: Vec<u64> =
+                tuples.iter().filter_map(|t| t.tag_hash).chain(wrapping.take(4)).collect();
             for sieves in populations {
                 let index = OwnerIndex::new(peers.clone(), sieves.clone());
+                let slots: Option<Vec<u64>> = sieves
+                    .iter()
+                    .map(|s| if let SieveSpec::Tag { slot, .. } = *s { Some(slot) } else { None })
+                    .collect();
+                for &tag in &tags {
+                    let want = match &slots {
+                        Some(slots) => slot_runners(&peers, slots, tag, r),
+                        None => peers.clone(),
+                    };
+                    prop_assert_eq!(index.tag_targets(tag), want, "tag {} under {:?}", tag, &sieves[0]);
+                }
                 for tuple in &tuples {
                     let owners = index.owners_of(tuple);
                     prop_assert_eq!(&owners, &scan_owners(&peers, &sieves, tuple),

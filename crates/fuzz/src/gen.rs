@@ -49,11 +49,9 @@ impl Case {
     /// move strictly decreases it.
     #[must_use]
     pub fn size(&self) -> u64 {
-        let ops: u64 = self.scenario.phases().iter().filter_map(Phase::op_budget).sum();
-        ops + self.scenario.faults().len() as u64
-            + self.scenario.env_timeline().len() as u64
-            + self.scenario.phases().len() as u64
-            + self.persist_n
+        let sc = &self.scenario;
+        let ops: u64 = sc.phases.iter().filter_map(|p| p.ops).sum();
+        ops + sc.faults.len() as u64 + sc.env.len() as u64 + sc.phases.len() as u64 + self.persist_n
     }
 
     /// The case as a self-contained, runnable Rust snippet — the repro
@@ -191,7 +189,7 @@ pub fn generate(cfg: &FuzzConfig, seed: u64) -> Case {
     if rng.gen_range(0..100u32) < cfg.repair_tail_pct {
         phases.push(Phase::new("repair", cfg.phase_ticks.sample(rng)));
     }
-    let duration: u64 = phases.iter().map(Phase::ticks).sum::<u64>().max(2);
+    let duration: u64 = phases.iter().map(|p| p.ticks).sum::<u64>().max(2);
 
     // Fault schedule: independent clauses at uniform times. Times land in
     // the middle 90% of the run so a fault never races the very first
@@ -256,10 +254,12 @@ pub fn generate(cfg: &FuzzConfig, seed: u64) -> Case {
     }
     env.sort_by_key(|&(at, _)| at);
 
-    let mut scenario = Scenario::new(format!("fuzz-{seed}"), workload, seed).audited();
-    scenario.set_phases(phases);
-    scenario.set_faults(faults);
-    scenario.set_env(env);
+    let scenario = Scenario {
+        phases,
+        faults,
+        env,
+        ..Scenario::new(format!("fuzz-{seed}"), workload, seed).audited()
+    };
 
     Case { seed, persist_n, replication, placement, scenario }
 }
@@ -275,7 +275,7 @@ mod tests {
             let a = generate(&cfg, seed);
             let b = generate(&cfg, seed);
             assert_eq!(a, b, "seed {seed} not deterministic");
-            assert!(a.scenario.planes().audit);
+            assert!(a.scenario.planes.audit);
             assert_eq!(a.scenario.validate(), Ok(()), "seed {seed} generated invalid scenario");
             assert!(a.replication as u64 <= a.persist_n);
             assert!(a.size() > 0);

@@ -160,7 +160,7 @@ mod tests {
     #[test]
     fn an_invalid_case_is_rejected_not_run() {
         let mut case = generate(&FuzzConfig::smoke(), 0);
-        case.scenario.set_phases(Vec::new());
+        case.scenario.phases.clear();
         let result = run_case(&case);
         assert_eq!(result.verdict, Verdict::Rejected);
         assert!(result.report.is_none());

@@ -54,71 +54,61 @@ fn candidates(case: &Case) -> Vec<Case> {
     let scenario = &case.scenario;
 
     // Fault-schedule deltas: all gone, then each clause alone removed.
-    if !scenario.faults().is_empty() {
+    if !scenario.faults.is_empty() {
         let mut c = case.clone();
-        c.scenario.set_faults(Vec::new());
+        c.scenario.faults.clear();
         out.push(c);
-        for i in 0..scenario.faults().len() {
+        for i in 0..scenario.faults.len() {
             let mut c = case.clone();
-            let mut faults = scenario.faults().to_vec();
-            faults.remove(i);
-            c.scenario.set_faults(faults);
+            c.scenario.faults.remove(i);
             out.push(c);
         }
     }
 
     // Environment deltas, same shape.
-    if !scenario.env_timeline().is_empty() {
+    if !scenario.env.is_empty() {
         let mut c = case.clone();
-        c.scenario.set_env(Vec::new());
+        c.scenario.env.clear();
         out.push(c);
-        for i in 0..scenario.env_timeline().len() {
+        for i in 0..scenario.env.len() {
             let mut c = case.clone();
-            let mut env = scenario.env_timeline().to_vec();
-            env.remove(i);
-            c.scenario.set_env(env);
+            c.scenario.env.remove(i);
             out.push(c);
         }
     }
 
     // Phase drops (a scenario keeps at least one phase).
-    if scenario.phases().len() > 1 {
-        for i in 0..scenario.phases().len() {
+    if scenario.phases.len() > 1 {
+        for i in 0..scenario.phases.len() {
             let mut c = case.clone();
-            let mut phases = scenario.phases().to_vec();
-            phases.remove(i);
-            c.scenario.set_phases(phases);
+            c.scenario.phases.remove(i);
             out.push(c);
         }
     }
 
     // Per-phase value shrinks: shorter, fewer ops, less concurrency.
-    for i in 0..scenario.phases().len() {
-        let p = &scenario.phases()[i];
+    for (i, p) in scenario.phases.iter().enumerate() {
         let mut variants: Vec<Phase> = Vec::new();
-        if p.ticks() > 200 {
-            variants.push(p.clone().with_ticks((p.ticks() / 2).max(200)));
+        if p.ticks > 200 {
+            variants.push(Phase { ticks: (p.ticks / 2).max(200), ..p.clone() });
         }
-        if let Some(ops) = p.op_budget() {
+        if let Some(ops) = p.ops {
             if ops > 1 {
                 variants.push(p.clone().ops((ops / 2).max(1)));
             }
         }
-        if p.session_count() > 1 {
+        if p.sessions > 1 {
             variants.push(p.clone().sessions(1));
         }
-        if p.pipeline_depth() > 1 {
+        if p.depth > 1 {
             variants.push(p.clone().depth(1));
         }
-        let mix = *p.op_mix();
-        if mix.weight_multi_put() > 0 && mix.batch_items() > 1 {
-            variants.push(p.clone().mix(mix.batch(mix.batch_items() / 2)));
+        if p.mix.multi_put > 0 && p.mix.batch > 1 {
+            variants.push(p.clone().mix(p.mix.batch(p.mix.batch / 2)));
         }
         for variant in variants {
             let mut c = case.clone();
-            let mut phases = scenario.phases().to_vec();
-            phases[i] = variant;
-            c.scenario.set_phases(phases);
+            c.scenario.phases[i] = variant;
             out.push(c);
         }
     }
@@ -163,12 +153,9 @@ where
             }
             evaluations += 1;
             if oracle(&candidate) == target {
-                let base = candidate.scenario.name().to_string();
-                let name = match base.strip_suffix("-min") {
-                    Some(_) => base,
-                    None => format!("{base}-min"),
-                };
-                candidate.scenario.set_name(name);
+                if !candidate.scenario.name.ends_with("-min") {
+                    candidate.scenario.name.push_str("-min");
+                }
                 best = candidate;
                 accepted += 1;
                 improved = true;
@@ -204,9 +191,8 @@ mod tests {
     /// keeps at least 8 persist nodes. The shrinker must strip everything
     /// else while keeping those three witnesses alive.
     fn injected_oracle(case: &Case) -> Verdict {
-        let has_crash =
-            case.scenario.faults().iter().any(|(_, f)| matches!(f, Fault::Crash { .. }));
-        let ops: u64 = case.scenario.phases().iter().filter_map(|p| p.op_budget()).sum();
+        let has_crash = case.scenario.faults.iter().any(|(_, f)| matches!(f, Fault::Crash { .. }));
+        let ops: u64 = case.scenario.phases.iter().filter_map(|p| p.ops).sum();
         if has_crash && ops >= 8 && case.persist_n >= 8 {
             Verdict::Violating(ViolationKind::Divergence)
         } else {
@@ -239,16 +225,11 @@ mod tests {
             shrunk.stats.ratio()
         );
         // The witnesses the oracle needs must survive verbatim.
-        assert!(shrunk
-            .case
-            .scenario
-            .faults()
-            .iter()
-            .any(|(_, f)| matches!(f, Fault::Crash { .. })));
-        let ops: u64 = shrunk.case.scenario.phases().iter().filter_map(|p| p.op_budget()).sum();
+        assert!(shrunk.case.scenario.faults.iter().any(|(_, f)| matches!(f, Fault::Crash { .. })));
+        let ops: u64 = shrunk.case.scenario.phases.iter().filter_map(|p| p.ops).sum();
         assert!(ops >= 8, "ops shrank below the witness threshold");
         assert!(shrunk.case.persist_n >= 8);
-        assert!(shrunk.case.scenario.name().ends_with("-min"));
+        assert!(shrunk.case.scenario.name.ends_with("-min"));
     }
 
     #[test]

@@ -34,13 +34,33 @@ use dd_sim::json_escape;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
-/// Default virtual ticks between samples. At the stock drills' 24k–34k
-/// tick horizons this yields ~100–140 points per series.
+/// Virtual ticks between samples. At the stock drills' 24k–34k tick
+/// horizons this yields ~100–140 points per series.
 pub const DEFAULT_SAMPLE_PERIOD: u64 = 250;
 
-/// Default ring-buffer capacity per series: past this many points the
-/// oldest are dropped (and counted in [`Series::dropped`]).
+/// Ring-buffer capacity per series: past this many points the oldest are
+/// dropped (and counted in [`Series::dropped`]).
 pub const DEFAULT_SERIES_CAP: usize = 4096;
+
+// Detector thresholds, tuned for the stock drills' scale; the benches
+// seeding deliberate regressions are judged by the same values.
+
+/// Leak: minimum total growth (absolute) before a series qualifies.
+const LEAK_MIN_GROWTH: f64 = 16.0;
+/// Leak: the final quarter of samples must still have grown by at least
+/// this fraction of the total growth (and by at least 1.0).
+const LEAK_TAIL_SHARE: f64 = 0.05;
+/// Backlog: the trailing window must sit at or above this multiple of
+/// the run-long median.
+const BACKLOG_FACTOR: f64 = 4.0;
+/// Backlog: absolute floor for the trailing window.
+const BACKLOG_MIN_DEPTH: f64 = 64.0;
+/// Backlog: trailing samples that must all violate the bound.
+const BACKLOG_WINDOW: usize = 8;
+/// Divergence: minimum mean dirty-round rate over the last half.
+const DIVERGENCE_MIN_RATE: f64 = 0.5;
+/// Divergence: a recovery rate at or below this is "recovering nothing".
+const DIVERGENCE_RECOVERED_EPS: f64 = 0.05;
 
 /// Well-known series names shared between the collector installed by
 /// `dd-core` and the consumers (detectors, report digests, benches).
@@ -142,8 +162,8 @@ impl Series {
         Series { key, points: VecDeque::new(), dropped: 0 }
     }
 
-    fn push(&mut self, cap: usize, tick: u64, value: f64) {
-        if self.points.len() == cap {
+    fn push(&mut self, tick: u64, value: f64) {
+        if self.points.len() == DEFAULT_SERIES_CAP {
             self.points.pop_front();
             self.dropped += 1;
         }
@@ -216,50 +236,17 @@ impl Series {
     }
 }
 
-/// The sampling collector: a set of bounded time series plus the
-/// counter baselines used to turn cumulative counters into per-sample
-/// rates.
-#[derive(Debug, Clone, PartialEq)]
+/// The sampling collector, sampled every [`DEFAULT_SAMPLE_PERIOD`]
+/// ticks: a set of bounded time series plus the counter baselines used to
+/// turn cumulative counters into per-sample rates.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Telemetry {
-    period: u64,
-    cap: usize,
     series: BTreeMap<SeriesKey, Series>,
     prev_counters: BTreeMap<&'static str, u64>,
     samples: u64,
 }
 
-impl Default for Telemetry {
-    fn default() -> Self {
-        Telemetry::new(DEFAULT_SAMPLE_PERIOD)
-    }
-}
-
 impl Telemetry {
-    /// A collector sampling every `period` virtual ticks.
-    #[must_use]
-    pub fn new(period: u64) -> Self {
-        Telemetry {
-            period: period.max(1),
-            cap: DEFAULT_SERIES_CAP,
-            series: BTreeMap::new(),
-            prev_counters: BTreeMap::new(),
-            samples: 0,
-        }
-    }
-
-    /// Builder: overrides the per-series ring capacity.
-    #[must_use]
-    pub fn with_series_cap(mut self, cap: usize) -> Self {
-        self.cap = cap.max(1);
-        self
-    }
-
-    /// Virtual ticks between samples.
-    #[must_use]
-    pub fn period(&self) -> u64 {
-        self.period
-    }
-
     /// Number of sampling sweeps taken ([`Telemetry::mark_sample`] calls).
     #[must_use]
     pub fn samples(&self) -> u64 {
@@ -269,7 +256,7 @@ impl Telemetry {
     /// Records one gauge observation at `tick`.
     pub fn gauge(&mut self, tick: u64, name: &'static str, label: Label, value: f64) {
         let key = SeriesKey { name, label };
-        self.series.entry(key).or_insert_with(|| Series::new(key)).push(self.cap, tick, value);
+        self.series.entry(key).or_insert_with(|| Series::new(key)).push(tick, value);
     }
 
     /// Records a cumulative counter as a per-sample *rate*: the point
@@ -374,42 +361,6 @@ impl fmt::Display for Finding {
     }
 }
 
-/// Detector thresholds. The defaults are tuned for the stock drills'
-/// scale; benches seeding deliberate regressions use them unchanged.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DetectorConfig {
-    /// Leak: minimum total growth (absolute) before a series qualifies.
-    pub leak_min_growth: f64,
-    /// Leak: the final quarter of samples must still have grown by at
-    /// least this fraction of the total growth (and by at least 1.0).
-    pub leak_tail_share: f64,
-    /// Backlog: the trailing window must sit at or above this multiple
-    /// of the run-long median.
-    pub backlog_factor: f64,
-    /// Backlog: absolute floor for the trailing window.
-    pub backlog_min_depth: f64,
-    /// Backlog: trailing samples that must all violate the bound.
-    pub backlog_window: usize,
-    /// Divergence: minimum mean dirty-round rate over the last half.
-    pub divergence_min_rate: f64,
-    /// Divergence: recovery rate at or below this is "recovering nothing".
-    pub divergence_recovered_eps: f64,
-}
-
-impl Default for DetectorConfig {
-    fn default() -> Self {
-        DetectorConfig {
-            leak_min_growth: 16.0,
-            leak_tail_share: 0.05,
-            backlog_factor: 4.0,
-            backlog_min_depth: 64.0,
-            backlog_window: 8,
-            divergence_min_rate: 0.5,
-            divergence_recovered_eps: 0.05,
-        }
-    }
-}
-
 /// Per-series digest in a [`TelemetryReport`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeriesSummary {
@@ -444,15 +395,9 @@ pub struct TelemetryReport {
 }
 
 impl TelemetryReport {
-    /// Builds the report with default detector thresholds.
+    /// Builds the report: summarises every series and runs the detectors.
     #[must_use]
     pub fn build(data: Telemetry) -> Self {
-        Self::build_with(data, &DetectorConfig::default())
-    }
-
-    /// Builds the report with explicit detector thresholds.
-    #[must_use]
-    pub fn build_with(data: Telemetry, cfg: &DetectorConfig) -> Self {
         let summaries = data
             .series()
             .filter(|s| !s.is_empty())
@@ -470,19 +415,19 @@ impl TelemetryReport {
         // series are exported raw, but a leak that matters shows in the
         // aggregate, and aggregate verdicts stay O(metrics) not O(nodes).
         for s in data.series().filter(|s| s.key.label == Label::None) {
-            if let Some(f) = detect_leak(s, cfg) {
+            if let Some(f) = detect_leak(s) {
                 findings.push(f);
             }
-            if let Some(f) = detect_backlog(s, cfg) {
+            if let Some(f) = detect_backlog(s) {
                 findings.push(f);
             }
         }
-        if let Some(f) = detect_divergence(&data, cfg) {
+        if let Some(f) = detect_divergence(&data) {
             findings.push(f);
         }
         TelemetryReport {
             samples: data.samples(),
-            period: data.period(),
+            period: DEFAULT_SAMPLE_PERIOD,
             summaries,
             findings,
             data,
@@ -546,7 +491,7 @@ impl TelemetryReport {
 /// Leak: the series never decreases, its total growth is material, and
 /// it is *still* growing across the final quarter of the run — which
 /// separates a leak from load-then-plateau shapes like store size.
-fn detect_leak(s: &Series, cfg: &DetectorConfig) -> Option<Finding> {
+fn detect_leak(s: &Series) -> Option<Finding> {
     let vs = s.values();
     let n = vs.len();
     if n < 8 {
@@ -556,12 +501,12 @@ fn detect_leak(s: &Series, cfg: &DetectorConfig) -> Option<Finding> {
         return None;
     }
     let growth = vs[n - 1] - vs[0];
-    if growth < cfg.leak_min_growth {
+    if growth < LEAK_MIN_GROWTH {
         return None;
     }
     let tail_start = n - (n / 4).max(2);
     let tail_growth = vs[n - 1] - vs[tail_start];
-    if tail_growth < (growth * cfg.leak_tail_share).max(1.0) {
+    if tail_growth < (growth * LEAK_TAIL_SHARE).max(1.0) {
         return None;
     }
     Some(Finding {
@@ -577,16 +522,16 @@ fn detect_leak(s: &Series, cfg: &DetectorConfig) -> Option<Finding> {
 }
 
 /// Backlog: the trailing window sits entirely at or above both the
-/// absolute floor and `backlog_factor ×` the run-long median — the
+/// absolute floor and `BACKLOG_FACTOR ×` the run-long median — the
 /// series stopped draining.
-fn detect_backlog(s: &Series, cfg: &DetectorConfig) -> Option<Finding> {
+fn detect_backlog(s: &Series) -> Option<Finding> {
     let vs = s.values();
     let n = vs.len();
-    if n < cfg.backlog_window.max(8) {
+    if n < BACKLOG_WINDOW.max(8) {
         return None;
     }
-    let bound = (s.median() * cfg.backlog_factor).max(cfg.backlog_min_depth);
-    let tail = &vs[n - cfg.backlog_window..];
+    let bound = (s.median() * BACKLOG_FACTOR).max(BACKLOG_MIN_DEPTH);
+    let tail = &vs[n - BACKLOG_WINDOW..];
     if tail.iter().any(|&v| v < bound) {
         return None;
     }
@@ -595,7 +540,7 @@ fn detect_backlog(s: &Series, cfg: &DetectorConfig) -> Option<Finding> {
         series: s.key.to_string(),
         detail: format!(
             "last {} samples all ≥ {bound:.0} (median {:.0}) — not draining",
-            cfg.backlog_window,
+            BACKLOG_WINDOW,
             s.median(),
         ),
     })
@@ -604,7 +549,7 @@ fn detect_backlog(s: &Series, cfg: &DetectorConfig) -> Option<Finding> {
 /// Divergence: over the last half of the run, repair rounds keep
 /// comparing dirty while recovering ~nothing — the summaries disagree
 /// but no deltas flow, so they will disagree forever.
-fn detect_divergence(data: &Telemetry, cfg: &DetectorConfig) -> Option<Finding> {
+fn detect_divergence(data: &Telemetry) -> Option<Finding> {
     let rounds = data.get(names::REPAIR_ROUNDS, Label::None)?;
     let clean = data.get(names::REPAIR_CLEAN, Label::None)?;
     let recovered = data.get(names::REPAIR_RECOVERED, Label::None)?;
@@ -622,7 +567,7 @@ fn detect_divergence(data: &Telemetry, cfg: &DetectorConfig) -> Option<Finding> 
     };
     let dirty_rate = tail_mean(rounds) - tail_mean(clean);
     let recovery_rate = tail_mean(recovered);
-    if dirty_rate < cfg.divergence_min_rate || recovery_rate > cfg.divergence_recovered_eps {
+    if dirty_rate < DIVERGENCE_MIN_RATE || recovery_rate > DIVERGENCE_RECOVERED_EPS {
         return None;
     }
     Some(Finding {
@@ -640,7 +585,7 @@ mod tests {
     use super::*;
 
     fn gauge_series(values: &[f64]) -> Telemetry {
-        let mut t = Telemetry::new(10);
+        let mut t = Telemetry::default();
         for (i, &v) in values.iter().enumerate() {
             t.gauge(i as u64 * 10, "test.series", Label::None, v);
             t.mark_sample();
@@ -655,20 +600,21 @@ mod tests {
 
     #[test]
     fn ring_buffer_caps_and_counts_drops() {
-        let mut t = Telemetry::new(1).with_series_cap(4);
-        for i in 0..10u64 {
+        let mut t = Telemetry::default();
+        let total = DEFAULT_SERIES_CAP as u64 + 6;
+        for i in 0..total {
             t.gauge(i, "x", Label::None, i as f64);
         }
         let s = t.get("x", Label::None).unwrap();
-        assert_eq!(s.len(), 4);
+        assert_eq!(s.len(), DEFAULT_SERIES_CAP);
         assert_eq!(s.dropped, 6);
         assert_eq!(s.iter().next(), Some((6, 6.0)));
-        assert_eq!(s.last(), Some((9, 9.0)));
+        assert_eq!(s.last(), Some((total - 1, (total - 1) as f64)));
     }
 
     #[test]
     fn rates_baseline_on_first_observation() {
-        let mut t = Telemetry::new(1);
+        let mut t = Telemetry::default();
         t.rate(0, "rate.x", 400); // settle-era count: baseline, not a spike
         t.rate(10, "rate.x", 430);
         t.rate(20, "rate.x", 430);
@@ -724,7 +670,7 @@ mod tests {
     }
 
     fn repair_telemetry(rounds: &[f64], clean: &[f64], recovered: &[f64]) -> Telemetry {
-        let mut t = Telemetry::new(10);
+        let mut t = Telemetry::default();
         for i in 0..rounds.len() {
             t.gauge(i as u64, names::REPAIR_ROUNDS, Label::None, rounds[i]);
             t.gauge(i as u64, names::REPAIR_CLEAN, Label::None, clean[i]);
@@ -766,7 +712,7 @@ mod tests {
 
     #[test]
     fn prometheus_export_renders_last_sample_with_labels() {
-        let mut t = Telemetry::new(10);
+        let mut t = Telemetry::default();
         t.gauge(0, "sim.queue_depth", Label::None, 5.0);
         t.gauge(10, "sim.queue_depth", Label::None, 9.0);
         t.gauge(10, "persist.store_tuples", Label::Node(3), 120.0);
@@ -782,7 +728,7 @@ mod tests {
 
     #[test]
     fn csv_export_dumps_every_point() {
-        let mut t = Telemetry::new(10);
+        let mut t = Telemetry::default();
         t.gauge(0, "a.b", Label::None, 1.0);
         t.gauge(10, "a.b", Label::None, 2.0);
         t.gauge(10, "c.d", Label::Node(7), 3.5);
@@ -796,7 +742,7 @@ mod tests {
 
     #[test]
     fn digest_reads_the_well_known_series() {
-        let mut t = Telemetry::new(10);
+        let mut t = Telemetry::default();
         t.gauge(0, names::QUEUE_DEPTH, Label::None, 40.0);
         t.gauge(10, names::QUEUE_DEPTH, Label::None, 90.0);
         t.gauge(10, names::STORE_BYTES, Label::None, 4096.0);

@@ -63,7 +63,7 @@ fn all_three_planes_at_once_record_what_each_records_alone() {
             let trace = run(drill.clone().traced()).trace.expect("traced");
             let telemetry = run(drill.clone().instrumented()).telemetry.expect("instrumented");
             let mut all = run(drill.clone().audited().traced().instrumented());
-            let name = format!("{} under {placement:?}", drill.name());
+            let name = format!("{} under {placement:?}", drill.name);
             let alone = format!("{audit:?}");
             assert_eq!(format!("{:?}", all.audit.take().expect("audited")), alone, "{name}");
             let alone = format!("{trace:?}");
