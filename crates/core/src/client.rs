@@ -26,10 +26,9 @@
 use crate::cluster::{
     AggregateResult, Cluster, GetResult, MultiGetResult, MultiPutResult, PutResult,
 };
-use crate::msg::DropletMsg;
+use crate::msg::{ClientOp, DropletMsg};
 use crate::soft::Done;
 use crate::tuple::{Key, StoredTuple, Tag, TupleSpec};
-use bytes::Bytes;
 use dd_audit::{OpDesc, OpFailure, Outcome};
 use dd_sim::{NodeId, Time, TraceCtx, Tracer};
 use rand::rngs::SmallRng;
@@ -341,10 +340,52 @@ fn resolve(done: Done, o: Outstanding, audit: bool) -> (Completion, Option<Outco
     }
 }
 
-/// `desc()` when the audit plane is recording; built lazily, so an
-/// unaudited run allocates nothing for it.
-fn audit_desc(cluster: &mut Cluster, desc: impl FnOnce() -> OpDesc) -> Option<OpDesc> {
-    cluster.observers().is_some_and(|o| o.audit.is_some()).then(desc)
+impl ClientOp {
+    /// The session-side kind of this op.
+    pub(crate) fn kind(&self) -> Kind {
+        match self {
+            ClientOp::Put(_) => Kind::Put,
+            ClientOp::Delete(_) => Kind::Delete,
+            ClientOp::Get(_) => Kind::Get,
+            ClientOp::Scan { .. } => Kind::Scan,
+            ClientOp::Aggregate => Kind::Aggregate,
+            ClientOp::MultiPut(_) => Kind::MultiPut,
+            ClientOp::MultiGet(_) => Kind::MultiGet,
+        }
+    }
+
+    /// Items a multi-put must order to complete `Ok`; 0 for every other op.
+    fn batch(&self) -> usize {
+        match self {
+            ClientOp::MultiPut(items) => items.len(),
+            _ => 0,
+        }
+    }
+
+    /// The invocation the audit plane records for this op.
+    fn invocation(&self) -> OpDesc {
+        let text = |key: &Key| key.as_str().to_owned();
+        match self {
+            ClientOp::Put(item) => OpDesc::Put {
+                key: text(&item.key),
+                tag: item.tag.as_ref().map(|t| t.as_str().to_owned()),
+            },
+            ClientOp::Delete(key) => OpDesc::Delete { key: text(key) },
+            ClientOp::Get(key) => OpDesc::Get { key: text(key) },
+            ClientOp::Scan { .. } => OpDesc::Scan,
+            ClientOp::Aggregate => OpDesc::Aggregate,
+            ClientOp::MultiPut(items) => {
+                // The batch's shared tag, when every item carries the same one.
+                let tag = items
+                    .first()
+                    .and_then(|i| i.tag.clone())
+                    .filter(|t| items.iter().all(|i| i.tag.as_ref() == Some(t)))
+                    .map(|t| t.as_str().to_owned());
+                OpDesc::MultiPut { keys: items.iter().map(|i| text(&i.key)).collect(), tag }
+            }
+            ClientOp::MultiGet(tag) => OpDesc::MultiGet { tag: tag.as_str().to_owned() },
+        }
+    }
 }
 
 /// A client session against one [`Cluster`].
@@ -395,26 +436,20 @@ impl Client {
         self.outstanding.len()
     }
 
-    /// Submits one operation: `make` builds its message for a fresh request
-    /// id, injected at a live entry node. The observer planes see the
-    /// submission: the audit records the invocation `audit` describes, and
-    /// the trace opens the op's root span (always id 0) at the entry node,
-    /// under which everything downstream nests.
-    fn submit(
-        &mut self,
-        cluster: &mut Cluster,
-        kind: Kind,
-        want: usize,
-        audit: Option<OpDesc>,
-        make: impl FnOnce(u64, Option<TraceCtx>) -> DropletMsg,
-    ) -> u64 {
+    /// Submits one operation under a fresh request id, injected at a live
+    /// entry node, and returns the id. The observer planes see the
+    /// submission: the audit records the op's invocation, and the trace
+    /// opens its root span (always id 0) at the entry node, under which
+    /// everything downstream nests.
+    pub(crate) fn submit(&mut self, cluster: &mut Cluster, op: ClientOp) -> u64 {
         let req = cluster.fresh_req();
         let issued = cluster.sim.now();
         let entry = cluster.entry_for(&mut self.rng);
+        let (kind, want) = (op.kind(), op.batch());
         let mut trace = None;
         if let Some(o) = cluster.observers() {
-            if let (Some(a), Some(desc)) = (o.audit.as_mut(), audit) {
-                a.invoke(req, self.session, issued.0, desc);
+            if let Some(a) = o.audit.as_mut() {
+                a.invoke(req, self.session, issued.0, op.invocation());
             }
             if let (Some(tr), Some(entry)) = (o.trace.as_mut(), entry) {
                 let span = tr.open(issued, entry, req, None, kind.trace_label());
@@ -422,7 +457,7 @@ impl Client {
             }
         }
         if let Some(entry) = entry {
-            cluster.sim.inject(entry, entry, make(req, trace));
+            cluster.sim.inject(entry, entry, DropletMsg::Client { req, op, trace });
         }
         self.outstanding
             .insert(req, Outstanding { kind, issued, want, stillborn: entry.is_none() });
@@ -439,64 +474,28 @@ impl Client {
         attr: Option<f64>,
         tag: Option<&str>,
     ) -> Pending<ops::Put> {
-        let (key, value, tag) = (key.into(), Bytes::from(value), tag.map(Tag::from));
-        let audit = audit_desc(cluster, || OpDesc::Put {
-            key: key.as_str().to_owned(),
-            tag: tag.as_ref().map(|t| t.as_str().to_owned()),
-        });
-        let req = self.submit(cluster, Kind::Put, 0, audit, |req, trace| DropletMsg::ClientPut {
-            req,
-            key,
-            value,
-            attr,
-            tag,
-            trace,
-        });
-        Pending::new(req)
+        Pending::new(self.submit(cluster, ClientOp::Put(TupleSpec::new(key, value, attr, tag))))
     }
 
     /// Submits a read; completes with `Ok(None)` when the key was never
     /// written (or is deleted) — distinct from `Err(OpError::Timeout)`.
     pub fn get(&mut self, cluster: &mut Cluster, key: impl Into<Key>) -> Pending<ops::Get> {
-        let key = key.into();
-        let audit = audit_desc(cluster, || OpDesc::Get { key: key.as_str().to_owned() });
-        let req = self.submit(cluster, Kind::Get, 0, audit, |req, trace| DropletMsg::ClientGet {
-            req,
-            key,
-            trace,
-        });
-        Pending::new(req)
+        Pending::new(self.submit(cluster, ClientOp::Get(key.into())))
     }
 
     /// Submits a delete (a versioned tombstone).
     pub fn delete(&mut self, cluster: &mut Cluster, key: impl Into<Key>) -> Pending<ops::Delete> {
-        let key = key.into();
-        let audit = audit_desc(cluster, || OpDesc::Delete { key: key.as_str().to_owned() });
-        let req = self.submit(cluster, Kind::Delete, 0, audit, |req, trace| {
-            DropletMsg::ClientDelete { req, key, trace }
-        });
-        Pending::new(req)
+        Pending::new(self.submit(cluster, ClientOp::Delete(key.into())))
     }
 
     /// Submits an attribute range scan over `[lo, hi]`.
     pub fn scan(&mut self, cluster: &mut Cluster, lo: f64, hi: f64) -> Pending<ops::Scan> {
-        let audit = audit_desc(cluster, || OpDesc::Scan);
-        let req = self.submit(cluster, Kind::Scan, 0, audit, |req, trace| DropletMsg::ClientScan {
-            req,
-            lo,
-            hi,
-            trace,
-        });
-        Pending::new(req)
+        Pending::new(self.submit(cluster, ClientOp::Scan { lo, hi }))
     }
 
     /// Submits an aggregate query over all stored tuples.
     pub fn aggregate(&mut self, cluster: &mut Cluster) -> Pending<ops::Aggregate> {
-        let audit = audit_desc(cluster, || OpDesc::Aggregate);
-        let req = self.submit(cluster, Kind::Aggregate, 0, audit, |req, trace| {
-            DropletMsg::ClientAggregate { req, trace }
-        });
-        Pending::new(req)
+        Pending::new(self.submit(cluster, ClientOp::Aggregate))
     }
 
     /// Submits a batched write (the social-feed `mput`). Completes `Ok`
@@ -507,34 +506,14 @@ impl Client {
         cluster: &mut Cluster,
         items: impl IntoIterator<Item = TupleSpec>,
     ) -> Pending<ops::MultiPut> {
-        let items: Vec<TupleSpec> = items.into_iter().collect();
-        let want = items.len();
-        let audit = audit_desc(cluster, || {
-            let keys: Vec<String> = items.iter().map(|i| i.key.as_str().to_owned()).collect();
-            // The batch's shared tag, when every item carries the same one.
-            let tag = items
-                .first()
-                .and_then(|i| i.tag.clone())
-                .filter(|t| items.iter().all(|i| i.tag.as_ref() == Some(t)))
-                .map(|t| t.as_str().to_owned());
-            OpDesc::MultiPut { keys, tag }
-        });
-        let req = self.submit(cluster, Kind::MultiPut, want, audit, |req, trace| {
-            DropletMsg::ClientMultiPut { req, items, trace }
-        });
-        Pending::new(req)
+        Pending::new(self.submit(cluster, ClientOp::MultiPut(items.into_iter().collect())))
     }
 
     /// Submits a tag-scoped read (the social-feed `mget`): every live
     /// tuple carrying `tag`, deduplicated and attribute-ordered, plus the
     /// union's completeness marker ([`MultiGetResult::complete`]).
     pub fn multi_get(&mut self, cluster: &mut Cluster, tag: &str) -> Pending<ops::MultiGet> {
-        let audit = audit_desc(cluster, || OpDesc::MultiGet { tag: tag.to_owned() });
-        let tag = Tag::from(tag);
-        let req = self.submit(cluster, Kind::MultiGet, 0, audit, |req, trace| {
-            DropletMsg::ClientMultiGet { req, tag, trace }
-        });
-        Pending::new(req)
+        Pending::new(self.submit(cluster, ClientOp::MultiGet(Tag::from(tag))))
     }
 
     /// Non-blocking harvest of one operation: `None` while still in

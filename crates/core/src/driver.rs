@@ -11,10 +11,11 @@
 //! Depth 1 reproduces the old lock-step client; large depths overlap
 //! round-trips — the ops/tick scaling experiment E14 sweeps.
 
-use crate::client::{Client, Completion, OpError};
+use crate::client::{Client, Completion, Kind, OpError};
 use crate::cluster::Cluster;
+use crate::msg::ClientOp;
 use crate::scenario::PhaseReport;
-use crate::tuple::TupleSpec;
+use crate::tuple::{Key, TupleSpec};
 use crate::workload::Workload;
 use dd_audit::VersionOracle;
 use dd_sim::metrics::Reservoir;
@@ -139,38 +140,29 @@ impl OpMix {
             + u64::from(self.multi_get)
     }
 
-    /// Draws the next op kind proportionally to the weights.
-    fn pick(&self, rng: &mut SmallRng) -> Option<MixOp> {
+    /// Draws the next op kind proportionally to the weights (a mix never
+    /// draws an aggregate).
+    fn pick(&self, rng: &mut SmallRng) -> Option<Kind> {
         let total = self.total();
         if total == 0 {
             return None;
         }
         let mut roll = rng.gen_range(0..total);
-        for (weight, op) in [
-            (u64::from(self.put), MixOp::Put),
-            (u64::from(self.get), MixOp::Get),
-            (u64::from(self.delete), MixOp::Delete),
-            (u64::from(self.scan), MixOp::Scan),
-            (u64::from(self.multi_put), MixOp::MultiPut),
-            (u64::from(self.multi_get), MixOp::MultiGet),
+        for (weight, kind) in [
+            (u64::from(self.put), Kind::Put),
+            (u64::from(self.get), Kind::Get),
+            (u64::from(self.delete), Kind::Delete),
+            (u64::from(self.scan), Kind::Scan),
+            (u64::from(self.multi_put), Kind::MultiPut),
+            (u64::from(self.multi_get), Kind::MultiGet),
         ] {
             if roll < weight {
-                return Some(op);
+                return Some(kind);
             }
             roll -= weight;
         }
         unreachable!("roll bounded by the weight total")
     }
-}
-
-#[derive(Debug, Clone, Copy)]
-enum MixOp {
-    Put,
-    Get,
-    Delete,
-    Scan,
-    MultiPut,
-    MultiGet,
 }
 
 /// One outstanding operation, as the engine tracks it.
@@ -180,7 +172,7 @@ struct Inflight {
     issued: Time,
     /// The key a put/delete acknowledges or a get resolves (staleness
     /// oracle); `None` for scans, aggregates and multi-ops.
-    key: Option<String>,
+    key: Option<Key>,
 }
 
 /// The session pool plus the bookkeeping that turns completions into
@@ -240,41 +232,25 @@ impl Engine {
         let mut issued = 0;
         for idx in self.active..self.sessions.len() {
             while budget > 0 && self.sessions[idx].in_flight() < depth {
-                let Some(op) = mix.pick(&mut self.rng) else { return issued };
-                let now = cluster.sim.now();
-                let session = &mut self.sessions[idx];
-                let (req, key) = match op {
-                    MixOp::Put => {
-                        let put = workload.next_put();
-                        let key = put.key.clone();
-                        let p =
-                            session.put(cluster, put.key, put.value, put.attr, put.tag.as_deref());
-                        (p.req(), Some(key))
-                    }
-                    MixOp::Get => {
-                        let key = workload.next_read_key();
-                        let p = session.get(cluster, key.clone());
-                        (p.req(), Some(key))
-                    }
-                    MixOp::Delete => {
-                        let key = workload.next_read_key();
-                        let p = session.delete(cluster, key.clone());
-                        (p.req(), Some(key))
-                    }
-                    MixOp::Scan => {
+                let Some(kind) = mix.pick(&mut self.rng) else { return issued };
+                let op = match kind {
+                    Kind::Put => ClientOp::Put(workload.next_put().into()),
+                    Kind::Get => ClientOp::Get(workload.next_read_key().into()),
+                    Kind::Delete => ClientOp::Delete(workload.next_read_key().into()),
+                    Kind::Scan => {
                         let (lo, hi) = workload.next_scan_range();
-                        (session.scan(cluster, lo, hi).req(), None)
+                        ClientOp::Scan { lo, hi }
                     }
-                    MixOp::MultiPut => {
+                    Kind::Aggregate => unreachable!("an op mix has no aggregate weight"),
+                    Kind::MultiPut => {
                         let m = workload.next_multi_put(mix.batch);
-                        let items = m.items.into_iter().map(TupleSpec::from);
-                        (session.multi_put(cluster, items).req(), None)
+                        ClientOp::MultiPut(m.items.into_iter().map(TupleSpec::from).collect())
                     }
-                    MixOp::MultiGet => {
-                        let tag = workload.next_read_tag();
-                        (session.multi_get(cluster, &tag).req(), None)
-                    }
+                    Kind::MultiGet => ClientOp::MultiGet(workload.next_read_tag().into()),
                 };
+                let key = op.key().cloned();
+                let now = cluster.sim.now();
+                let req = self.sessions[idx].submit(cluster, op);
                 self.inflight.insert(req, Inflight { phase, issued: now, key });
                 budget -= 1;
                 issued += 1;
@@ -312,12 +288,12 @@ impl Engine {
                 match completion {
                     Completion::Put(Ok(status)) | Completion::Delete(Ok(status)) => {
                         if let Some(key) = op.key {
-                            self.oracle.note_ack(&key, status.version);
+                            self.oracle.note_ack(key.as_str(), status.version);
                         }
                     }
                     Completion::Get(Ok(Some(tuple))) => {
                         st.reads_found += 1;
-                        if op.key.is_some_and(|k| self.oracle.is_stale(&k, tuple.version)) {
+                        if op.key.is_some_and(|k| self.oracle.is_stale(k.as_str(), tuple.version)) {
                             st.stale_reads += 1;
                         }
                     }
@@ -340,7 +316,7 @@ mod tests {
     fn idle_mix_picks_nothing() {
         let mut rng = SmallRng::seed_from_u64(1);
         assert!(OpMix::idle().is_idle());
-        assert_eq!(OpMix::idle().pick(&mut rng).map(|_| ()), None);
+        assert_eq!(OpMix::idle().pick(&mut rng), None);
     }
 
     #[test]
@@ -351,8 +327,8 @@ mod tests {
         let n = 4_000;
         for _ in 0..n {
             match mix.pick(&mut rng).expect("non-idle") {
-                MixOp::Get => gets += 1,
-                MixOp::Put => {}
+                Kind::Get => gets += 1,
+                Kind::Put => {}
                 other => panic!("unweighted op drawn: {other:?}"),
             }
         }
@@ -364,8 +340,8 @@ mod tests {
     fn single_weight_mixes_are_pure() {
         let mut rng = SmallRng::seed_from_u64(3);
         for _ in 0..50 {
-            assert!(matches!(OpMix::puts().pick(&mut rng), Some(MixOp::Put)));
-            assert!(matches!(OpMix::multi_gets().pick(&mut rng), Some(MixOp::MultiGet)));
+            assert_eq!(OpMix::puts().pick(&mut rng), Some(Kind::Put));
+            assert_eq!(OpMix::multi_gets().pick(&mut rng), Some(Kind::MultiGet));
         }
         assert_eq!(OpMix::multi_puts(7).batch, 7);
     }

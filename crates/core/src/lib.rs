@@ -35,7 +35,8 @@
 //! evaluation workload \[18\]. Under [`cluster::Placement::TagCollocation`]
 //! the tag's tuples co-locate on `replication` slot-owners and a
 //! `multi_get` contacts exactly those nodes; under uniform or range
-//! placement it falls back to epidemic fan-out:
+//! placement a tag has no home, so it asks every persist peer directly
+//! ([`OwnerIndex::tag_targets`]):
 //!
 //! ```
 //! use dd_core::{Cluster, ClusterConfig, Placement, TupleSpec};
@@ -113,7 +114,7 @@ pub use dd_audit::{AuditReport, History, Violation, ViolationKind};
 pub use dd_obs::{Detector, Finding, Telemetry, TelemetryReport};
 pub use dd_trace::{PathStep, Recorder, Trace, TraceReport, TraceSet};
 pub use driver::OpMix;
-pub use msg::DropletMsg;
+pub use msg::{ClientOp, DropletMsg};
 pub use persist::{PersistNode, RepairPeering};
 pub use scenario::{
     EnvChange, ErrorCounts, Fault, Phase, PhaseReport, Scenario, ScenarioError, ScenarioReport,

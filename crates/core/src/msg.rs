@@ -1,94 +1,96 @@
 //! The composite DataDroplets protocol: one message enum spanning both
 //! layers (the simulator hosts one process type per run).
+//!
+//! A client operation travels as one [`ClientOp`] value inside
+//! [`DropletMsg::Client`]: the session injects it at any soft node, which
+//! forwards it once to the soft coordinator of its key or tag or, for a
+//! scan, aggregate or multi-put, coordinates it itself. Every other
+//! variant is soft ↔ soft or soft ↔ persist traffic that a coordinator or
+//! a persist node originates.
 
 use crate::sieve_spec::SieveSpec;
 use crate::tuple::{Key, StoredTuple, Tag, TupleSpec};
-use bytes::Bytes;
 use dd_dht::Version;
 use dd_epidemic::antientropy::Summary;
 use dd_epidemic::push::RumorId;
 use dd_estimation::DistSketch;
 use dd_sim::{NodeId, TraceCtx};
 
-/// All DataDroplets messages.
-#[derive(Debug, Clone)]
-pub enum DropletMsg {
-    // ------------------------------------------------------------------
-    // Client operations (injected at any soft node; forwarded to the
-    // key's coordinator).
-    // ------------------------------------------------------------------
-    /// Write request.
-    ClientPut {
-        /// Request id (cluster-unique; allocated at submission by the
-        /// issuing client session, which harvests the completion).
-        req: u64,
-        /// Tuple key.
-        key: Key,
-        /// Payload.
-        value: Bytes,
-        /// Optional numeric attribute.
-        attr: Option<f64>,
-        /// Optional correlation tag.
-        tag: Option<Tag>,
-        /// Causal trace context (traced runs only; `None` otherwise).
-        trace: Option<TraceCtx>,
-    },
-    /// Read request.
-    ClientGet {
-        /// Request id.
-        req: u64,
-        /// Tuple key.
-        key: Key,
-        /// Causal trace context (traced runs only; `None` otherwise).
-        trace: Option<TraceCtx>,
-    },
-    /// Delete request (versioned tombstone).
-    ClientDelete {
-        /// Request id.
-        req: u64,
-        /// Tuple key.
-        key: Key,
-        /// Causal trace context (traced runs only; `None` otherwise).
-        trace: Option<TraceCtx>,
-    },
+/// One client operation, as submitted by a session and carried to its
+/// coordinator by [`DropletMsg::Client`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum ClientOp {
+    /// Write one tuple.
+    Put(TupleSpec),
+    /// Delete a key (a versioned tombstone).
+    Delete(Key),
+    /// Read a key.
+    Get(Key),
     /// Range scan over the attribute domain `[lo, hi]`.
-    ClientScan {
-        /// Request id.
-        req: u64,
+    Scan {
         /// Lower bound (inclusive).
         lo: f64,
         /// Upper bound (inclusive).
         hi: f64,
-        /// Causal trace context (traced runs only; `None` otherwise).
-        trace: Option<TraceCtx>,
     },
     /// Aggregate over all stored tuples.
-    ClientAggregate {
-        /// Request id.
+    Aggregate,
+    /// Batched write (the social-feed `mput`): the entry node becomes the
+    /// multi-op coordinator, splits the batch by key and routes each item
+    /// to its key coordinator.
+    MultiPut(Vec<TupleSpec>),
+    /// Tag-scoped read (the social-feed `mget`): every live tuple carrying
+    /// the tag, read from the persist peers
+    /// [`crate::OwnerIndex::tag_targets`] names.
+    MultiGet(Tag),
+}
+
+impl ClientOp {
+    /// The key a put, delete or get writes or reads.
+    pub(crate) fn key(&self) -> Option<&Key> {
+        match self {
+            ClientOp::Put(item) => Some(&item.key),
+            ClientOp::Delete(key) | ClientOp::Get(key) => Some(key),
+            _ => None,
+        }
+    }
+
+    /// Where on the soft ring the op is coordinated: its key's hash, or a
+    /// multi-get's tag hash. `None` for scans, aggregates and multi-puts,
+    /// which the entry node coordinates.
+    pub(crate) fn route(&self) -> Option<u64> {
+        match self {
+            ClientOp::MultiGet(tag) => Some(tag.hash()),
+            _ => self.key().map(Key::hash),
+        }
+    }
+
+    /// The name [`DropletMsg::kind`] reports for a message carrying this
+    /// op (telemetry labels in-flight messages by it).
+    pub(crate) fn wire_name(&self) -> &'static str {
+        match self {
+            ClientOp::Put(_) => "ClientPut",
+            ClientOp::Delete(_) => "ClientDelete",
+            ClientOp::Get(_) => "ClientGet",
+            ClientOp::Scan { .. } => "ClientScan",
+            ClientOp::Aggregate => "ClientAggregate",
+            ClientOp::MultiPut(_) => "ClientMultiPut",
+            ClientOp::MultiGet(_) => "ClientMultiGet",
+        }
+    }
+}
+
+/// All DataDroplets messages.
+#[derive(Debug, Clone)]
+pub enum DropletMsg {
+    /// A client operation, injected at any soft node and forwarded at most
+    /// once, to the soft coordinator of its key or tag.
+    Client {
+        /// Request id (cluster-unique; allocated at submission by the
+        /// issuing client session, which harvests the completion).
         req: u64,
-        /// Causal trace context (traced runs only; `None` otherwise).
-        trace: Option<TraceCtx>,
-    },
-    /// Batched write (the social-feed `mput`): the receiving soft node
-    /// becomes the multi-op coordinator, splits the batch by key and
-    /// routes each item to its key coordinator.
-    ClientMultiPut {
-        /// Request id.
-        req: u64,
-        /// The batch.
-        items: Vec<TupleSpec>,
-        /// Causal trace context (traced runs only; `None` otherwise).
-        trace: Option<TraceCtx>,
-    },
-    /// Tag-scoped read (the social-feed `mget`): fetch every live tuple
-    /// carrying `tag`. Routed to the tag's soft coordinator, which
-    /// contacts the tag's `r` slot-owners when tag sieves are active and
-    /// falls back to full fan-out otherwise.
-    ClientMultiGet {
-        /// Request id.
-        req: u64,
-        /// Correlation tag (verbatim, as written).
-        tag: Tag,
+        /// The operation.
+        op: ClientOp,
         /// Causal trace context (traced runs only; `None` otherwise).
         trace: Option<TraceCtx>,
     },
@@ -284,18 +286,13 @@ pub enum DropletMsg {
 }
 
 impl DropletMsg {
-    /// The variant's name, for per-kind accounting (the telemetry plane's
-    /// in-flight-messages-by-kind series).
+    /// The variant's name — `ClientPut` … `ClientMultiGet` for a client
+    /// message, by its operation — for per-kind accounting (the telemetry
+    /// plane's in-flight-messages-by-kind series).
     #[must_use]
     pub fn kind(&self) -> &'static str {
         match self {
-            DropletMsg::ClientPut { .. } => "ClientPut",
-            DropletMsg::ClientGet { .. } => "ClientGet",
-            DropletMsg::ClientDelete { .. } => "ClientDelete",
-            DropletMsg::ClientScan { .. } => "ClientScan",
-            DropletMsg::ClientAggregate { .. } => "ClientAggregate",
-            DropletMsg::ClientMultiPut { .. } => "ClientMultiPut",
-            DropletMsg::ClientMultiGet { .. } => "ClientMultiGet",
+            DropletMsg::Client { op, .. } => op.wire_name(),
             DropletMsg::SubPut { .. } => "SubPut",
             DropletMsg::SubPutAck { .. } => "SubPutAck",
             DropletMsg::TagFetch { .. } => "TagFetch",
@@ -314,6 +311,30 @@ impl DropletMsg {
             DropletMsg::RepairItems { .. } => "RepairItems",
             DropletMsg::PeerDown(_) => "PeerDown",
             DropletMsg::PeerUp(_) => "PeerUp",
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn each_client_op_keeps_its_wire_name_and_routes_by_key_or_tag() {
+        let (key, tag) = (Key::from("k"), Tag::from("t"));
+        let item = TupleSpec::new("k", Vec::new(), None, Some("t"));
+        let ops = [
+            (ClientOp::Put(item.clone()), "ClientPut", Some(key.hash())),
+            (ClientOp::Get(key.clone()), "ClientGet", Some(key.hash())),
+            (ClientOp::Delete(key.clone()), "ClientDelete", Some(key.hash())),
+            (ClientOp::Scan { lo: 0.0, hi: 1.0 }, "ClientScan", None),
+            (ClientOp::Aggregate, "ClientAggregate", None),
+            (ClientOp::MultiPut(vec![item]), "ClientMultiPut", None),
+            (ClientOp::MultiGet(tag.clone()), "ClientMultiGet", Some(tag.hash())),
+        ];
+        for (op, name, route) in ops {
+            assert_eq!(op.route(), route, "{name}");
+            assert_eq!(DropletMsg::Client { req: 1, op, trace: None }.kind(), name);
         }
     }
 }

@@ -200,12 +200,7 @@ impl PersistNode {
         let new_tag = (!tuple.deleted).then_some(tuple.tag_hash).flatten();
         if previous_tag != new_tag {
             if let Some(old) = previous_tag {
-                if let Some(keys) = self.tag_index.get_mut(&old) {
-                    keys.remove(&tuple.key_hash);
-                    if keys.is_empty() {
-                        self.tag_index.remove(&old);
-                    }
-                }
+                self.unindex_tag(old, tuple.key_hash);
             }
             if let Some(t) = new_tag {
                 self.tag_index.entry(t).or_default().insert(tuple.key_hash);
@@ -362,12 +357,18 @@ impl PersistNode {
     fn retire(&mut self, key_hash: u64) {
         if let Some(old) = self.store.remove(&key_hash) {
             if let (false, Some(tag)) = (old.deleted, old.tag_hash) {
-                if let Some(keys) = self.tag_index.get_mut(&tag) {
-                    keys.remove(&key_hash);
-                    if keys.is_empty() {
-                        self.tag_index.remove(&tag);
-                    }
-                }
+                self.unindex_tag(tag, key_hash);
+            }
+        }
+    }
+
+    /// Removes `key_hash` from `tag`'s index entry, dropping the entry once
+    /// it is empty.
+    fn unindex_tag(&mut self, tag: u64, key_hash: u64) {
+        if let Some(keys) = self.tag_index.get_mut(&tag) {
+            keys.remove(&key_hash);
+            if keys.is_empty() {
+                self.tag_index.remove(&tag);
             }
         }
     }

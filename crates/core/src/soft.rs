@@ -1,7 +1,7 @@
 //! The soft-state layer node: request ordering, versions, tuple cache,
 //! metadata and read/write coordination (§II of the paper).
 
-use crate::msg::DropletMsg;
+use crate::msg::{ClientOp, DropletMsg};
 use crate::sieve_spec::OwnerIndex;
 use crate::tuple::{Key, StoredTuple, TupleSpec};
 use dd_dht::{HashRing, Metadata, TupleCache, Version, VersionAuthority};
@@ -312,8 +312,8 @@ impl SoftNode {
     /// the cap retires to make room, if any, takes its ack route with it.
     fn complete(&mut self, ctx: &mut Ctx<'_, DropletMsg>, req: u64, done: Done, answered: bool) {
         self.trace_finish_op(ctx, req, answered);
-        if let Some((_, Done::Write { status, key_hash })) = self.completed.insert(req, done) {
-            self.put_index.remove(&(key_hash, status.version));
+        if let Some((old, retired)) = self.completed.insert(req, done) {
+            self.release_route(old, &retired);
         }
     }
 
@@ -321,10 +321,20 @@ impl SoftNode {
     /// its ack route — late storage acks still update metadata).
     pub(crate) fn take(&mut self, req: u64) -> Option<Done> {
         let done = self.completed.take(req)?;
-        if let Done::Write { status, key_hash } = &done {
-            self.put_index.remove(&(*key_hash, status.version));
-        }
+        self.release_route(req, &done);
         Some(done)
+    }
+
+    /// Drops the ack route of retired write record `req` — unless it names
+    /// a later request: after a wipe resets the version authority, a new
+    /// write of the same key is ordered at the same `(key_hash, version)`
+    /// while the pre-wipe record may still be parked.
+    fn release_route(&mut self, req: u64, done: &Done) {
+        let Done::Write { status, key_hash } = done else { return };
+        let id = (*key_hash, status.version);
+        if self.put_index.get(&id) == Some(&req) {
+            self.put_index.remove(&id);
+        }
     }
 
     /// Completion records currently retained. Bounded by
@@ -354,10 +364,6 @@ impl SoftNode {
     #[must_use]
     pub fn outbox_depth(&self) -> usize {
         self.outbox.values().map(Vec::len).sum()
-    }
-
-    fn is_coordinator(&self, me: NodeId, key_hash: u64) -> bool {
-        self.coordinator_of(key_hash) == Some(me)
     }
 
     /// Remembers a write until every owner has confirmed storage, so a
@@ -879,38 +885,27 @@ impl SoftNode {
         self.pending.insert(req, Pending { waiting, started: ctx.now(), op });
     }
 
-    /// Handles soft-layer messages; shared by the composite process.
-    pub fn on_message(&mut self, ctx: &mut Ctx<'_, DropletMsg>, from: NodeId, msg: DropletMsg) {
-        let me = ctx.id();
-        match msg {
-            DropletMsg::ClientPut { req, key, value, attr, tag, trace } => {
-                if self.is_coordinator(me, key.hash()) {
-                    let item = TupleSpec { key, value, attr, tag };
-                    self.start_write(ctx, req, item, false, trace);
-                } else if let Some(c) = self.coordinator_of(key.hash()) {
-                    let trace = self.trace_hop(ctx, trace, "soft.forward");
-                    ctx.send(c, DropletMsg::ClientPut { req, key, value, attr, tag, trace });
-                }
+    /// Coordinates client op `req` at this node, which is its key's or
+    /// tag's coordinator or, for an op without a routing hash, the node it
+    /// entered at.
+    fn coordinate(
+        &mut self,
+        ctx: &mut Ctx<'_, DropletMsg>,
+        req: u64,
+        op: ClientOp,
+        trace: Option<TraceCtx>,
+    ) {
+        match op {
+            ClientOp::Put(item) => self.start_write(ctx, req, item, false, trace),
+            ClientOp::Delete(key) => {
+                let item = TupleSpec { key, value: bytes::Bytes::new(), attr: None, tag: None };
+                self.start_write(ctx, req, item, true, trace);
             }
-            DropletMsg::ClientDelete { req, key, trace } => {
-                if self.is_coordinator(me, key.hash()) {
-                    let item = TupleSpec { key, value: bytes::Bytes::new(), attr: None, tag: None };
-                    self.start_write(ctx, req, item, true, trace);
-                } else if let Some(c) = self.coordinator_of(key.hash()) {
-                    let trace = self.trace_hop(ctx, trace, "soft.forward");
-                    ctx.send(c, DropletMsg::ClientDelete { req, key, trace });
-                }
+            ClientOp::Get(key) => {
+                self.trace_coord(ctx, req, trace, "soft.get");
+                self.start_read(ctx, req, &key);
             }
-            DropletMsg::ClientGet { req, key, trace } => {
-                if self.is_coordinator(me, key.hash()) {
-                    self.trace_coord(ctx, req, trace, "soft.get");
-                    self.start_read(ctx, req, &key);
-                } else if let Some(c) = self.coordinator_of(key.hash()) {
-                    let trace = self.trace_hop(ctx, trace, "soft.forward");
-                    ctx.send(c, DropletMsg::ClientGet { req, key, trace });
-                }
-            }
-            DropletMsg::ClientScan { req, lo, hi, trace } => {
+            ClientOp::Scan { lo, hi } => {
                 let targets = self.persist.peers.clone();
                 self.trace_coord(ctx, req, trace, "soft.scan");
                 if targets.is_empty() {
@@ -924,7 +919,27 @@ impl SoftNode {
                 let op = PendingOp::Scan { items: Vec::new() };
                 self.await_every_peer(ctx, req, targets, op);
             }
-            DropletMsg::ClientMultiPut { req, items, trace } => {
+            ClientOp::Aggregate => {
+                let targets = self.persist.peers.clone();
+                self.trace_coord(ctx, req, trace, "soft.agg");
+                if targets.is_empty() {
+                    let sketch = dd_estimation::DistSketch::new(16);
+                    let (min, max) = (f64::INFINITY, f64::NEG_INFINITY);
+                    self.complete(ctx, req, Done::Aggregate { sketch, min, max }, true);
+                    return;
+                }
+                for &t in &targets {
+                    let trace = self.trace_wait(ctx, req, t, "soft.agg_wait");
+                    ctx.send(t, DropletMsg::AggReq { req, trace });
+                }
+                let op = PendingOp::Aggregate {
+                    sketch: dd_estimation::DistSketch::new(512),
+                    min: f64::INFINITY,
+                    max: f64::NEG_INFINITY,
+                };
+                self.await_every_peer(ctx, req, targets, op);
+            }
+            ClientOp::MultiPut(items) => {
                 ctx.metrics().incr("soft.multi_puts");
                 ctx.metrics().observe("multi_put.batch", items.len() as f64);
                 self.trace_coord(ctx, req, trace, "soft.multi_put");
@@ -932,45 +947,33 @@ impl SoftNode {
                     self.complete(ctx, req, Done::MultiPut(MultiPutStatus::default()), true);
                     return;
                 }
-                let want = items.len();
+                let (me, want) = (ctx.id(), items.len());
                 let coord_trace = self.trace_ctx_of(req);
                 let mut versions = Vec::new();
                 let mut waiting = Vec::new();
-                let mut forwards = 0u64;
                 for item in items {
-                    let key_hash = item.key.hash();
-                    if self.is_coordinator(me, key_hash) {
-                        let (kh, version) =
-                            self.order_and_disseminate(ctx, item, false, coord_trace);
-                        versions.push((kh, version));
-                    } else if let Some(c) = self.coordinator_of(key_hash) {
-                        if self.reachable.contains(&c) {
-                            forwards += 1;
+                    match self.coordinator_of(item.key.hash()) {
+                        Some(c) if c == me => {
+                            let ordered = self.order_and_disseminate(ctx, item, false, coord_trace);
+                            versions.push(ordered);
+                        }
+                        // A known-dead coordinator cannot order its items
+                        // now — don't wait out the deadline for an ack that
+                        // will never come.
+                        Some(c) if self.reachable.contains(&c) => {
                             waiting.push(c);
                             let trace = self.trace_wait(ctx, req, c, "soft.subput_wait");
                             ctx.send(c, DropletMsg::SubPut { req, origin: me, item, trace });
                         }
-                        // Known-dead coordinator: its items cannot be
-                        // ordered now — don't wait out the deadline for
-                        // an ack that will never come.
+                        _ => {}
                     }
                 }
-                ctx.metrics().add("multi_put.msgs", forwards);
+                ctx.metrics().add("multi_put.msgs", waiting.len() as u64);
                 let op = PendingOp::MultiPut { versions, want };
                 self.await_multi_op(ctx, req, Pending { waiting, started: ctx.now(), op });
             }
-            DropletMsg::ClientMultiGet { req, tag, trace } => {
+            ClientOp::MultiGet(tag) => {
                 let tag_hash = tag.hash();
-                // Tag-scoped reads have a deterministic coordinator, like
-                // keys: route by the tag's position in the soft ring.
-                if !self.is_coordinator(me, tag_hash) {
-                    if let Some(c) = self.coordinator_of(tag_hash) {
-                        ctx.metrics().incr("soft.multi_get_forwards");
-                        let trace = self.trace_hop(ctx, trace, "soft.forward");
-                        ctx.send(c, DropletMsg::ClientMultiGet { req, tag, trace });
-                    }
-                    return;
-                }
                 ctx.metrics().incr("soft.multi_gets");
                 self.trace_coord(ctx, req, trace, "soft.multi_get");
                 let targets = self.persist.tag_targets(tag_hash);
@@ -989,6 +992,27 @@ impl SoftNode {
                 // only when there were no owners at all to ask.
                 let op = PendingOp::MultiGet { items: Vec::new(), full: skipped.is_empty() };
                 self.await_multi_op(ctx, req, Pending { waiting, started: ctx.now(), op });
+            }
+        }
+    }
+
+    /// Handles soft-layer messages; shared by the composite process.
+    pub fn on_message(&mut self, ctx: &mut Ctx<'_, DropletMsg>, from: NodeId, msg: DropletMsg) {
+        match msg {
+            DropletMsg::Client { req, op, trace } => {
+                // A key or tag has one coordinator, the primary soft-ring
+                // owner of its hash: an op that entered elsewhere is
+                // forwarded there, once.
+                match op.route().map(|hash| self.coordinator_of(hash)) {
+                    Some(Some(c)) if c != ctx.id() => {
+                        ctx.metrics().incr("soft.forwards");
+                        let trace = self.trace_hop(ctx, trace, "soft.forward");
+                        ctx.send(c, DropletMsg::Client { req, op, trace });
+                    }
+                    // An empty soft ring coordinates nothing.
+                    Some(None) => {}
+                    _ => self.coordinate(ctx, req, op, trace),
+                }
             }
             DropletMsg::SubPut { req, origin, item, trace } => {
                 ctx.metrics().incr("soft.sub_puts");
@@ -1009,26 +1033,6 @@ impl SoftNode {
                         items.extend(found);
                     }
                 });
-            }
-            DropletMsg::ClientAggregate { req, trace } => {
-                let targets = self.persist.peers.clone();
-                self.trace_coord(ctx, req, trace, "soft.agg");
-                if targets.is_empty() {
-                    let sketch = dd_estimation::DistSketch::new(16);
-                    let (min, max) = (f64::INFINITY, f64::NEG_INFINITY);
-                    self.complete(ctx, req, Done::Aggregate { sketch, min, max }, true);
-                    return;
-                }
-                for &t in &targets {
-                    let trace = self.trace_wait(ctx, req, t, "soft.agg_wait");
-                    ctx.send(t, DropletMsg::AggReq { req, trace });
-                }
-                let op = PendingOp::Aggregate {
-                    sketch: dd_estimation::DistSketch::new(512),
-                    min: f64::INFINITY,
-                    max: f64::NEG_INFINITY,
-                };
-                self.await_every_peer(ctx, req, targets, op);
             }
             DropletMsg::StoredAckBatch { acked } => {
                 for (key_hash, version) in acked {
@@ -1217,8 +1221,7 @@ mod tests {
                 let route = (Key::from(format!("k{oldest}").as_str()).hash(), Version(1));
                 assert_eq!(n.put_index.get(&route), Some(&oldest));
                 n.start_read(ctx, writes, &Key::from("never-written"));
-                let scan =
-                    DropletMsg::ClientScan { req: writes + 1, lo: 0.0, hi: 1.0, trace: None };
+                let scan = client(writes + 1, ClientOp::Scan { lo: 0.0, hi: 1.0 });
                 n.on_message(ctx, NodeId(0), scan);
                 assert_eq!(n.completion_backlog(), COMPLETION_RETENTION);
                 assert_eq!(n.put_index.len(), COMPLETION_RETENTION - 2);
@@ -1318,17 +1321,93 @@ mod tests {
             .collect()
     }
 
+    /// An untraced client message.
+    fn client(req: u64, op: ClientOp) -> DropletMsg {
+        DropletMsg::Client { req, op, trace: None }
+    }
+
+    /// A write of key `k`.
+    fn put_k() -> ClientOp {
+        ClientOp::Put(TupleSpec::new("k", vec![], None, None))
+    }
+
+    #[test]
+    fn a_routed_op_is_forwarded_once_and_the_others_are_coordinated_at_entry() {
+        let me = NodeId(0);
+        let members: Vec<NodeId> = (0..4).map(NodeId).collect();
+        let all = crate::sieve_spec::SieveSpec::Range { index: 0, of: 1, r: 1 };
+        let persist = Arc::new(OwnerIndex::new(vec![NodeId(10)], vec![all]));
+        let mut n = SoftNode::new(&members, persist, 16);
+        // A name the soft ring routes away from / to this node (a key and
+        // a tag of the same text hash alike).
+        let name = |n: &SoftNode, here: bool| {
+            (0..)
+                .map(|i| format!("x{i}"))
+                .find(|s| (n.coordinator_of(Key::from(s.as_str()).hash()) == Some(me)) == here)
+                .unwrap()
+        };
+        let routed = |name: &str| {
+            [
+                ClientOp::Put(TupleSpec::new(name, vec![], None, None)),
+                ClientOp::Get(Key::from(name)),
+                ClientOp::Delete(Key::from(name)),
+                ClientOp::MultiGet(crate::tuple::Tag::from(name)),
+            ]
+        };
+        for (req, op) in (1..).zip(routed(&name(&n, false))) {
+            let hash = op.route().expect("routed");
+            let sent = drive(&mut n, 0, |n, ctx| n.on_message(ctx, me, client(req, op.clone())));
+            let [(to, DropletMsg::Client { req: fwd, op: fwd_op, .. })] = sent.as_slice() else {
+                panic!("one forward expected: {sent:?}")
+            };
+            assert_eq!((Some(*to), *fwd, fwd_op), (n.ring.primary(hash), req, &op));
+        }
+        assert_eq!((n.pending_ops(), n.completion_backlog()), (0, 0), "nothing coordinated");
+        // At its coordinator the same ops are not forwarded again; scans,
+        // aggregates and multi-puts stay wherever they enter.
+        let far = TupleSpec::new(name(&n, false), vec![], None, None);
+        let local = [
+            ClientOp::Scan { lo: 0.0, hi: 1.0 },
+            ClientOp::Aggregate,
+            ClientOp::MultiPut(vec![far]),
+        ];
+        let ops = routed(&name(&n, true)).into_iter().chain(local);
+        let sent = drive(&mut n, 1, |n, ctx| {
+            (10..).zip(ops).for_each(|(req, op)| n.on_message(ctx, me, client(req, op)));
+        });
+        assert!(sent.iter().all(|(_, m)| !matches!(m, DropletMsg::Client { .. })), "{sent:?}");
+        // The put, the get (a cache hit) and the delete complete here; the
+        // multi-get, scan, aggregate and multi-put await replies.
+        assert_eq!((n.completion_backlog(), n.pending_ops()), (3, 4));
+    }
+
+    #[test]
+    fn a_write_after_a_wipe_keeps_its_ack_route_when_the_older_record_is_harvested() {
+        let (me, peer) = (NodeId(0), NodeId(10));
+        let mut n = SoftNode::new(&[me], Arc::default(), 16);
+        drive(&mut n, 0, |n, ctx| n.on_message(ctx, me, client(1, put_k())));
+        n.wipe();
+        drive(&mut n, 1, |n, ctx| n.on_message(ctx, me, client(2, put_k())));
+        // The wipe reset the version authority: both writes hold version 1.
+        assert!(
+            matches!(n.take(1), Some(Done::Write { status, .. }) if status.version == Version(1))
+        );
+        let acked = vec![(Key::from("k").hash(), Version(1))];
+        drive(&mut n, 2, |n, ctx| n.on_message(ctx, peer, DropletMsg::StoredAckBatch { acked }));
+        let second = n.take(2);
+        assert!(
+            matches!(second, Some(Done::Write { status, .. }) if status == PutStatus { version: Version(1), acks: 1 }),
+            "{second:?}"
+        );
+    }
+
     #[test]
     fn a_coordinator_over_no_persist_layer_orders_writes_and_sends_nothing() {
         let mut n = SoftNode::new(&[NodeId(0)], Arc::default(), 16);
         let sent = drive(&mut n, 0, |n, ctx| {
-            let (key, value) = (Key::from("k"), bytes::Bytes::new());
-            let put =
-                DropletMsg::ClientPut { req: 1, key, value, attr: None, tag: None, trace: None };
-            n.on_message(ctx, NodeId(0), put);
+            n.on_message(ctx, NodeId(0), client(1, put_k()));
             // A tombstone is wanted by every peer there is: still nobody.
-            let delete = DropletMsg::ClientDelete { req: 2, key: Key::from("k"), trace: None };
-            n.on_message(ctx, NodeId(0), delete);
+            n.on_message(ctx, NodeId(0), client(2, ClientOp::Delete(Key::from("k"))));
             n.on_timer(ctx, BATCH_TIMER);
         });
         assert!(sent.is_empty(), "{sent:?}");
@@ -1363,23 +1442,22 @@ mod tests {
                 for &req in &reqs {
                     let op = match req % 5 {
                         0 => {
-                            let tag = crate::tuple::Tag::new(routed(n, me, req).unwrap());
-                            DropletMsg::ClientMultiGet { req, tag, trace: None }
+                            ClientOp::MultiGet(crate::tuple::Tag::new(routed(n, me, req).unwrap()))
                         }
                         1 => {
                             let item =
                                 TupleSpec::new(routed(n, peer, req).unwrap(), vec![], None, None);
-                            DropletMsg::ClientMultiPut { req, items: vec![item], trace: None }
+                            ClientOp::MultiPut(vec![item])
                         }
                         2 => {
                             let key = Key::from(routed(n, me, req).unwrap().as_str());
                             n.metadata.record_write(key.hash(), Version(1), &[peer]);
-                            DropletMsg::ClientGet { req, key, trace: None }
+                            ClientOp::Get(key)
                         }
-                        3 => DropletMsg::ClientScan { req, lo: 0.0, hi: 1.0, trace: None },
-                        _ => DropletMsg::ClientAggregate { req, trace: None },
+                        3 => ClientOp::Scan { lo: 0.0, hi: 1.0 },
+                        _ => ClientOp::Aggregate,
                     };
-                    n.on_message(ctx, me, op);
+                    n.on_message(ctx, me, client(req, op));
                 }
             });
             assert_eq!(n.pending_ops(), reqs.len());
