@@ -114,7 +114,7 @@ pub use dd_audit::{AuditReport, History, Violation, ViolationKind};
 pub use dd_obs::{Detector, Finding, Telemetry, TelemetryReport};
 pub use dd_trace::{PathStep, Recorder, Trace, TraceReport, TraceSet};
 pub use driver::OpMix;
-pub use msg::{ClientOp, DropletMsg};
+pub use msg::{Answer, ClientOp, DropletMsg, Query};
 pub use persist::{PersistNode, RepairPeering};
 pub use scenario::{
     EnvChange, ErrorCounts, Fault, Phase, PhaseReport, Scenario, ScenarioError, ScenarioReport,

@@ -1,12 +1,16 @@
 //! The composite DataDroplets protocol: one message enum spanning both
 //! layers (the simulator hosts one process type per run).
 //!
-//! A client operation travels as one [`ClientOp`] value inside
+//! A client operation travels as one [`ClientOp`] inside
 //! [`DropletMsg::Client`]: the session injects it at any soft node, which
 //! forwards it once to the soft coordinator of its key or tag or, for a
-//! scan, aggregate or multi-put, coordinates it itself. Every other
-//! variant is soft ↔ soft or soft ↔ persist traffic that a coordinator or
-//! a persist node originates.
+//! scan, aggregate or multi-put, coordinates it itself. A coordinator asks
+//! persist replicas with one [`Query`] inside [`DropletMsg::Ask`], and
+//! every reply it waits for — a replica's read of its store, or a key
+//! coordinator's ack of a [`DropletMsg::SubPut`] — is one [`Answer`]
+//! inside [`DropletMsg::Reply`], folded into the pending operation its
+//! request id names. The rest is write delivery, anti-entropy and
+//! failure-detector notices.
 
 use crate::sieve_spec::SieveSpec;
 use crate::tuple::{Key, StoredTuple, Tag, TupleSpec};
@@ -80,6 +84,69 @@ impl ClientOp {
     }
 }
 
+/// Capacity of the bottom-k sketch in an [`Answer::Summary`]. Replicas
+/// and the coordinator merging their answers share it: the union of
+/// per-replica bottom-k sets, cut back to k, is then exactly the global
+/// bottom-k, however many tuples each replica holds.
+pub(crate) const SKETCH_K: usize = 256;
+
+/// What a coordinator asks a persist replica, carried by
+/// [`DropletMsg::Ask`]: one read of the replica's local store.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Query {
+    /// The tuple of `key_hash`, if held at `version` or newer (a tombstone
+    /// counts).
+    Get {
+        /// Key hash.
+        key_hash: u64,
+        /// Version required (the metadata's latest).
+        version: Version,
+    },
+    /// Every live tuple carrying the tag of this hash (served from the
+    /// secondary tag index).
+    Tag(u64),
+    /// Every live tuple with its attribute in `[lo, hi]`.
+    Range {
+        /// Lower bound (inclusive).
+        lo: f64,
+        /// Upper bound (inclusive).
+        hi: f64,
+    },
+    /// A duplicate-tolerant summary of the live tuples with an attribute.
+    Aggregate,
+}
+
+/// A reply a coordinator folds into its pending operation, carried by
+/// [`DropletMsg::Reply`]: a replica's answer to a [`Query`], or a key
+/// coordinator's ack of a [`DropletMsg::SubPut`].
+#[derive(Debug, Clone)]
+pub enum Answer {
+    /// To [`Query::Get`]: the tuple, if held at a sufficient version.
+    Found(Option<StoredTuple>),
+    /// To [`Query::Tag`]: the matching live tuples.
+    Tagged(Vec<StoredTuple>),
+    /// To [`Query::Range`]: the matching live tuples.
+    InRange(Vec<StoredTuple>),
+    /// To [`Query::Aggregate`].
+    Summary {
+        /// Bottom-k sketch of the locally held distinct items (the same k
+        /// at every replica and at the coordinator).
+        sketch: DistSketch,
+        /// Local minimum attribute (idempotent under replication).
+        min: f64,
+        /// Local maximum attribute.
+        max: f64,
+    },
+    /// To a [`DropletMsg::SubPut`]: the item was ordered (a version is
+    /// assigned and dissemination has started).
+    Ordered {
+        /// Key hash of the ordered item.
+        key_hash: u64,
+        /// Version the item was ordered at.
+        version: Version,
+    },
+}
+
 /// All DataDroplets messages.
 #[derive(Debug, Clone)]
 pub enum DropletMsg {
@@ -96,46 +163,36 @@ pub enum DropletMsg {
     },
 
     // ------------------------------------------------------------------
-    // Multi-op plane: soft-layer routing and tag-scoped persistent reads.
+    // Coordination: multi-put items, replica queries, and their replies.
     // ------------------------------------------------------------------
     /// Multi-op coordinator → key coordinator: order and disseminate one
-    /// batch item on behalf of `origin`'s multi-put.
+    /// batch item of a multi-put, and reply [`Answer::Ordered`] to the
+    /// sender.
     SubPut {
         /// Multi-op request id.
         req: u64,
-        /// The multi-op coordinator awaiting [`DropletMsg::SubPutAck`].
-        origin: NodeId,
         /// The batch item.
         item: TupleSpec,
         /// Causal trace context (traced runs only; `None` otherwise).
         trace: Option<TraceCtx>,
     },
-    /// Key coordinator → multi-op coordinator: the item was ordered (a
-    /// version is assigned and dissemination has started).
-    SubPutAck {
-        /// Multi-op request id.
-        req: u64,
-        /// Key hash of the ordered item.
-        key_hash: u64,
-        /// Version the item was ordered at.
-        version: Version,
-    },
-    /// Coordinator → persist: report every live tuple carrying the tag
-    /// (served from the secondary tag index).
-    TagFetch {
+    /// Coordinator → persist: one read of the local store, answered by one
+    /// [`DropletMsg::Reply`].
+    Ask {
         /// Request id.
         req: u64,
-        /// Hash of the correlation tag.
-        tag_hash: u64,
+        /// What to read.
+        query: Query,
         /// Causal trace context (traced runs only; `None` otherwise).
         trace: Option<TraceCtx>,
     },
-    /// Persist → coordinator: local live tuples with the tag.
-    TagFetchReply {
+    /// Persist or key coordinator → coordinator: the answer to an
+    /// [`DropletMsg::Ask`] or a [`DropletMsg::SubPut`].
+    Reply {
         /// Request id.
         req: u64,
-        /// Matching live tuples.
-        items: Vec<StoredTuple>,
+        /// The answer.
+        answer: Answer,
     },
 
     // ------------------------------------------------------------------
@@ -161,68 +218,6 @@ pub enum DropletMsg {
     StoredAckBatch {
         /// Accepted `(key_hash, version)` pairs.
         acked: Vec<(u64, Version)>,
-    },
-
-    // ------------------------------------------------------------------
-    // Read path.
-    // ------------------------------------------------------------------
-    /// Coordinator → persist: fetch a tuple at (at least) a version.
-    Fetch {
-        /// Request id.
-        req: u64,
-        /// Key hash.
-        key_hash: u64,
-        /// Version required (the metadata's latest).
-        version: Version,
-        /// Causal trace context (traced runs only; `None` otherwise).
-        trace: Option<TraceCtx>,
-    },
-    /// Persist → coordinator: fetch result.
-    FetchReply {
-        /// Request id.
-        req: u64,
-        /// The tuple, if held at a sufficient version.
-        found: Option<StoredTuple>,
-    },
-
-    // ------------------------------------------------------------------
-    // Scan / aggregate paths.
-    // ------------------------------------------------------------------
-    /// Coordinator → persist: report tuples with attr in `[lo, hi]`.
-    ScanReq {
-        /// Request id.
-        req: u64,
-        /// Lower bound.
-        lo: f64,
-        /// Upper bound.
-        hi: f64,
-        /// Causal trace context (traced runs only; `None` otherwise).
-        trace: Option<TraceCtx>,
-    },
-    /// Persist → coordinator: local matches.
-    ScanReply {
-        /// Request id.
-        req: u64,
-        /// Matching live tuples.
-        items: Vec<StoredTuple>,
-    },
-    /// Coordinator → persist: send your local aggregate contribution.
-    AggReq {
-        /// Request id.
-        req: u64,
-        /// Causal trace context (traced runs only; `None` otherwise).
-        trace: Option<TraceCtx>,
-    },
-    /// Persist → coordinator: duplicate-tolerant local summary.
-    AggReply {
-        /// Request id.
-        req: u64,
-        /// Bottom-k sketch of locally held (distinct) items.
-        sketch: DistSketch,
-        /// Local minimum attribute (idempotent under replication).
-        min: f64,
-        /// Local maximum attribute.
-        max: f64,
     },
 
     // ------------------------------------------------------------------
@@ -286,25 +281,28 @@ pub enum DropletMsg {
 }
 
 impl DropletMsg {
-    /// The variant's name — `ClientPut` … `ClientMultiGet` for a client
-    /// message, by its operation — for per-kind accounting (the telemetry
-    /// plane's in-flight-messages-by-kind series).
+    /// The message's name for per-kind accounting (the telemetry plane's
+    /// in-flight-messages-by-kind series): the variant's, except that a
+    /// client message is named by its operation (`ClientPut` …
+    /// `ClientMultiGet`), an ask by its query (`Fetch`, `TagFetch`,
+    /// `ScanReq`, `AggReq`) and a reply by its answer (`FetchReply`,
+    /// `TagFetchReply`, `ScanReply`, `AggReply`, `SubPutAck`).
     #[must_use]
     pub fn kind(&self) -> &'static str {
         match self {
             DropletMsg::Client { op, .. } => op.wire_name(),
+            DropletMsg::Ask { query: Query::Get { .. }, .. } => "Fetch",
+            DropletMsg::Ask { query: Query::Tag(_), .. } => "TagFetch",
+            DropletMsg::Ask { query: Query::Range { .. }, .. } => "ScanReq",
+            DropletMsg::Ask { query: Query::Aggregate, .. } => "AggReq",
+            DropletMsg::Reply { answer: Answer::Found(_), .. } => "FetchReply",
+            DropletMsg::Reply { answer: Answer::Tagged(_), .. } => "TagFetchReply",
+            DropletMsg::Reply { answer: Answer::InRange(_), .. } => "ScanReply",
+            DropletMsg::Reply { answer: Answer::Summary { .. }, .. } => "AggReply",
+            DropletMsg::Reply { answer: Answer::Ordered { .. }, .. } => "SubPutAck",
             DropletMsg::SubPut { .. } => "SubPut",
-            DropletMsg::SubPutAck { .. } => "SubPutAck",
-            DropletMsg::TagFetch { .. } => "TagFetch",
-            DropletMsg::TagFetchReply { .. } => "TagFetchReply",
             DropletMsg::DeliverBatch { .. } => "DeliverBatch",
             DropletMsg::StoredAckBatch { .. } => "StoredAckBatch",
-            DropletMsg::Fetch { .. } => "Fetch",
-            DropletMsg::FetchReply { .. } => "FetchReply",
-            DropletMsg::ScanReq { .. } => "ScanReq",
-            DropletMsg::ScanReply { .. } => "ScanReply",
-            DropletMsg::AggReq { .. } => "AggReq",
-            DropletMsg::AggReply { .. } => "AggReply",
             DropletMsg::RepairDigest { .. } => "RepairDigest",
             DropletMsg::RepairSummary { .. } => "RepairSummary",
             DropletMsg::RepairPull { .. } => "RepairPull",
@@ -336,5 +334,32 @@ mod tests {
             assert_eq!(op.route(), route, "{name}");
             assert_eq!(DropletMsg::Client { req: 1, op, trace: None }.kind(), name);
         }
+        // Asks and replies are named by their query and answer: telemetry
+        // labels in-flight messages by these names (BENCH_obs.csv).
+        let queries = [
+            (Query::Get { key_hash: key.hash(), version: Version(1) }, "Fetch"),
+            (Query::Tag(tag.hash()), "TagFetch"),
+            (Query::Range { lo: 0.0, hi: 1.0 }, "ScanReq"),
+            (Query::Aggregate, "AggReq"),
+        ];
+        for (query, name) in queries {
+            assert_eq!(DropletMsg::Ask { req: 1, query, trace: None }.kind(), name);
+        }
+        let (min, max) = (0.0, 1.0);
+        let answers = [
+            (Answer::Found(None), "FetchReply"),
+            (Answer::Tagged(Vec::new()), "TagFetchReply"),
+            (Answer::InRange(Vec::new()), "ScanReply"),
+            (Answer::Summary { sketch: DistSketch::new(SKETCH_K), min, max }, "AggReply"),
+            (Answer::Ordered { key_hash: key.hash(), version: Version(1) }, "SubPutAck"),
+        ];
+        for (answer, name) in answers {
+            assert_eq!(DropletMsg::Reply { req: 1, answer }.kind(), name);
+        }
+    }
+
+    #[test]
+    fn a_message_fits_in_120_bytes() {
+        assert!(std::mem::size_of::<DropletMsg>() <= 120, "{}", std::mem::size_of::<DropletMsg>());
     }
 }

@@ -4,10 +4,11 @@
 //! the coordinator that worked out whose sieve keeps them
 //! ([`DropletMsg::DeliverBatch`]), the local [`SieveSpec`] still decides
 //! retention ("global dissemination / local decision"), and same-class
-//! anti-entropy maintains redundancy. Reads, scans and aggregates are
-//! served from the local store.
+//! anti-entropy maintains redundancy. Reads, scans and aggregates arrive
+//! as one [`Query`] each and [`PersistNode::answer`] serves them from the
+//! local store.
 
-use crate::msg::DropletMsg;
+use crate::msg::{Answer, DropletMsg, Query, SKETCH_K};
 use crate::sieve_spec::SieveSpec;
 use crate::tuple::StoredTuple;
 use dd_epidemic::antientropy::{Digest, Summary};
@@ -25,9 +26,6 @@ pub const REPAIR_TIMER: TimerTag = TimerTag(0xFE4A);
 /// Buckets in the repair [`Summary`]: the constant wire size of a
 /// steady-state anti-entropy round, independent of store size.
 pub const REPAIR_BUCKETS: usize = 64;
-
-/// Capacity of the bottom-k sketch an aggregate reply carries.
-const SKETCH_K: usize = 256;
 
 /// One round in [`FAR_PULL_PERIOD`] under ring-biased peering makes a
 /// uniform far pull instead of a neighbour pull.
@@ -78,7 +76,7 @@ pub struct PersistNode {
     /// How the periodic round picks its partner.
     pub repair_peering: RepairPeering,
     /// Secondary index: tag hash → key hashes of live tuples carrying the
-    /// tag. Serves tag-scoped reads ([`DropletMsg::TagFetch`]) without a
+    /// tag. Serves tag-scoped reads ([`Query::Tag`]) without a
     /// store scan; maintained by [`PersistNode::apply`].
     tag_index: HashMap<u64, HashSet<u64>>,
     /// Reusable bucket arrays for summary comparison: rounds that only
@@ -234,6 +232,40 @@ impl PersistNode {
             .filter(|t| !t.deleted)
             .cloned()
             .collect()
+    }
+
+    /// Answers a coordinator's query from the local store: a read at a
+    /// version floor (a tombstone is an answer), the live tuples of a tag
+    /// or an attribute range, or a duplicate-tolerant summary of the live
+    /// attributed tuples (bottom-k sketch by key hash, exact min and max).
+    #[must_use]
+    pub fn answer(&self, query: &Query) -> Answer {
+        match *query {
+            Query::Get { key_hash, version } => {
+                Answer::Found(self.store.get(&key_hash).filter(|t| t.version >= version).cloned())
+            }
+            Query::Tag(tag_hash) => Answer::Tagged(self.by_tag(tag_hash)),
+            Query::Range { lo, hi } => Answer::InRange(
+                self.store
+                    .values()
+                    .filter(|t| !t.deleted)
+                    .filter(|t| t.attr.is_some_and(|a| a >= lo && a <= hi))
+                    .cloned()
+                    .collect(),
+            ),
+            Query::Aggregate => {
+                let mut sketch = DistSketch::new(SKETCH_K);
+                let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
+                for t in self.store.values().filter(|t| !t.deleted) {
+                    if let Some(a) = t.attr {
+                        sketch.observe(t.key_hash, a);
+                        min = min.min(a);
+                        max = max.max(a);
+                    }
+                }
+                Answer::Summary { sketch, min, max }
+            }
+        }
     }
 
     /// The digest of held `(key, version)` pairs, as rumor ids.
@@ -438,40 +470,15 @@ impl PersistNode {
     /// Handles persist-layer messages; shared by the composite process.
     pub fn on_message(&mut self, ctx: &mut Ctx<'_, DropletMsg>, from: NodeId, msg: DropletMsg) {
         match msg {
-            DropletMsg::Fetch { req, key_hash, version, trace } => {
-                let found = self.store.get(&key_hash).filter(|t| t.version >= version).cloned();
-                ctx.metrics().incr("persist.fetches");
-                Self::trace_event(ctx, trace, "persist.serve");
-                ctx.send(from, DropletMsg::FetchReply { req, found });
-            }
-            DropletMsg::TagFetch { req, tag_hash, trace } => {
-                ctx.metrics().incr("persist.tag_fetches");
-                Self::trace_event(ctx, trace, "persist.serve");
-                ctx.send(from, DropletMsg::TagFetchReply { req, items: self.by_tag(tag_hash) });
-            }
-            DropletMsg::ScanReq { req, lo, hi, trace } => {
-                let items: Vec<StoredTuple> = self
-                    .store
-                    .values()
-                    .filter(|t| !t.deleted)
-                    .filter(|t| t.attr.is_some_and(|a| a >= lo && a <= hi))
-                    .cloned()
-                    .collect();
-                Self::trace_event(ctx, trace, "persist.serve");
-                ctx.send(from, DropletMsg::ScanReply { req, items });
-            }
-            DropletMsg::AggReq { req, trace } => {
-                let mut sketch = DistSketch::new(SKETCH_K);
-                let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
-                for t in self.store.values().filter(|t| !t.deleted) {
-                    if let Some(a) = t.attr {
-                        sketch.observe(t.key_hash, a);
-                        min = min.min(a);
-                        max = max.max(a);
-                    }
+            DropletMsg::Ask { req, query, trace } => {
+                match query {
+                    Query::Get { .. } => ctx.metrics().incr("persist.fetches"),
+                    Query::Tag(_) => ctx.metrics().incr("persist.tag_fetches"),
+                    Query::Range { .. } | Query::Aggregate => {}
                 }
+                let answer = self.answer(&query);
                 Self::trace_event(ctx, trace, "persist.serve");
-                ctx.send(from, DropletMsg::AggReply { req, sketch, min, max });
+                ctx.send(from, DropletMsg::Reply { req, answer });
             }
             DropletMsg::DeliverBatch { tuples, coordinator, traces } => {
                 // Sieve-routed direct delivery: the coordinator already
@@ -595,11 +602,15 @@ impl PersistNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tuple::Key;
+    use crate::tuple::{Key, Tag};
     use dd_dht::Version;
 
     fn tuple(key: &str, version: u64) -> StoredTuple {
-        StoredTuple::new(Key::from(key), Version(version), b"v".to_vec(), Some(1.0), None)
+        with(key, version, Some(1.0), None)
+    }
+
+    fn with(key: &str, version: u64, attr: Option<f64>, tag: Option<&str>) -> StoredTuple {
+        StoredTuple::new(Key::from(key), Version(version), b"v".to_vec(), attr, tag)
     }
 
     #[test]
@@ -623,7 +634,7 @@ mod tests {
     }
 
     fn tagged(key: &str, version: u64, tag: &str) -> StoredTuple {
-        StoredTuple::new(Key::from(key), Version(version), b"v".to_vec(), Some(1.0), Some(tag))
+        with(key, version, Some(1.0), Some(tag))
     }
 
     #[test]
@@ -657,6 +668,65 @@ mod tests {
         // Stale re-delivery of the old tagged version must not resurrect it.
         assert!(!n.apply(tagged("p", 2, "feed:b")));
         assert!(n.by_tag(tb).is_empty());
+    }
+
+    fn keys(items: &[StoredTuple]) -> Vec<&str> {
+        let mut keys: Vec<&str> = items.iter().map(|t| t.key.as_str()).collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    #[test]
+    fn a_get_is_answered_at_its_version_floor_and_a_tombstone_is_found() {
+        let mut n = PersistNode::new(SieveSpec::Range { index: 0, of: 1, r: 1 }, vec![], None);
+        n.apply(tuple("k", 3));
+        let get = |n: &PersistNode, key: &str, version: u64| {
+            n.answer(&Query::Get { key_hash: Key::from(key).hash(), version: Version(version) })
+        };
+        assert!(matches!(get(&n, "k", 2), Answer::Found(Some(t)) if t.version == Version(3)));
+        assert!(matches!(get(&n, "k", 3), Answer::Found(Some(t)) if t.version == Version(3)));
+        assert!(matches!(get(&n, "k", 4), Answer::Found(None)), "held below the floor");
+        assert!(matches!(get(&n, "absent", 1), Answer::Found(None)));
+        n.apply(StoredTuple::tombstone("k".into(), Version(5)));
+        assert!(matches!(get(&n, "k", 4), Answer::Found(Some(t)) if t.deleted));
+    }
+
+    #[test]
+    fn tag_and_range_answers_hold_live_tuples_only() {
+        let mut n = PersistNode::new(SieveSpec::Range { index: 0, of: 1, r: 1 }, vec![], None);
+        n.apply(with("a", 1, Some(1.0), Some("feed")));
+        n.apply(with("b", 1, Some(2.0), Some("feed")));
+        n.apply(with("c", 1, Some(3.0), None));
+        n.apply(with("bare", 1, None, Some("feed")));
+        n.apply(with("gone", 1, Some(2.5), Some("feed")));
+        n.apply(StoredTuple::tombstone("gone".into(), Version(2)));
+        let Answer::Tagged(items) = n.answer(&Query::Tag(Tag::from("feed").hash())) else {
+            panic!("a tag query is answered with tagged tuples")
+        };
+        assert_eq!(keys(&items), ["a", "b", "bare"]);
+        let Answer::InRange(items) = n.answer(&Query::Range { lo: 1.5, hi: 3.0 }) else {
+            panic!("a range query is answered with the tuples in range")
+        };
+        assert_eq!(keys(&items), ["b", "c"], "bounds inclusive, no tombstone, no bare tuple");
+    }
+
+    #[test]
+    fn an_aggregate_answer_skips_tombstones_and_tuples_without_an_attribute() {
+        let mut n = PersistNode::new(SieveSpec::Range { index: 0, of: 1, r: 1 }, vec![], None);
+        let Answer::Summary { sketch, min, max } = n.answer(&Query::Aggregate) else {
+            panic!("an aggregate query is answered with a summary")
+        };
+        assert!(sketch.is_empty() && min == f64::INFINITY && max == f64::NEG_INFINITY);
+        n.apply(with("a", 1, Some(4.0), None));
+        n.apply(with("b", 1, Some(-2.5), None));
+        n.apply(with("bare", 1, None, None));
+        n.apply(with("gone", 1, Some(9.0), None));
+        n.apply(StoredTuple::tombstone("gone".into(), Version(2)));
+        let Answer::Summary { sketch, min, max } = n.answer(&Query::Aggregate) else {
+            panic!("an aggregate query is answered with a summary")
+        };
+        assert_eq!((sketch.len(), sketch.capacity()), (2, SKETCH_K));
+        assert_eq!((min, max), (-2.5, 4.0), "exact bounds of the live attributed tuples");
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! The soft-state layer node: request ordering, versions, tuple cache,
 //! metadata and read/write coordination (§II of the paper).
 
-use crate::msg::{ClientOp, DropletMsg};
+use crate::msg::{Answer, ClientOp, DropletMsg, Query, SKETCH_K};
 use crate::sieve_spec::OwnerIndex;
 use crate::tuple::{Key, StoredTuple, TupleSpec};
 use dd_dht::{HashRing, Metadata, TupleCache, Version, VersionAuthority};
+use dd_estimation::DistSketch;
 use dd_sim::{Ctx, Duration, NodeId, Time, TimerTag, TraceCtx};
 use rand::seq::SliceRandom;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -122,7 +123,7 @@ pub(crate) enum Done {
     /// A scan's matching tuples.
     Scan(Vec<StoredTuple>),
     /// An aggregate's merged sketch and exact attribute bounds.
-    Aggregate { sketch: dd_estimation::DistSketch, min: f64, max: f64 },
+    Aggregate { sketch: DistSketch, min: f64, max: f64 },
     /// A batched write.
     MultiPut(MultiPutStatus),
     /// A tag-scoped read: the deduplicated live tuples, and whether every
@@ -131,7 +132,7 @@ pub(crate) enum Done {
 }
 
 /// Ticks a multi-tuple operation waits for stragglers before completing
-/// with what it has. A dead slot-owner never answers a `TagFetch`, and a
+/// with what it has. A dead slot-owner never answers a tag query, and a
 /// dead key coordinator never acks a `SubPut`; without this deadline one
 /// failed node would hang every `multi_get` on its tags (even though the
 /// surviving replicas hold the full tuple set) and every `multi_put`
@@ -184,7 +185,7 @@ enum PendingOp {
     /// A scan: the raw replica items gathered so far.
     Scan { items: Vec<StoredTuple> },
     /// An aggregate: the merged sketch and attribute bounds so far.
-    Aggregate { sketch: dd_estimation::DistSketch, min: f64, max: f64 },
+    Aggregate { sketch: DistSketch, min: f64, max: f64 },
     /// A batched write: the versions ordered so far, and the batch size for
     /// partial accounting.
     MultiPut { versions: Vec<(u64, Version)>, want: usize },
@@ -453,7 +454,7 @@ impl SoftNode {
     /// Orders one write at this (key-coordinator) node — assigns the
     /// version, records metadata, caches, disseminates — and returns the
     /// assigned identity. Completion tracking is the caller's business:
-    /// single puts index the request, batch sub-puts ack their origin.
+    /// single puts index the request, batch sub-puts ack their sender.
     fn order_and_disseminate(
         &mut self,
         ctx: &mut Ctx<'_, DropletMsg>,
@@ -520,25 +521,45 @@ impl SoftNode {
         }
     }
 
-    /// A reply to pending `req` landed from `from`: stop waiting on it, let
-    /// `fold` merge the payload, and finish the op once nobody owes a reply
+    /// A reply to pending `req` landed from `from`: stop waiting on it, fold
+    /// the answer into the op, and finish the op once nobody owes a reply
     /// (for a read: nobody reachable *or* dark — a dark replica may hold the
-    /// write, read-your-writes over availability).
-    fn on_reply(
-        &mut self,
-        ctx: &mut Ctx<'_, DropletMsg>,
-        req: u64,
-        from: NodeId,
-        fold: impl FnOnce(&mut PendingOp),
-    ) {
+    /// write, read-your-writes over availability). A found tuple completes
+    /// its read at once; a late one changes nothing.
+    fn on_reply(&mut self, ctx: &mut Ctx<'_, DropletMsg>, req: u64, from: NodeId, answer: Answer) {
         // Before the lookup: a scan this node gave up on still shows which
         // replicas answered it.
         self.trace_reply(ctx, req, from);
         let Some(p) = self.pending.get_mut(&req) else { return };
+        if let Answer::Found(Some(t)) = answer {
+            // The first replica holding the version answers the read.
+            self.pending.remove(&req);
+            self.metadata.add_holder(t.key_hash, t.version, from);
+            self.cache.put(t.key_hash, t.version, t.clone());
+            self.complete(ctx, req, Done::Read((!t.deleted).then_some(t)), true);
+            return;
+        }
         if let Some(pos) = p.waiting.iter().position(|&n| n == from) {
             p.waiting.remove(pos);
         }
-        fold(&mut p.op);
+        match (&mut p.op, answer) {
+            (
+                PendingOp::Scan { items } | PendingOp::MultiGet { items, .. },
+                Answer::InRange(found) | Answer::Tagged(found),
+            ) => items.extend(found),
+            (
+                PendingOp::Aggregate { sketch, min, max },
+                Answer::Summary { sketch: theirs, min: lo, max: hi },
+            ) => {
+                sketch.merge(&theirs);
+                *min = min.min(lo);
+                *max = max.max(hi);
+            }
+            (PendingOp::MultiPut { versions, .. }, Answer::Ordered { key_hash, version }) => {
+                versions.push((key_hash, version));
+            }
+            _ => {}
+        }
         let parked = matches!(&p.op, PendingOp::Get { unreached, .. } if !unreached.is_empty());
         if p.waiting.is_empty() && !parked {
             let p = self.pending.remove(&req).expect("present");
@@ -757,21 +778,20 @@ impl SoftNode {
     /// it still owes a storage confirmation for (the heal-recovery path —
     /// repair alone cannot restore a write no live owner ever received).
     fn peer_restored(&mut self, ctx: &mut Ctx<'_, DropletMsg>, peer: NodeId) {
-        let mut refetches: Vec<(u64, u64, Version)> = Vec::new();
+        let mut refetches: Vec<(u64, Query)> = Vec::new();
         for (&req, p) in &mut self.pending {
             let PendingOp::Get { key_hash, version, unreached } = &mut p.op else { continue };
             if let Some(pos) = unreached.iter().position(|&n| n == peer) {
                 unreached.remove(pos);
                 p.waiting.push(peer);
-                refetches.push((req, *key_hash, *version));
+                refetches.push((req, Query::Get { key_hash: *key_hash, version: *version }));
             }
         }
-        refetches.sort_unstable_by_key(|&(req, ..)| req);
-        for (req, key_hash, version) in refetches {
+        refetches.sort_unstable_by_key(|&(req, _)| req);
+        for (req, query) in refetches {
             // A traced re-fetch opens a fresh wait span (the critical-path
             // walk credits the retry, not the first attempt).
-            let trace = self.trace_wait(ctx, req, peer, "soft.fetch_wait");
-            ctx.send(peer, DropletMsg::Fetch { req, key_hash, version, trace });
+            self.ask(ctx, req, &[peer], query);
         }
         let mut owed: Vec<StoredTuple> = self
             .undelivered
@@ -812,19 +832,40 @@ impl SoftNode {
         out
     }
 
-    /// Registers a scan or aggregate that went out to every persist peer —
-    /// unless one of them is already known dead: it will never answer and
-    /// neither op has a partial result to report, so the session times out
-    /// on its own and the replies that do come find no entry.
-    fn await_every_peer(
+    /// Sends `query` to each target, each under its own wait span.
+    fn ask(&mut self, ctx: &mut Ctx<'_, DropletMsg>, req: u64, targets: &[NodeId], query: Query) {
+        let label = match query {
+            Query::Get { .. } => "soft.fetch_wait",
+            Query::Tag(_) => "soft.tagfetch_wait",
+            Query::Range { .. } => "soft.scan_wait",
+            Query::Aggregate => "soft.agg_wait",
+        };
+        for &t in targets {
+            let trace = self.trace_wait(ctx, req, t, label);
+            ctx.send(t, DropletMsg::Ask { req, query, trace });
+        }
+    }
+
+    /// Asks every persist peer `query` for a scan or aggregate and registers
+    /// the op — unless a peer is already known dead: it will never answer
+    /// and neither op has a partial result to report, so the session times
+    /// out on its own and the replies that do come find no entry. With no
+    /// persist peers at all the op completes at once, empty.
+    fn ask_every_peer(
         &mut self,
         ctx: &mut Ctx<'_, DropletMsg>,
         req: u64,
-        targets: Vec<NodeId>,
+        query: Query,
         op: PendingOp,
     ) {
-        if targets.iter().all(|t| self.reachable.contains(t)) {
-            self.pending.insert(req, Pending { waiting: targets, started: ctx.now(), op });
+        let p = Pending { waiting: self.persist.peers.clone(), started: ctx.now(), op };
+        if p.waiting.is_empty() {
+            self.finish(ctx, req, p);
+            return;
+        }
+        self.ask(ctx, req, &p.waiting, query);
+        if p.waiting.iter().all(|t| self.reachable.contains(t)) {
+            self.pending.insert(req, p);
         }
     }
 
@@ -877,10 +918,7 @@ impl SoftNode {
         // and never answer "not found" while one of them may hold the key.
         let (waiting, unreached): (Vec<NodeId>, Vec<NodeId>) =
             targets.into_iter().partition(|t| self.reachable.contains(t));
-        for &t in &waiting {
-            let trace = self.trace_wait(ctx, req, t, "soft.fetch_wait");
-            ctx.send(t, DropletMsg::Fetch { req, key_hash, version: latest, trace });
-        }
+        self.ask(ctx, req, &waiting, Query::Get { key_hash, version: latest });
         let op = PendingOp::Get { key_hash, version: latest, unreached };
         self.pending.insert(req, Pending { waiting, started: ctx.now(), op });
     }
@@ -906,38 +944,18 @@ impl SoftNode {
                 self.start_read(ctx, req, &key);
             }
             ClientOp::Scan { lo, hi } => {
-                let targets = self.persist.peers.clone();
                 self.trace_coord(ctx, req, trace, "soft.scan");
-                if targets.is_empty() {
-                    self.complete(ctx, req, Done::Scan(Vec::new()), true);
-                    return;
-                }
-                for &t in &targets {
-                    let trace = self.trace_wait(ctx, req, t, "soft.scan_wait");
-                    ctx.send(t, DropletMsg::ScanReq { req, lo, hi, trace });
-                }
                 let op = PendingOp::Scan { items: Vec::new() };
-                self.await_every_peer(ctx, req, targets, op);
+                self.ask_every_peer(ctx, req, Query::Range { lo, hi }, op);
             }
             ClientOp::Aggregate => {
-                let targets = self.persist.peers.clone();
                 self.trace_coord(ctx, req, trace, "soft.agg");
-                if targets.is_empty() {
-                    let sketch = dd_estimation::DistSketch::new(16);
-                    let (min, max) = (f64::INFINITY, f64::NEG_INFINITY);
-                    self.complete(ctx, req, Done::Aggregate { sketch, min, max }, true);
-                    return;
-                }
-                for &t in &targets {
-                    let trace = self.trace_wait(ctx, req, t, "soft.agg_wait");
-                    ctx.send(t, DropletMsg::AggReq { req, trace });
-                }
                 let op = PendingOp::Aggregate {
-                    sketch: dd_estimation::DistSketch::new(512),
+                    sketch: DistSketch::new(SKETCH_K),
                     min: f64::INFINITY,
                     max: f64::NEG_INFINITY,
                 };
-                self.await_every_peer(ctx, req, targets, op);
+                self.ask_every_peer(ctx, req, Query::Aggregate, op);
             }
             ClientOp::MultiPut(items) => {
                 ctx.metrics().incr("soft.multi_puts");
@@ -963,7 +981,7 @@ impl SoftNode {
                         Some(c) if self.reachable.contains(&c) => {
                             waiting.push(c);
                             let trace = self.trace_wait(ctx, req, c, "soft.subput_wait");
-                            ctx.send(c, DropletMsg::SubPut { req, origin: me, item, trace });
+                            ctx.send(c, DropletMsg::SubPut { req, item, trace });
                         }
                         _ => {}
                     }
@@ -984,10 +1002,7 @@ impl SoftNode {
                     targets.into_iter().partition(|t| self.reachable.contains(t));
                 ctx.metrics().observe("multi_get.contacted_nodes", waiting.len() as f64);
                 ctx.metrics().add("multi_get.msgs", waiting.len() as u64);
-                for &t in &waiting {
-                    let trace = self.trace_wait(ctx, req, t, "soft.tagfetch_wait");
-                    ctx.send(t, DropletMsg::TagFetch { req, tag_hash, trace });
-                }
+                self.ask(ctx, req, &waiting, Query::Tag(tag_hash));
                 // With nothing answerable the result is empty, and full
                 // only when there were no owners at all to ask.
                 let op = PendingOp::MultiGet { items: Vec::new(), full: skipped.is_empty() };
@@ -1014,56 +1029,23 @@ impl SoftNode {
                     _ => self.coordinate(ctx, req, op, trace),
                 }
             }
-            DropletMsg::SubPut { req, origin, item, trace } => {
+            DropletMsg::SubPut { req, item, trace } => {
                 ctx.metrics().incr("soft.sub_puts");
                 let (key_hash, version) = self.order_and_disseminate(ctx, item, false, trace);
-                ctx.send(origin, DropletMsg::SubPutAck { req, key_hash, version });
+                let answer = Answer::Ordered { key_hash, version };
+                ctx.send(from, DropletMsg::Reply { req, answer });
             }
-            DropletMsg::SubPutAck { req, key_hash, version } => {
-                self.on_reply(ctx, req, from, |op| {
-                    if let PendingOp::MultiPut { versions, .. } = op {
-                        versions.push((key_hash, version));
-                    }
-                });
-            }
-            DropletMsg::TagFetchReply { req, items: found }
-            | DropletMsg::ScanReply { req, items: found } => {
-                self.on_reply(ctx, req, from, |op| {
-                    if let PendingOp::MultiGet { items, .. } | PendingOp::Scan { items } = op {
-                        items.extend(found);
-                    }
-                });
-            }
+            DropletMsg::Reply { req, answer } => self.on_reply(ctx, req, from, answer),
             DropletMsg::StoredAckBatch { acked } => {
                 for (key_hash, version) in acked {
                     self.note_stored(from, key_hash, version);
                 }
             }
-            DropletMsg::FetchReply { req, found: Some(t) } => {
-                // The first replica holding the version answers the read.
-                if self.pending.remove(&req).is_none() {
-                    return;
-                }
-                self.trace_reply(ctx, req, from);
-                self.metadata.add_holder(t.key_hash, t.version, from);
-                self.cache.put(t.key_hash, t.version, t.clone());
-                self.complete(ctx, req, Done::Read((!t.deleted).then_some(t)), true);
-            }
-            DropletMsg::FetchReply { req, found: None } => self.on_reply(ctx, req, from, |_| {}),
             DropletMsg::PeerDown(peer) if self.reachable.remove(&peer) => {
                 self.strike_peer(ctx, peer);
             }
             DropletMsg::PeerUp(peer) if self.reachable.insert(peer) => {
                 self.peer_restored(ctx, peer);
-            }
-            DropletMsg::AggReply { req, sketch: theirs, min: lo, max: hi } => {
-                self.on_reply(ctx, req, from, |op| {
-                    if let PendingOp::Aggregate { sketch, min, max } = op {
-                        sketch.merge(&theirs);
-                        *min = min.min(lo);
-                        *max = max.max(hi);
-                    }
-                });
             }
             _ => {}
         }
@@ -1477,13 +1459,13 @@ mod tests {
             n.on_message(ctx, me, DropletMsg::PeerUp(peer));
         });
         let fetches = refetched.iter().filter_map(|(to, msg)| match msg {
-            DropletMsg::Fetch { req, .. } if *to == peer => Some(*req),
+            DropletMsg::Ask { req, query: Query::Get { .. }, .. } if *to == peer => Some(*req),
             _ => None,
         });
         assert!(fetches.eq(of_kind(2)), "{refetched:?}");
         drive(&mut struck, 3, |n, ctx| {
             for req in of_kind(2) {
-                n.on_message(ctx, peer, DropletMsg::FetchReply { req, found: None });
+                n.on_message(ctx, peer, DropletMsg::Reply { req, answer: Answer::Found(None) });
             }
         });
         assert_eq!(struck.pending_ops(), 0);

@@ -3,10 +3,12 @@
 //! the typed, pipelined client sessions and, for whole experiments, the
 //! declarative scenario plane.
 
+use dd_core::cluster::DropletNode;
 use dd_core::{
     Cluster, ClusterConfig, Fault, Key, OpError, OpMix, Phase, Placement, Scenario, Tier,
     TupleSpec, Workload, WorkloadKind,
 };
+use dd_estimation::DistSketch;
 use dd_sim::churn::ChurnModel;
 use std::collections::HashMap;
 
@@ -134,6 +136,47 @@ fn aggregate_matches_oracle_extremes() {
     assert!((est - 50.0).abs() < 10.0, "distinct estimate {est}");
     let median = agg.quantile(0.5).unwrap();
     assert!((median - 50.0).abs() < 10.0, "median estimate {median}");
+}
+
+/// Once replicas hold more tuples than the sketch keeps, the merged
+/// sketch must still be the exact bottom-k of everything the persist
+/// layer stores, whatever the placement or the population size, so the
+/// distinct count holds.
+#[test]
+fn aggregate_sketch_is_the_global_bottom_k_under_any_placement() {
+    let n = 4_000;
+    let aggregate = |config: ClusterConfig| {
+        let mut c = settled(config, 12);
+        let mut client = c.client();
+        for batch in 0..n / 100 {
+            let items = (batch * 100..(batch + 1) * 100)
+                .map(|i| TupleSpec::new(format!("kmv:{i}"), vec![], Some(f64::from(i)), None));
+            let w = client.multi_put(&mut c, items);
+            client.recv(&mut c, w).expect("batch ordered");
+        }
+        c.run_for(5_000);
+        let a = client.aggregate(&mut c);
+        let agg = client.recv(&mut c, a).expect("aggregate completes");
+        let mut stored = DistSketch::new(agg.sketch().capacity());
+        for &id in c.persist_ids() {
+            let node = c.sim.node(id).and_then(DropletNode::as_persist).expect("persist node");
+            for t in node.store.values().filter(|t| !t.deleted) {
+                stored.observe(t.key_hash, t.attr.expect("every tuple has an attribute"));
+            }
+        }
+        assert_eq!(stored.len(), stored.capacity(), "the replicas hold more than k tuples");
+        assert_eq!(agg.sketch(), &stored, "the merge is the bottom-k of the stored tuples");
+        let est = agg.distinct_estimate();
+        let err = (est - f64::from(n)).abs() / f64::from(n);
+        assert!(err < 0.15, "distinct estimate {est} for {n} tuples");
+        agg
+    };
+    let range8 = aggregate(ClusterConfig::small().persist_n(8));
+    let range32 = aggregate(ClusterConfig::small().persist_n(32));
+    assert_eq!(range8.sketch(), range32.sketch(), "range placement, 8 vs 32 nodes");
+    // Uniform placement can leave a tuple with no owner, so its stored set
+    // (and sketch) may lack a few of the range placements' tuples.
+    aggregate(ClusterConfig::small().persist_n(8).placement(Placement::Uniform));
 }
 
 #[test]
