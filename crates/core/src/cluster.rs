@@ -493,9 +493,9 @@ impl Cluster {
             let soft = SoftNode::new(&soft_ids, Arc::clone(&persist), config.cache_capacity);
             sim.add_node(id, DropletNode::Soft(soft));
         }
-        for (i, (&id, sieve)) in persist_ids.iter().zip(&persist.sieves).enumerate() {
+        for (i, (&id, &sieve)) in persist_ids.iter().zip(&persist.sieves).enumerate() {
             let mut node = PersistNode::member(
-                sieve.clone(),
+                sieve,
                 Arc::clone(&peer_table),
                 i,
                 config.repair_period.map(Duration),
@@ -623,14 +623,13 @@ impl Cluster {
             if !self.sim.is_alive(a) {
                 continue;
             }
-            let Some(sieve) =
-                self.sim.node(a).and_then(DropletNode::as_persist).map(|p| p.sieve.clone())
+            let Some(sieve) = self.sim.node(a).and_then(DropletNode::as_persist).map(|p| p.sieve)
             else {
                 continue;
             };
             for &b in &ids {
                 if b != a && self.sim.is_alive(b) {
-                    self.sim.inject(a, b, DropletMsg::RepairDigest { sieve: sieve.clone() });
+                    self.sim.inject(a, b, DropletMsg::RepairDigest { sieve });
                 }
             }
         }

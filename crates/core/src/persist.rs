@@ -210,12 +210,12 @@ impl PersistNode {
 
     /// Whether this node should apply `tuple` when it arrives: the sieve
     /// decides for live tuples, but tombstones are wanted *everywhere*.
-    /// A tombstone carries no tag/attr, so a collocation or histogram
-    /// sieve would never deliver the delete to the very nodes storing the
-    /// live tuple; and because epidemic delivery is unordered, a
-    /// tombstone can arrive before the live tuple it supersedes — only a
-    /// node that kept it can then reject the stale live write. Tombstones
-    /// are empty-valued, so the cost is metadata-only.
+    /// A tombstone carries no tag, so a collocation sieve would never
+    /// deliver the delete to the very nodes storing the live tuple; and
+    /// because epidemic delivery is unordered, a tombstone can arrive
+    /// before the live tuple it supersedes — only a node that kept it can
+    /// then reject the stale live write. Tombstones are empty-valued, so
+    /// the cost is metadata-only.
     #[must_use]
     pub fn wants(&self, tuple: &StoredTuple) -> bool {
         wants_with(&self.sieve, tuple)
@@ -451,7 +451,7 @@ impl PersistNode {
         let mut peers: Vec<NodeId> = self.peers().collect();
         peers.shuffle(ctx.rng());
         for peer in peers.into_iter().take(count) {
-            ctx.send(peer, DropletMsg::RepairDigest { sieve: self.sieve.clone() });
+            ctx.send(peer, DropletMsg::RepairDigest { sieve: self.sieve });
         }
     }
 
@@ -508,7 +508,7 @@ impl PersistNode {
                 // projected through the initiator's sieve.
                 ctx.metrics().incr("repair.syncs");
                 let summary = self.shared_summary(&sieve);
-                ctx.send(from, DropletMsg::RepairSummary { sieve: self.sieve.clone(), summary });
+                ctx.send(from, DropletMsg::RepairSummary { sieve: self.sieve, summary });
             }
             DropletMsg::RepairSummary { sieve, summary } => {
                 // Step 3: compare against our own shared projection; equal
@@ -520,7 +520,7 @@ impl PersistNode {
                     let ids = self.shared_ids_in(&sieve, &diff);
                     ctx.send(
                         from,
-                        DropletMsg::RepairPull { sieve: self.sieve.clone(), buckets: diff, ids },
+                        DropletMsg::RepairPull { sieve: self.sieve, buckets: diff, ids },
                     );
                 }
             }
@@ -554,7 +554,7 @@ impl PersistNode {
             // reachable, so writes acked while it was dark flow over
             // without waiting for the next periodic round.
             DropletMsg::PeerUp(peer) if self.repair_period.is_some() => {
-                ctx.send(peer, DropletMsg::RepairDigest { sieve: self.sieve.clone() });
+                ctx.send(peer, DropletMsg::RepairDigest { sieve: self.sieve });
             }
             _ => {}
         }
@@ -591,7 +591,7 @@ impl PersistNode {
             return;
         }
         if let Some(peer) = self.pick_repair_peer(ctx.rng()) {
-            ctx.send(peer, DropletMsg::RepairDigest { sieve: self.sieve.clone() });
+            ctx.send(peer, DropletMsg::RepairDigest { sieve: self.sieve });
         }
         if let Some(period) = self.repair_period {
             ctx.set_timer(period, REPAIR_TIMER);
@@ -782,7 +782,7 @@ mod tests {
     #[test]
     fn items_for_peer_respects_their_sieve_and_digest() {
         let all = SieveSpec::Range { index: 0, of: 1, r: 1 };
-        let mut n = PersistNode::new(all.clone(), vec![], None);
+        let mut n = PersistNode::new(all, vec![], None);
         // 8-segment sieve for the peer: accepts only a fraction of keys.
         let peer_sieve = SieveSpec::Range { index: 0, of: 8, r: 1 };
         for i in 0..64 {
@@ -842,7 +842,7 @@ mod tests {
     #[test]
     fn scratch_diff_agrees_with_fresh_summaries_across_rounds() {
         let all = SieveSpec::Range { index: 0, of: 1, r: 1 };
-        let mut a = PersistNode::new(all.clone(), vec![], None);
+        let mut a = PersistNode::new(all, vec![], None);
         let mut b = PersistNode::new(all, vec![], None);
         for i in 0..40 {
             a.apply(tuple(&format!("k{i}"), 1));
@@ -852,7 +852,7 @@ mod tests {
         }
         // Several rounds over a changing store: the reused scratch must
         // match a freshly allocated summary every time.
-        let (a_sieve, b_sieve) = (a.sieve.clone(), b.sieve.clone());
+        let (a_sieve, b_sieve) = (a.sieve, b.sieve);
         for round in 0..4 {
             let theirs = b.shared_summary(&a_sieve);
             let fresh = a.shared_summary(&b_sieve).diff(&theirs);
@@ -914,7 +914,7 @@ mod tests {
         let all = SieveSpec::Range { index: 0, of: 1, r: 1 };
         let table: Arc<[NodeId]> = (10..17).map(NodeId).collect();
         for me in 0..table.len() {
-            let n = PersistNode::member(all.clone(), Arc::clone(&table), me, None);
+            let n = PersistNode::member(all, Arc::clone(&table), me, None);
             let others: Vec<NodeId> = table.iter().copied().filter(|&p| p != table[me]).collect();
             assert_eq!(n.peers().collect::<Vec<_>>(), others, "everyone but me, in table order");
             for seed in 0..1_000 {
@@ -938,7 +938,7 @@ mod tests {
     #[test]
     fn converged_pair_exchanges_two_constant_size_messages() {
         let all = SieveSpec::Range { index: 0, of: 1, r: 1 };
-        let mut a = PersistNode::new(all.clone(), vec![], None);
+        let mut a = PersistNode::new(all, vec![], None);
         let mut b = PersistNode::new(all, vec![], None);
         for i in 0..100 {
             a.apply(tuple(&format!("k{i}"), 1));
@@ -952,7 +952,7 @@ mod tests {
     #[test]
     fn empty_stores_agree_on_an_empty_digest() {
         let all = SieveSpec::Range { index: 0, of: 1, r: 1 };
-        let mut a = PersistNode::new(all.clone(), vec![], None);
+        let mut a = PersistNode::new(all, vec![], None);
         let mut b = PersistNode::new(all, vec![], None);
         assert!(a.shared_summary(&b.sieve).is_empty());
         assert_eq!(reconcile(&mut a, &mut b), 2, "nothing to pull from empty stores");
@@ -961,7 +961,7 @@ mod tests {
     #[test]
     fn disjoint_stores_converge_in_one_round() {
         let all = SieveSpec::Range { index: 0, of: 1, r: 1 };
-        let mut a = PersistNode::new(all.clone(), vec![], None);
+        let mut a = PersistNode::new(all, vec![], None);
         let mut b = PersistNode::new(all, vec![], None);
         for i in 0..20 {
             a.apply(tuple(&format!("a{i}"), 1));
@@ -1032,7 +1032,7 @@ mod tests {
     #[test]
     fn repair_delta_reports_what_each_side_lacks() {
         let all = SieveSpec::Range { index: 0, of: 1, r: 1 };
-        let mut a = PersistNode::new(all.clone(), vec![], None);
+        let mut a = PersistNode::new(all, vec![], None);
         let mut b = PersistNode::new(all, vec![], None);
         let shared = tuple("both", 1);
         let only_a = tuple("mine", 1);

@@ -9,7 +9,9 @@
 //! **never allocates and never constructs** a `dd-sieve` object: each
 //! answer is a closed form on the spec's own fields, bit-identical to the
 //! concrete sieve built from them (the oracle in `tests/properties.rs`).
-//! With `ahead(a, b, m) = (b − a) mod m`:
+//! The spec has exactly the three forms a `Placement` builds; the other
+//! `dd-sieve` sieves (histogram, capacity) are experiment-only. With
+//! `ahead(a, b, m) = (b − a) mod m`:
 //!
 //! * `Range { index, of, r }`: hash `h` lies in segment
 //!   `min(h / (u64::MAX / of), of − 1)` — the last segment absorbs the
@@ -19,11 +21,6 @@
 //! * `Tag { slot, slots, r }`: kept iff `ahead(home, slot, slots) < r` for
 //!   the tag's `TagSieve::home_slot`; untagged items use the uniform form
 //!   with `salt = slot`, `n = slots`.
-//! * `Histogram { edges, index, r }`: with `B = edges.len() + 1`, kept iff
-//!   `ahead(index, bucket, B) < r` for `bucket = partition_point(e ≤ attr)`
-//!   on the *borrowed* edges, which must be finite and ascending (checked
-//!   by `HistogramSieve::new`, not re-walked per call); items without the
-//!   attribute use the uniform form with `salt = index ^ 0x41B0`, `n = B`.
 
 use crate::tuple::StoredTuple;
 use dd_sieve::{ItemMeta, TagSieve};
@@ -31,7 +28,7 @@ use dd_sim::rng::{fnv1a, mix};
 use dd_sim::NodeId;
 
 /// A sieve as shippable data.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SieveSpec {
     /// `r`-fold key-range partition: this node is segment `index` of `of`.
     Range {
@@ -59,15 +56,6 @@ pub enum SieveSpec {
         /// Total slots.
         slots: u64,
         /// Replication degree.
-        r: u32,
-    },
-    /// Distribution-aware: equi-depth bucket ownership in the value domain.
-    Histogram {
-        /// Interior bucket edges (ascending).
-        edges: Vec<f64>,
-        /// Starting bucket index.
-        index: usize,
-        /// Replication degree (consecutive buckets).
         r: u32,
     },
 }
@@ -144,14 +132,6 @@ impl SieveSpec {
                     None => uniform_accepts(slot, r, slots, item.key_hash),
                 }
             }
-            SieveSpec::Histogram { ref edges, index, r } => {
-                let (index, buckets) = (index as u64, edges.len() as u64 + 1);
-                check(buckets, r, index);
-                match item.attr {
-                    Some(a) => within(index, edges.partition_point(|&e| e <= a) as u64, buckets, r),
-                    None => uniform_accepts(index ^ 0x41B0, r, buckets, item.key_hash),
-                }
-            }
         }
     }
 
@@ -165,12 +145,6 @@ impl SieveSpec {
                 .fold(fnv1a(b"range-sieve"), |acc, (start, end)| mix(acc, mix(start, end))),
             SieveSpec::Uniform { salt, .. } => mix(0x5EED, salt),
             SieveSpec::Tag { slot, slots, r } => mix(mix(slot, slots), u64::from(r) ^ 0x7A65),
-            SieveSpec::Histogram { ref edges, index, r } => {
-                let (index, buckets) = (index as u64, edges.len() as u64 + 1);
-                check(buckets, r, index);
-                (0..u64::from(r).min(buckets))
-                    .fold(mix(0x41B0, buckets), |acc, k| mix(acc, (index + k) % buckets))
-            }
         }
     }
 
@@ -183,10 +157,6 @@ impl SieveSpec {
             }
             SieveSpec::Uniform { r, n, .. } => uniform_grain(r, n),
             SieveSpec::Tag { slots, r, .. } => uniform_grain(r, slots),
-            SieveSpec::Histogram { ref edges, r, .. } => {
-                let buckets = edges.len() as u64 + 1;
-                u64::from(r).min(buckets) as f64 / buckets as f64
-            }
         }
     }
 
@@ -202,9 +172,9 @@ impl SieveSpec {
 /// The persistent layer as a coordinator sees it: every persist node's id
 /// and sieve, plus the inverse map from an item to the peers that keep it.
 /// A homogeneous `Range` population is tabled by segment and a homogeneous
-/// `Tag` population by tag home slot (O(r) per lookup); `Uniform`,
-/// `Histogram`, mixed populations and untagged items under `Tag` ask each
-/// sieve in turn (O(N), allocation-free). Owners come back in peer order.
+/// `Tag` population by tag home slot (O(r) per lookup); `Uniform`, mixed
+/// populations and untagged items under `Tag` ask each sieve in turn
+/// (O(N), allocation-free). Owners come back in peer order.
 #[derive(Debug, Default)]
 pub struct OwnerIndex {
     /// All persistent-layer node ids.
@@ -353,15 +323,6 @@ mod tests {
         let c = SieveSpec::Range { index: 2, of: 4, r: 2 };
         assert_eq!(a.class_id(), b.class_id());
         assert_ne!(a.class_id(), c.class_id());
-    }
-
-    #[test]
-    fn histogram_spec_accepts_by_attr() {
-        let spec = SieveSpec::Histogram { edges: vec![10.0, 20.0], index: 1, r: 1 };
-        let mid = ItemMeta::from_key(b"m").with_attr(15.0);
-        let low = ItemMeta::from_key(b"l").with_attr(5.0);
-        assert!(spec.accepts(&mid));
-        assert!(!spec.accepts(&low));
     }
 
     #[test]

@@ -57,7 +57,6 @@ fn evaluating_a_sieve_spec_never_allocates() {
         SieveSpec::Range { index: 38, of: 40, r: 3 },
         SieveSpec::Uniform { salt: 7, r: 3, n: 40 },
         SieveSpec::Tag { slot: 5, slots: 36, r: 3 },
-        SieveSpec::Histogram { edges: (1..40).map(f64::from).collect(), index: 38, r: 3 },
     ];
     for spec in &specs {
         let used = allocated_by(|| {

@@ -303,7 +303,7 @@ mod interning {
 mod placement {
     use super::*;
     use dd_core::OwnerIndex;
-    use dd_sieve::{HistogramSieve, RangeSieve, Sieve, TagSieve, UniformSieve};
+    use dd_sieve::{RangeSieve, Sieve, TagSieve, UniformSieve};
     use dd_sim::rng::mix;
     use dd_sim::NodeId;
 
@@ -375,7 +375,7 @@ mod placement {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// All four variants, `of` rarely dividing 2⁶⁴ and `r` on both
+        /// All three variants, `of` rarely dividing 2⁶⁴ and `r` on both
         /// sides of `of`, probed at the partition seams and at random.
         #[test]
         fn closed_forms_equal_the_concrete_sieves(
@@ -383,12 +383,9 @@ mod placement {
             pick in any::<u64>(),
             r in 1u32..260,
             random in prop::collection::vec(any::<u64>(), 8),
-            mut edges in prop::collection::vec(-1000.0f64..1000.0, 1..24),
+            attrs in prop::collection::vec(-1000.0f64..1000.0, 1..4),
         ) {
             let index = pick % of;
-            edges.sort_by(f64::total_cmp);
-            let mut attrs = vec![edges[0] - 1.0, edges[edges.len() - 1] + 1.0, 0.0];
-            attrs.extend(edges.iter().copied());
             let mut hashes = seam_hashes(of);
             hashes.extend(random);
             let items = items(&hashes, &attrs, pick);
@@ -411,18 +408,12 @@ mod placement {
                 &TagSieve::new(index, of, r),
                 &items,
             );
-            let bucket = (pick % (edges.len() as u64 + 1)) as usize;
-            assert_same(
-                &SieveSpec::Histogram { edges: edges.clone(), index: bucket, r },
-                &HistogramSieve::new(edges, bucket, r),
-                &items,
-            );
         }
 
         /// Indexed lookup returns the scan's owners, in peer order, for
         /// every population shape the index distinguishes — tabled
         /// (`Range`, `Tag`, either with positions permuted against peer
-        /// order) and scanned (`Uniform`, `Histogram`, mixed). A tag read
+        /// order) and scanned (`Uniform`, mixed). A tag read
         /// asks the tag's slot-runners in slot order under `Tag`, and
         /// every peer otherwise.
         #[test]
@@ -435,7 +426,6 @@ mod placement {
             // Descending ids: peer order is list order, not id order.
             let peers: Vec<NodeId> = (0..n).map(|i| NodeId(1000 - i)).collect();
             let shuffled = permutation(n, seed);
-            let edges: Vec<f64> = (1..n).map(|k| k as f64 * 10.0).collect();
             let range = |i: u64| SieveSpec::default_for(i, n, r);
             let tag = |i: u64| SieveSpec::Tag { slot: i, slots: n, r };
             let uniform = |i: u64| SieveSpec::Uniform { salt: mix(seed, i), r, n };
@@ -443,9 +433,6 @@ mod placement {
                 (0..n).map(range).collect(),
                 (0..n).map(tag).collect(),
                 (0..n).map(uniform).collect(),
-                (0..n)
-                    .map(|i| SieveSpec::Histogram { edges: edges.clone(), index: i as usize, r })
-                    .collect(),
                 (0..n).map(|i| if i % 3 == 0 { tag(i) } else { range(i) }).collect(),
                 // One sieve of another partition makes the whole list mixed.
                 (0..n).map(|i| if i == 0 { SieveSpec::default_for(0, 1, r) } else { range(i) })

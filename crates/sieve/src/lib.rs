@@ -25,6 +25,12 @@
 //!
 //! [`coverage`] provides the checker for the correctness requirement (full
 //! key-space coverage ⇒ no data loss).
+//!
+//! The store runs three of these: a `dd_core::Placement` builds a range,
+//! uniform or tag `dd_core::SieveSpec`, whose closed forms the property
+//! tests hold bit-identical to [`RangeSieve`], [`UniformSieve`] and
+//! [`TagSieve`]. [`HistogramSieve`] (E08) and [`CapacitySieve`] (E03) are
+//! experiment-only: no cluster runs them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
