@@ -6,7 +6,7 @@ use crate::config::FuzzConfig;
 use crate::gen::{generate, Case};
 use crate::run::{run_case, Verdict};
 use crate::shrink::{shrink, ShrinkStats};
-use dd_core::ViolationKind;
+use dd_core::{Planes, ViolationKind};
 use std::time::{Duration, Instant};
 
 /// How a campaign walks the seed space and when it stops.
@@ -71,6 +71,38 @@ impl Finding {
     pub fn snippet(&self) -> String {
         self.case.snippet()
     }
+
+    /// Re-runs the minimal case with the audit, trace and telemetry planes
+    /// on, so a finding arrives with its own diagnosis attached. Every
+    /// plane is passive: the re-run witnesses the same verdict.
+    #[must_use]
+    pub fn observe(&self) -> Observation {
+        let mut case = self.case.clone();
+        case.scenario.planes = Planes { audit: true, trace: true, telemetry: true };
+        let result = run_case(&case);
+        let report = result.report.as_ref();
+        Observation {
+            verdict: result.verdict,
+            trace_json: report
+                .and_then(|r| r.trace.as_ref())
+                .map_or_else(String::new, |t| t.set.to_chrome_json()),
+            telemetry_csv: report
+                .and_then(|r| r.telemetry.as_ref())
+                .map_or_else(String::new, |t| t.data.to_csv()),
+        }
+    }
+}
+
+/// What an observed re-run of a finding exports ([`Finding::observe`]).
+/// Both exports are empty when the re-run panicked.
+#[derive(Debug, Clone)]
+pub struct Observation {
+    /// The re-run's verdict.
+    pub verdict: Verdict,
+    /// Every op's span tree as Chrome trace-event JSON.
+    pub trace_json: String,
+    /// Every sampled telemetry series as CSV.
+    pub telemetry_csv: String,
 }
 
 /// Everything a campaign learned, censused.

@@ -25,7 +25,10 @@
 //! 4. **Report** ([`run_campaign`]): census verdicts across a seed range,
 //!    emit every shrunk finding as a self-contained runnable Rust snippet
 //!    ([`Case::snippet`]), and summarise the campaign as JSON
-//!    ([`CampaignSummary::to_json`] → `BENCH_fuzz.json`).
+//!    ([`CampaignSummary::to_json`] → `BENCH_fuzz.json`). The binary
+//!    re-runs each finding with every observer plane on
+//!    ([`Finding::observe`]) and writes its Chrome trace and telemetry CSV
+//!    beside the summary.
 //!
 //! Two stock profiles: [`FuzzConfig::smoke`] is the CI tier (hundreds of
 //! small seeds in seconds, see `tests/smoke.rs`), [`FuzzConfig::soak`] the
@@ -50,7 +53,7 @@ pub mod gen;
 pub mod run;
 pub mod shrink;
 
-pub use campaign::{run_campaign, CampaignPlan, CampaignSummary, Finding};
+pub use campaign::{run_campaign, CampaignPlan, CampaignSummary, Finding, Observation};
 pub use config::{Bounds, EnvWeights, FaultWeights, FuzzConfig};
 pub use gen::{generate, Case};
 pub use run::{run_case, RunResult, Verdict};

@@ -1,13 +1,16 @@
 //! The `dd-fuzz` soak binary: sweep a seed range (optionally sharded),
 //! shrink every finding, write a JSON campaign summary, and exit nonzero
-//! if any safety violation or panic survives shrinking.
+//! if any safety violation or panic survives shrinking. Each finding is
+//! re-run with every observer plane on; its Chrome trace and telemetry CSV
+//! land in `<stem>_findings/` beside `--out <stem>.json`.
 //!
 //! ```text
 //! dd-fuzz [--config smoke|soak] [--seed-start N] [--seeds N]
 //!         [--budget-secs N] [--shard I:K] [--out PATH] [--quiet]
 //! ```
 
-use dd_fuzz::{run_campaign, CampaignPlan, FuzzConfig, Verdict};
+use dd_fuzz::{run_campaign, CampaignPlan, Finding, FuzzConfig, Observation, Verdict};
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 struct Args {
@@ -78,6 +81,29 @@ fn parse_args() -> Args {
     args
 }
 
+/// Where each finding's trace and telemetry go: `<stem>_findings` beside
+/// `--out <stem>.json`.
+fn findings_dir(out: &str) -> PathBuf {
+    let out = Path::new(out);
+    let stem = out.file_stem().unwrap_or_default().to_string_lossy();
+    out.with_file_name(format!("{stem}_findings"))
+}
+
+/// Writes `seed-<N>.trace.json` and `seed-<N>.telemetry.csv` per finding.
+fn write_observations(
+    dir: &Path,
+    findings: &[Finding],
+    observations: &[Observation],
+) -> std::io::Result<()> {
+    std::fs::create_dir_all(dir)?;
+    for (finding, seen) in findings.iter().zip(observations) {
+        let seed = finding.seed;
+        std::fs::write(dir.join(format!("seed-{seed}.trace.json")), &seen.trace_json)?;
+        std::fs::write(dir.join(format!("seed-{seed}.telemetry.csv")), &seen.telemetry_csv)?;
+    }
+    Ok(())
+}
+
 fn main() {
     let args = parse_args();
     let cfg = match args.config_name.as_str() {
@@ -104,6 +130,7 @@ fn main() {
         std::panic::set_hook(Box::new(|_| {}));
     }
     let summary = run_campaign(&cfg, &plan);
+    let observations: Vec<Observation> = summary.findings.iter().map(Finding::observe).collect();
     let _ = std::panic::take_hook();
 
     println!(
@@ -144,6 +171,14 @@ fn main() {
         std::process::exit(2);
     }
     println!("wrote {}", args.out);
+    if !summary.findings.is_empty() {
+        let dir = findings_dir(&args.out);
+        if let Err(e) = write_observations(&dir, &summary.findings, &observations) {
+            eprintln!("dd-fuzz: could not write {}: {e}", dir.display());
+            std::process::exit(2);
+        }
+        println!("wrote the trace and telemetry of each finding to {}", dir.display());
+    }
 
     let safety_findings = summary.safety_findings();
     if !safety_findings.is_empty() {

@@ -96,6 +96,17 @@ fn emitted_minimal_cases_replay_byte_identically_and_keep_their_verdict() {
 }
 
 #[test]
+fn an_observed_rerun_keeps_the_verdict_and_exports_trace_and_telemetry() {
+    let summary = run_campaign(&FuzzConfig::smoke(), &CampaignPlan::sweep(0, 30));
+    let finding = summary.findings.first().expect("the smoke window starts with known findings");
+    let seen = finding.observe();
+    assert_eq!(seen.verdict, finding.verdict, "observation is passive");
+    // Beyond the header each export always carries: a span, a sample.
+    assert!(seen.trace_json.contains(r#""ph":"X""#), "{}", seen.trace_json);
+    assert!(seen.telemetry_csv.lines().count() > 1, "{}", seen.telemetry_csv);
+}
+
+#[test]
 fn a_panicking_case_is_classified_not_propagated() {
     // Scenario validation cannot see the cluster spec; a zero-node
     // persist layer trips Cluster::new's assertion, which run_case must
