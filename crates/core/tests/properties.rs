@@ -442,8 +442,7 @@ mod placement {
             ];
             let mut tuples = Vec::new();
             for (i, key) in keys.iter().enumerate() {
-                let value = (mix(seed, i as u64) % (n * 10 + 20)) as f64 - 10.0;
-                let attr = (i % 2 == 0).then_some(value);
+                let attr = (i % 2 == 0).then_some(i as f64);
                 let tag = (i % 3 != 0).then(|| format!("feed:{}", i % 4));
                 let key = Key::from(key.as_str());
                 let tag = tag.as_deref();

@@ -93,12 +93,7 @@ fn emitted_minimal_cases_replay_byte_identically_and_keep_their_verdict() {
     let snippet = finding.snippet();
     assert!(snippet.contains("run_scenario(&scenario)"));
     assert!(snippet.contains(&format!("Cluster::new(config, {})", finding.seed)));
-}
-
-#[test]
-fn an_observed_rerun_keeps_the_verdict_and_exports_trace_and_telemetry() {
-    let summary = run_campaign(&FuzzConfig::smoke(), &CampaignPlan::sweep(0, 30));
-    let finding = summary.findings.first().expect("the smoke window starts with known findings");
+    // The observed re-run the binary exports beside the census.
     let seen = finding.observe();
     assert_eq!(seen.verdict, finding.verdict, "observation is passive");
     // Beyond the header each export always carries: a span, a sample.
