@@ -9,7 +9,7 @@
 //!         [--budget-secs N] [--shard I:K] [--out PATH] [--quiet]
 //! ```
 
-use dd_fuzz::{run_campaign, CampaignPlan, Finding, FuzzConfig, Observation, Verdict};
+use dd_fuzz::{run_campaign, CampaignPlan, Finding, FuzzConfig, Verdict};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -89,15 +89,12 @@ fn findings_dir(out: &str) -> PathBuf {
     out.with_file_name(format!("{stem}_findings"))
 }
 
-/// Writes `seed-<N>.trace.json` and `seed-<N>.telemetry.csv` per finding.
-fn write_observations(
-    dir: &Path,
-    findings: &[Finding],
-    observations: &[Observation],
-) -> std::io::Result<()> {
+/// Re-runs each finding observed and writes its `seed-<N>.trace.json` and
+/// `seed-<N>.telemetry.csv` into `dir`.
+fn write_observations(dir: &Path, findings: &[Finding]) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
-    for (finding, seen) in findings.iter().zip(observations) {
-        let seed = finding.seed;
+    for finding in findings {
+        let (seed, seen) = (finding.seed, finding.observe());
         std::fs::write(dir.join(format!("seed-{seed}.trace.json")), &seen.trace_json)?;
         std::fs::write(dir.join(format!("seed-{seed}.telemetry.csv")), &seen.telemetry_csv)?;
     }
@@ -130,8 +127,6 @@ fn main() {
         std::panic::set_hook(Box::new(|_| {}));
     }
     let summary = run_campaign(&cfg, &plan);
-    let observations: Vec<Observation> = summary.findings.iter().map(Finding::observe).collect();
-    let _ = std::panic::take_hook();
 
     println!(
         "dd-fuzz {}: {} seeds in {:.1}s ({:.1} scenarios/s)",
@@ -173,12 +168,13 @@ fn main() {
     println!("wrote {}", args.out);
     if !summary.findings.is_empty() {
         let dir = findings_dir(&args.out);
-        if let Err(e) = write_observations(&dir, &summary.findings, &observations) {
+        if let Err(e) = write_observations(&dir, &summary.findings) {
             eprintln!("dd-fuzz: could not write {}: {e}", dir.display());
             std::process::exit(2);
         }
         println!("wrote the trace and telemetry of each finding to {}", dir.display());
     }
+    let _ = std::panic::take_hook();
 
     let safety_findings = summary.safety_findings();
     if !safety_findings.is_empty() {
