@@ -149,7 +149,31 @@ pub enum Violation {
         acked: Version,
         /// Version the live replicas converged on (`None`: key absent).
         converged: Option<Version>,
+        /// Why the write was lost. The checker alone cannot see owners and
+        /// leaves it `None`; an audited cluster run attributes every one.
+        cause: Option<LostCause>,
     },
+}
+
+/// Why an acknowledged write is on no live replica, judged from the
+/// write's owners and their liveness once the audit has settled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LostCause {
+    /// Every owner was down: the paper's bounded durability.
+    AllOwnersDown,
+    /// An owner was live yet lacked the acknowledged version.
+    LiveOwnerMissing,
+}
+
+impl LostCause {
+    /// The stable label of this cause (recorded in BENCH artifacts).
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            LostCause::AllOwnersDown => "all-owners-down",
+            LostCause::LiveOwnerMissing => "live-owner-missing",
+        }
+    }
 }
 
 /// The stable discriminant of a [`Violation`], independent of its witness
@@ -652,13 +676,19 @@ pub fn check_convergence(history: &History, snapshot: &[ReplicaTuple]) -> Vec<Vi
                 key: (*key).to_owned(),
                 acked: oracle.latest(key),
                 converged: Some(agreed),
+                cause: None,
             });
         }
     }
     // Acked keys with no live replica at all: the write is gone.
     for (key, acked) in oracle.iter() {
         if !by_key.contains_key(key) {
-            out.push(Violation::LostWrite { key: key.to_owned(), acked, converged: None });
+            out.push(Violation::LostWrite {
+                key: key.to_owned(),
+                acked,
+                converged: None,
+                cause: None,
+            });
         }
     }
     out

@@ -181,6 +181,26 @@ impl History {
         self.by_req.get(&req).map(|&i| &self.ops[i])
     }
 
+    /// The write whose acknowledgement gave `key` the version `version` —
+    /// a put, a delete or a batch holding the key — first in invocation
+    /// order.
+    #[must_use]
+    pub fn acked_write(&self, key: &str, version: Version) -> Option<&OpDesc> {
+        self.ops.iter().find_map(|op| {
+            let acked = match (&op.desc, op.outcome.as_ref()?) {
+                (
+                    OpDesc::Put { key: k, .. } | OpDesc::Delete { key: k },
+                    Outcome::Write { version: v },
+                ) => k == key && *v == version,
+                (OpDesc::MultiPut { keys, .. }, Outcome::MultiPut { versions, .. }) => {
+                    resolve_batch_acks(keys, versions).any(|kv| kv == (key, version))
+                }
+                _ => false,
+            };
+            acked.then_some(&op.desc)
+        })
+    }
+
     /// Records an invocation. Later invocations must carry later-or-equal
     /// times (the recorder is fed from one virtual clock).
     pub fn record_invoke(
@@ -309,5 +329,26 @@ mod tests {
         let rebuilt = History::from_ops(h.ops().to_vec());
         assert_eq!(rebuilt, h);
         assert_eq!(rebuilt.op(1).unwrap().invoked, 0);
+    }
+
+    #[test]
+    fn acked_write_finds_the_op_behind_a_version() {
+        let mut rec = Recorder::new();
+        let put = OpDesc::Put { key: "a".into(), tag: Some("t".into()) };
+        rec.invoke(1, 1, 0, put.clone());
+        rec.complete(1, 4, Outcome::Write { version: Version(1) });
+        rec.invoke(2, 1, 5, OpDesc::Delete { key: "a".into() });
+        rec.complete(2, 9, Outcome::Write { version: Version(2) });
+        let batch = OpDesc::MultiPut { keys: vec!["b".into(), "a".into()], tag: None };
+        rec.invoke(3, 1, 10, batch.clone());
+        let ah = dd_sim::rng::stable_hash(b"a");
+        rec.complete(3, 15, Outcome::MultiPut { versions: vec![(ah, Version(3))], want: 2 });
+        rec.invoke(4, 1, 16, OpDesc::Put { key: "a".into(), tag: None });
+        let h = rec.finish();
+        assert_eq!(h.acked_write("a", Version(1)), Some(&put));
+        assert_eq!(h.acked_write("a", Version(2)), Some(&OpDesc::Delete { key: "a".into() }));
+        assert_eq!(h.acked_write("a", Version(3)), Some(&batch));
+        assert_eq!(h.acked_write("b", Version(3)), None, "b was never ordered");
+        assert_eq!(h.acked_write("a", Version(4)), None, "an un-acked put acked nothing");
     }
 }

@@ -51,8 +51,8 @@ pub mod report;
 
 pub use check::{
     check, check_atomic_visibility, check_convergence, check_monotonic_reads,
-    check_read_your_writes, check_tombstone_safety, snapshot_converged, ReplicaTuple, Violation,
-    ViolationKind,
+    check_read_your_writes, check_tombstone_safety, snapshot_converged, LostCause, ReplicaTuple,
+    Violation, ViolationKind,
 };
 pub use history::{History, Op, OpDesc, OpFailure, Outcome, Recorder};
 pub use oracle::VersionOracle;

@@ -79,7 +79,12 @@ mod tests {
             sessions: 2,
             replicas: 4,
             violations: vec![
-                Violation::LostWrite { key: "k".into(), acked: Version(2), converged: None },
+                Violation::LostWrite {
+                    key: "k".into(),
+                    acked: Version(2),
+                    converged: None,
+                    cause: None,
+                },
                 Violation::Fabrication { key: "k".into(), version: Version(9), writes: 1 },
             ],
         };

@@ -14,7 +14,8 @@
 use crate::client::Client;
 use crate::msg::DropletMsg;
 use crate::persist::PersistNode;
-use crate::sieve_spec::{OwnerIndex, SieveSpec};
+use crate::sieve_spec::OwnerIndex;
+pub use crate::sieve_spec::Placement;
 use crate::soft::{MultiPutStatus, PutStatus, SoftNode};
 use crate::tuple::{Key, StoredTuple};
 use dd_dht::Version;
@@ -61,24 +62,6 @@ impl IntoIterator for MultiGetResult {
     fn into_iter(self) -> Self::IntoIter {
         self.items.into_iter()
     }
-}
-
-/// Persistent-layer placement strategy: which sieve family every node
-/// runs, and therefore how the coordinator can route reads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Placement {
-    /// Key-range partition (the default): node `i` of `n` covers segment
-    /// `i`, `r`-fold — the paper's "responsible for a given portion of
-    /// the key space".
-    #[default]
-    RangePartition,
-    /// Uniform `r/N` acceptance with a per-node salt (the paper's
-    /// simplest sieve). Placement is random: correlated reads fan out.
-    Uniform,
-    /// Tag collocation (§III-B-1): tuples sharing a tag land on the same
-    /// `r` slot-owners, and tag-scoped reads are routed to exactly those
-    /// nodes.
-    TagCollocation,
 }
 
 /// Result of an aggregate query (§III-C): duplicate-tolerant summaries
@@ -419,7 +402,8 @@ pub struct Cluster {
     pub sim: Sim<DropletNode>,
     config: ClusterConfig,
     soft_ids: Vec<NodeId>,
-    persist_ids: Vec<NodeId>,
+    /// The persist ids and their placement, shared with every soft node.
+    pub(crate) persist: Arc<OwnerIndex>,
     seed: u64,
     next_req: u64,
     next_session: u64,
@@ -459,27 +443,11 @@ impl Cluster {
         let soft_ids: Vec<NodeId> = (0..config.soft_n).map(NodeId).collect();
         let persist_ids: Vec<NodeId> =
             (config.soft_n..config.soft_n + config.persist_n).map(NodeId).collect();
-        // Sieve acceptance is deterministic from the spec, so the
-        // coordinators share one index of every persist node's sieve
-        // (parallel to `persist_ids`) and route writes directly to owners.
-        let sieves: Vec<SieveSpec> = persist_ids
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| match config.placement {
-                Placement::RangePartition => {
-                    SieveSpec::default_for(i as u64, config.persist_n, config.replication)
-                }
-                Placement::Uniform => {
-                    SieveSpec::Uniform { salt: id.0, r: config.replication, n: config.persist_n }
-                }
-                Placement::TagCollocation => SieveSpec::Tag {
-                    slot: i as u64,
-                    slots: config.persist_n,
-                    r: config.replication,
-                },
-            })
-            .collect();
-        let persist = Arc::new(OwnerIndex::new(persist_ids.clone(), sieves));
+        // Sieve acceptance is deterministic from the placement, so the
+        // coordinators share one owner index and route writes directly to
+        // owners.
+        let persist = Arc::new(OwnerIndex::new(persist_ids, config.placement, config.replication));
+        let persist_ids = &persist.peers;
         // One peer table for the whole persist layer: each node holds a
         // handle and its own position, not a private copy of the other ids.
         let peer_table: Arc<[NodeId]> = persist_ids.as_slice().into();
@@ -493,9 +461,9 @@ impl Cluster {
             let soft = SoftNode::new(&soft_ids, Arc::clone(&persist), config.cache_capacity);
             sim.add_node(id, DropletNode::Soft(soft));
         }
-        for (i, (&id, &sieve)) in persist_ids.iter().zip(&persist.sieves).enumerate() {
+        for (i, &id) in persist_ids.iter().enumerate() {
             let mut node = PersistNode::member(
-                sieve,
+                persist.sieve(i),
                 Arc::clone(&peer_table),
                 i,
                 config.repair_period.map(Duration),
@@ -519,7 +487,7 @@ impl Cluster {
             sim,
             config,
             soft_ids,
-            persist_ids,
+            persist,
             seed,
             next_req: 0,
             next_session: 0,
@@ -584,7 +552,7 @@ impl Cluster {
     #[must_use]
     pub fn audit_snapshot(&self) -> Vec<dd_audit::ReplicaTuple> {
         let mut out = Vec::new();
-        for &id in &self.persist_ids {
+        for &id in &self.persist.peers {
             if !self.sim.is_alive(id) {
                 continue;
             }
@@ -618,8 +586,9 @@ impl Cluster {
         if self.config.repair_period.is_none() {
             return;
         }
-        let ids = self.persist_ids.clone();
-        for &a in &ids {
+        let persist = Arc::clone(&self.persist);
+        let ids = &persist.peers;
+        for &a in ids {
             if !self.sim.is_alive(a) {
                 continue;
             }
@@ -627,7 +596,7 @@ impl Cluster {
             else {
                 continue;
             };
-            for &b in &ids {
+            for &b in ids {
                 if b != a && self.sim.is_alive(b) {
                     self.sim.inject(a, b, DropletMsg::RepairDigest { sieve });
                 }
@@ -650,7 +619,7 @@ impl Cluster {
     /// Persistent-layer node ids.
     #[must_use]
     pub fn persist_ids(&self) -> &[NodeId] {
-        &self.persist_ids
+        &self.persist.peers
     }
 
     /// Runs the simulation for `ticks` of virtual time, bracketed by
@@ -704,9 +673,9 @@ impl Cluster {
         }
         self.fd_epochs = Some(epochs);
         let rows_reset = std::mem::take(&mut self.fd_soft_rows_reset);
-        let Cluster { sim, soft_ids, persist_ids, fd_view, fd_seen, .. } = self;
+        let Cluster { sim, soft_ids, persist, fd_view, fd_seen, .. } = self;
         let (soft_n, n) = (soft_ids.len(), fd_seen.len());
-        let id_at = |k: usize| if k < soft_n { soft_ids[k] } else { persist_ids[k - soft_n] };
+        let id_at = |k: usize| if k < soft_n { soft_ids[k] } else { persist.peers[k - soft_n] };
         let mut moved: Vec<usize> = Vec::new();
         for (k, seen) in fd_seen.iter_mut().enumerate() {
             let id = id_at(k);
@@ -752,14 +721,14 @@ impl Cluster {
     #[cfg(test)]
     fn pair_scan_notices(&self) -> Vec<(NodeId, NodeId, bool)> {
         let mut notices = Vec::new();
-        for (oi, &o) in self.soft_ids.iter().chain(self.persist_ids.iter()).enumerate() {
+        for (oi, &o) in self.soft_ids.iter().chain(self.persist.peers.iter()).enumerate() {
             if !self.sim.is_alive(o) {
                 continue;
             }
             let watched: &[&[NodeId]] = if oi < self.soft_ids.len() {
-                &[&self.soft_ids, &self.persist_ids]
+                &[&self.soft_ids, &self.persist.peers]
             } else {
-                &[&self.persist_ids]
+                &[&self.persist.peers]
             };
             for &p in watched.iter().copied().flatten() {
                 if p == o {
@@ -836,14 +805,16 @@ impl Cluster {
     pub fn replica_count(&self, key: &Key) -> usize {
         let kh = key.hash();
         let latest = self
-            .persist_ids
+            .persist
+            .peers
             .iter()
             .filter_map(|&id| self.sim.node(id).and_then(DropletNode::as_persist))
             .filter_map(|p| p.store.get(&kh))
             .map(|t| t.version)
             .max();
         let Some(latest) = latest else { return 0 };
-        self.persist_ids
+        self.persist
+            .peers
             .iter()
             .filter(|&&id| self.sim.is_alive(id))
             .filter_map(|&id| self.sim.node(id).and_then(DropletNode::as_persist))
@@ -857,7 +828,7 @@ impl Cluster {
     #[must_use]
     pub fn scan_persist_state(&self) -> Vec<(u64, Version, NodeId)> {
         let mut out = Vec::new();
-        for &id in &self.persist_ids {
+        for &id in &self.persist.peers {
             if let Some(p) = self.sim.node(id).and_then(DropletNode::as_persist) {
                 for t in p.store.values() {
                     out.push((t.key_hash, t.version, id));
@@ -1376,11 +1347,9 @@ mod tests {
             assert_eq!(contacts.n, tags.len(), "one observation per multi_get");
             (feeds, contacts.max)
         };
-        // Replication 5 for both: a uniform sieve population misses a
-        // tuple entirely with probability ~e^-r (the paper's coverage
-        // trade-off, E3), so r = 3 would lose ~4% of writes and the
-        // tuple-set comparison below would be about coverage, not routing.
-        let config = ClusterConfig::small().replication(5);
+        // Every tuple has a home under either placement, so the tuple-set
+        // comparison below is about routing, not coverage.
+        let config = ClusterConfig::small();
         let (tagged_feeds, tagged_max) = run(config.clone().placement(Placement::TagCollocation));
         let (uniform_feeds, uniform_max) = run(config.clone().placement(Placement::Uniform));
 

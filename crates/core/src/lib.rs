@@ -32,7 +32,7 @@
 //!
 //! Correlated tuples are written as one batch (`multi_put`) and read back
 //! by tag (`multi_get`) — the social-feed `mput`/`mget` of the paper's
-//! evaluation workload \[18\]. Under [`cluster::Placement::TagCollocation`]
+//! evaluation workload \[18\]. Under [`Placement::TagCollocation`]
 //! the tag's tuples co-locate on `replication` slot-owners and a
 //! `multi_get` contacts exactly those nodes; under uniform or range
 //! placement a tag has no home, so it asks every persist peer directly
@@ -84,11 +84,11 @@
 //! assert!(report.availability() > 0.9);
 //! ```
 //!
-//! Modules: `tuple` (data model), [`sieve_spec`] (wire-format sieves),
-//! [`msg`] (the composite protocol), [`soft`] and [`persist`] (the two
-//! node roles), [`cluster`] (whole-system harness), [`client`] (typed
-//! pipelined sessions), [`driver`] (the phase engine: sessions × depth ×
-//! op mixes), [`scenario`] (declarative workload/fault/environment
+//! Modules: `tuple` (data model), [`sieve_spec`] (placement: sieves and
+//! owners), [`msg`] (the composite protocol), [`soft`] and [`persist`]
+//! (the two node roles), [`cluster`] (whole-system harness), [`client`]
+//! (typed pipelined sessions), [`driver`] (the phase engine: sessions ×
+//! depth × op mixes), [`scenario`] (declarative workload/fault/environment
 //! timelines), [`workload`] (synthetic workloads for the experiments).
 
 #![forbid(unsafe_code)]
@@ -110,7 +110,7 @@ pub use cluster::{
     AggregateResult, Cluster, ClusterConfig, GetResult, MultiGetResult, MultiPutResult, Observed,
     Placement, Planes, PutResult,
 };
-pub use dd_audit::{AuditReport, History, Violation, ViolationKind};
+pub use dd_audit::{AuditReport, History, LostCause, Violation, ViolationKind};
 pub use dd_obs::{Detector, Finding, Telemetry, TelemetryReport};
 pub use dd_trace::{PathStep, Recorder, Trace, TraceReport, TraceSet};
 pub use driver::OpMix;

@@ -42,7 +42,10 @@
 
 use crate::cluster::{Cluster, Observed, Planes};
 use crate::driver::{Engine, OpMix};
+use crate::tuple::StoredTuple;
 use crate::workload::{Workload, WorkloadKind};
+use dd_audit::LostCause;
+use dd_dht::Version;
 use dd_sim::churn::{ChurnEvent, ChurnModel, ChurnSchedule};
 use dd_sim::metrics::{Reservoir, Window};
 use dd_sim::rng::{mix, stream_rng};
@@ -1090,7 +1093,34 @@ impl Cluster {
             self.settle();
             snapshot = self.audit_snapshot();
         }
-        dd_audit::check(history, &snapshot)
+        let mut report = dd_audit::check(history, &snapshot);
+        for violation in &mut report.violations {
+            if let dd_audit::Violation::LostWrite { key, acked, cause, .. } = violation {
+                *cause = Some(self.lost_cause(history, key, *acked));
+            }
+        }
+        report
+    }
+
+    /// Why the write of `key` acknowledged at `acked` is on no live
+    /// replica: every owner of that write (its tag read from `history`) is
+    /// down, or one is live yet lacks it.
+    fn lost_cause(&self, history: &dd_audit::History, key: &str, acked: Version) -> LostCause {
+        use dd_audit::OpDesc;
+        let write =
+            history.acked_write(key, acked).expect("the audit read `acked` off this history");
+        let tuple = match write {
+            OpDesc::Delete { .. } => StoredTuple::tombstone(key.into(), acked),
+            OpDesc::Put { tag, .. } | OpDesc::MultiPut { tag, .. } => {
+                StoredTuple::new(key.into(), acked, Vec::new(), None, tag.as_deref())
+            }
+            other => unreachable!("{other:?} acknowledges no write"),
+        };
+        if self.persist.owners_of(&tuple).iter().any(|&owner| self.sim.is_alive(owner)) {
+            LostCause::LiveOwnerMissing
+        } else {
+            LostCause::AllOwnersDown
+        }
     }
 
     fn tier_ids(&self, tier: Tier) -> Vec<NodeId> {

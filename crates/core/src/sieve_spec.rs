@@ -1,4 +1,5 @@
-//! Wire-format sieve descriptions, and the [`OwnerIndex`] compiled from them.
+//! Placement: the one place a [`Placement`] becomes each persist node's
+//! [`SieveSpec`] and the [`OwnerIndex`] that names a tuple's owners.
 //!
 //! Repair peers must evaluate *each other's* sieves ("nodes responsible to
 //! the same key space … check tuple redundancy directly between them",
@@ -11,21 +12,49 @@
 //! concrete sieve built from them (the oracle in `tests/properties.rs`).
 //! The spec has exactly the three forms a `Placement` builds; the other
 //! `dd-sieve` sieves (histogram, capacity) are experiment-only. With
-//! `ahead(a, b, m) = (b − a) mod m`:
+//! `ahead(a, b, m) = (b − a) mod m` and `home(h, n) = TagSieve::home_slot(h, n)`:
 //!
 //! * `Range { index, of, r }`: hash `h` lies in segment
 //!   `min(h / (u64::MAX / of), of − 1)` — the last segment absorbs the
 //!   slack through `u64::MAX`; kept iff `ahead(index, segment, of) < r`.
-//! * `Uniform { salt, r, n }`: `p = min(r / n, 1)`; kept iff `p = 1` or
-//!   `mix(h, salt) ≤ ⌊p · u64::MAX⌋`.
-//! * `Tag { slot, slots, r }`: kept iff `ahead(home, slot, slots) < r` for
-//!   the tag's `TagSieve::home_slot`; untagged items use the uniform form
-//!   with `salt = slot`, `n = slots`.
+//! * `Uniform { index, r, n }`: `p = min(r / n, 1)`; kept iff `p = 1`,
+//!   `mix(h, index) ≤ ⌊p · u64::MAX⌋`, or `index = home(h, n)`. The coin is
+//!   `UniformSieve::replication(index, r, n)`; the home keeps the key
+//!   whatever the coins say, so a key is never dropped and (for `r < n`)
+//!   has `r + 1 − r/n` copies on average.
+//! * `Tag { slot, slots, r }`: kept iff `ahead(home(t, slots), slot,
+//!   slots) < r`, where `t` is the item's tag hash, or its key hash when
+//!   it is untagged.
+//!
+//! §III-A's one correctness rule — "all the possibilities in the key space
+//! are covered in order to avoid data-loss" — therefore holds by
+//! construction: `Range` and `Tag` keep every item on exactly `min(r, n)`
+//! nodes, and `Uniform` on at least its home.
 
 use crate::tuple::StoredTuple;
 use dd_sieve::{ItemMeta, TagSieve};
 use dd_sim::rng::{fnv1a, mix};
 use dd_sim::NodeId;
+use std::ops::Range;
+
+/// Persistent-layer placement strategy: which sieve family every node
+/// runs, and therefore how the coordinator can route reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Placement {
+    /// Key-range partition (the default): node `i` of `n` covers segment
+    /// `i`, `r`-fold — the paper's "responsible for a given portion of
+    /// the key space".
+    #[default]
+    RangePartition,
+    /// Uniform `r/N` acceptance salted by the node's position (the
+    /// paper's simplest sieve), plus a home node per key. Placement is
+    /// random: correlated reads fan out.
+    Uniform,
+    /// Tag collocation (§III-B-1): tuples sharing a tag land on the same
+    /// `r` slot-owners, and tag-scoped reads are routed to exactly those
+    /// nodes. Untagged tuples home by their key.
+    TagCollocation,
+}
 
 /// A sieve as shippable data.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,17 +68,17 @@ pub enum SieveSpec {
         /// Replication degree.
         r: u32,
     },
-    /// Uniform `r/n` acceptance with a per-node salt.
+    /// Uniform `r/n` acceptance salted by the node's position, plus the
+    /// keys whose home is this position.
     Uniform {
-        /// Node salt.
-        salt: u64,
+        /// This node's position, which is also its salt.
+        index: u64,
         /// Replication degree.
         r: u32,
-        /// Population estimate.
+        /// Population size.
         n: u64,
     },
-    /// Tag collocation over `slots` slots (untagged items fall back to
-    /// uniform `r/slots`).
+    /// Tag collocation over `slots` slots; untagged items home by key.
     Tag {
         /// This node's slot.
         slot: u64,
@@ -86,15 +115,25 @@ fn segment_of(h: u64, of: u64) -> u64 {
     (h / (u64::MAX / of)).min(of - 1)
 }
 
-/// Acceptance probability of the `r/n` uniform sieve.
+/// The slot a tag-collocated item homes at: its tag's, or its key's when
+/// it is untagged.
+fn tag_home(item: &ItemMeta, slots: u64) -> u64 {
+    TagSieve::home_slot(item.tag_hash.unwrap_or(item.key_hash), slots)
+}
+
+/// Acceptance probability of the `r/n` uniform coin.
 fn uniform_grain(r: u32, n: u64) -> f64 {
     assert!(n > 0, "population estimate must be positive");
     (f64::from(r) / n as f64).min(1.0)
 }
 
-fn uniform_accepts(salt: u64, r: u32, n: u64, key_hash: u64) -> bool {
+/// The uniform coin at position `index`, or the key's home.
+fn uniform_accepts(index: u64, r: u32, n: u64, key_hash: u64) -> bool {
+    check(n, r, index);
     let p = uniform_grain(r, n);
-    p >= 1.0 || mix(key_hash, salt) <= (p * (u64::MAX as f64)) as u64
+    p >= 1.0
+        || mix(key_hash, index) <= (p * (u64::MAX as f64)) as u64
+        || TagSieve::home_slot(key_hash, n) == index
 }
 
 /// The merged, ascending hash ranges `[start, end)` a `Range` sieve keeps:
@@ -124,13 +163,10 @@ impl SieveSpec {
                 check(of, r, index);
                 within(index, segment_of(item.key_hash, of), of, r)
             }
-            SieveSpec::Uniform { salt, r, n } => uniform_accepts(salt, r, n, item.key_hash),
+            SieveSpec::Uniform { index, r, n } => uniform_accepts(index, r, n, item.key_hash),
             SieveSpec::Tag { slot, slots, r } => {
                 check(slots, r, slot);
-                match item.tag_hash {
-                    Some(tag) => within(TagSieve::home_slot(tag, slots), slot, slots, r),
-                    None => uniform_accepts(slot, r, slots, item.key_hash),
-                }
+                within(tag_home(item, slots), slot, slots, r)
             }
         }
     }
@@ -143,7 +179,7 @@ impl SieveSpec {
         match *self {
             SieveSpec::Range { index, of, r } => range_runs(index, of, r)
                 .fold(fnv1a(b"range-sieve"), |acc, (start, end)| mix(acc, mix(start, end))),
-            SieveSpec::Uniform { salt, .. } => mix(0x5EED, salt),
+            SieveSpec::Uniform { index, .. } => mix(0x5EED, index),
             SieveSpec::Tag { slot, slots, r } => mix(mix(slot, slots), u64::from(r) ^ 0x7A65),
         }
     }
@@ -155,7 +191,11 @@ impl SieveSpec {
             SieveSpec::Range { index, of, r } => {
                 range_runs(index, of, r).map(|(s, e)| (e - s) as f64).sum::<f64>() / u64::MAX as f64
             }
-            SieveSpec::Uniform { r, n, .. } => uniform_grain(r, n),
+            // The coin, plus the home's share of what the coin drops.
+            SieveSpec::Uniform { r, n, .. } => {
+                let p = uniform_grain(r, n);
+                p + (1.0 - p) / n as f64
+            }
             SieveSpec::Tag { slots, r, .. } => uniform_grain(r, slots),
         }
     }
@@ -170,106 +210,90 @@ impl SieveSpec {
 }
 
 /// The persistent layer as a coordinator sees it: every persist node's id
-/// and sieve, plus the inverse map from an item to the peers that keep it.
-/// A homogeneous `Range` population is tabled by segment and a homogeneous
-/// `Tag` population by tag home slot (O(r) per lookup); `Uniform`, mixed
-/// populations and untagged items under `Tag` ask each sieve in turn
-/// (O(N), allocation-free). Owners come back in peer order.
+/// in position order, the [`Placement`] they run and its replication
+/// degree. Position `i` runs [`OwnerIndex::sieve`]`(i)`, and the inverse
+/// map — an item to the peers that keep it — is a closed form too: under
+/// `Range` and `Tag` a tuple's owners are one run of `min(r, n)`
+/// consecutive positions (O(r) per lookup); under `Uniform`, whose coin
+/// has no inverse, each sieve is asked in turn (O(N), allocation-free).
+/// Owners come back in peer order.
 #[derive(Debug, Default)]
 pub struct OwnerIndex {
-    /// All persistent-layer node ids.
+    /// All persistent-layer node ids, in position order.
     pub(crate) peers: Vec<NodeId>,
-    /// The sieve each peer runs, parallel to `peers`.
-    pub(crate) sieves: Vec<SieveSpec>,
-    /// Bucket → its owners' positions in `peers`, in peer order; empty
-    /// when the population has none.
-    table: Vec<Vec<usize>>,
-    /// The buckets are tag home slots (else key-hash segments).
-    by_tag: bool,
+    placement: Placement,
+    r: u32,
 }
 
 impl OwnerIndex {
-    /// Indexes a persist population; `peers[i]` runs `sieves[i]`. Panics
-    /// (rather than mis-route) when the lists are not parallel or a tabled
-    /// sieve's position lies outside its population.
+    /// Indexes a persist population: `peers[i]` runs position `i` of
+    /// `placement` at replication `r`. Panics on an empty population or a
+    /// zero replication degree.
     #[must_use]
-    pub fn new(peers: Vec<NodeId>, sieves: Vec<SieveSpec>) -> Self {
-        assert_eq!(sieves.len(), peers.len(), "one sieve per persist peer");
-        let (by_tag, table) = Self::tabulate(&peers, &sieves).unwrap_or_default();
-        OwnerIndex { peers, sieves, table, by_tag }
+    pub fn new(peers: Vec<NodeId>, placement: Placement, r: u32) -> Self {
+        check(peers.len() as u64, r, 0);
+        OwnerIndex { peers, placement, r }
     }
 
-    fn tabulate(peers: &[NodeId], sieves: &[SieveSpec]) -> Option<(bool, Vec<Vec<usize>>)> {
-        // `((by_tag, buckets, r), position)` of a sieve that has buckets.
-        let shape = |sieve: &SieveSpec| match *sieve {
-            SieveSpec::Range { index, of, r } => Some(((false, of, r), index)),
-            SieveSpec::Tag { slot, slots, r } => Some(((true, slots, r), slot)),
-            _ => None,
-        };
-        let (population @ (by_tag, buckets, r), _) = shape(sieves.first()?)?;
-        // A table far larger than the lists it indexes is not worth having.
-        let alike = |sieve| shape(sieve).is_some_and(|(p, _)| p == population);
-        if !sieves.iter().all(alike) || buckets > 4 * peers.len() as u64 {
-            return None;
+    /// The sieve the node at `position` runs. Panics (rather than
+    /// mis-route) when `position` lies outside the population.
+    #[must_use]
+    pub fn sieve(&self, position: usize) -> SieveSpec {
+        let (index, n, r) = (position as u64, self.peers.len() as u64, self.r);
+        check(n, r, index);
+        match self.placement {
+            Placement::RangePartition => SieveSpec::Range { index, of: n, r },
+            Placement::Uniform => SieveSpec::Uniform { index, r, n },
+            Placement::TagCollocation => SieveSpec::Tag { slot: index, slots: n, r },
         }
-        // A range node keeps the `span` segments from its own onward, a tag
-        // node the tags whose home is at most `span − 1` slots behind it.
-        let span = u64::from(r).min(buckets);
-        let mut table = vec![Vec::new(); buckets as usize];
-        for (position, sieve) in sieves.iter().enumerate() {
-            let (_, at) = shape(sieve).expect("alike");
-            check(buckets, r, at);
-            let first = if by_tag { at + buckets - (span - 1) } else { at };
-            for k in 0..span {
-                table[((first + k) % buckets) as usize].push(position);
-            }
-        }
-        Some((by_tag, table))
+    }
+
+    /// The `min(r, n)` positions from `first` onward, wrapping, as the run
+    /// up to the top of the population and the run wrapped past it.
+    fn run_from(&self, first: u64) -> (Range<usize>, Range<usize>) {
+        let n = self.peers.len();
+        let (first, end) = (first as usize, first as usize + (self.r as usize).min(n));
+        (first..end.min(n), 0..end.saturating_sub(n))
     }
 
     /// The peers whose sieves will keep `tuple`, in peer order. Tombstones
-    /// are wanted everywhere (see `PersistNode::wants`).
+    /// are wanted everywhere (see `PersistNode::wants`), and an empty
+    /// layer owns nothing.
     #[must_use]
     pub fn owners_of(&self, tuple: &StoredTuple) -> Vec<NodeId> {
-        if tuple.deleted {
+        let n = self.peers.len() as u64;
+        if tuple.deleted || n == 0 {
             return self.peers.clone();
         }
         let item = tuple.item_meta();
-        let buckets = self.table.len() as u64;
-        let bucket = match (buckets, self.by_tag) {
-            (0, _) => None,
-            (_, true) => item.tag_hash.map(|tag| TagSieve::home_slot(tag, buckets)),
-            (_, false) => Some(segment_of(item.key_hash, buckets)),
+        let first = match self.placement {
+            // A range node keeps the segments from its own onward, so a
+            // segment's owners are the positions ending at it.
+            Placement::RangePartition => {
+                let span = u64::from(self.r).min(n);
+                (segment_of(item.key_hash, n) + n + 1 - span) % n
+            }
+            Placement::TagCollocation => tag_home(&item, n),
+            Placement::Uniform => {
+                let kept = |&i: &usize| self.sieve(i).accepts(&item);
+                return (0..self.peers.len()).filter(kept).map(|i| self.peers[i]).collect();
+            }
         };
-        match bucket {
-            Some(bucket) => self.table[bucket as usize].iter().map(|&i| self.peers[i]).collect(),
-            None => self
-                .peers
-                .iter()
-                .zip(&self.sieves)
-                .filter(|(_, sieve)| sieve.accepts(&item))
-                .map(|(&peer, _)| peer)
-                .collect(),
-        }
+        let (top, wrapped) = self.run_from(first);
+        self.peers[wrapped].iter().chain(&self.peers[top]).copied().collect()
     }
 
-    /// The peers a read of everything tagged `tag_hash` asks. For a
-    /// population tabled by tag, the peers running the tag's home slot and
-    /// the `r − 1` slots after it, in that slot order (wrapping; peer order
-    /// among peers sharing a slot). Otherwise every peer, in peer order.
+    /// The peers a read of everything tagged `tag_hash` asks. Under
+    /// `TagCollocation`, the tag's home slot and the `r − 1` slots after
+    /// it, in that slot order (wrapping). Otherwise every peer, in peer
+    /// order.
     #[must_use]
     pub fn tag_targets(&self, tag_hash: u64) -> Vec<NodeId> {
-        if !self.by_tag {
+        if self.placement != Placement::TagCollocation {
             return self.peers.clone();
         }
-        let slots = self.table.len() as u64;
-        let home = TagSieve::home_slot(tag_hash, slots);
-        let mut owners = self.table[home as usize].clone();
-        owners.sort_by_key(|&i| match self.sieves[i] {
-            SieveSpec::Tag { slot, .. } => ahead(home, slot, slots),
-            _ => unreachable!("a table by tag holds tag sieves"),
-        });
-        owners.into_iter().map(|i| self.peers[i]).collect()
+        let (top, wrapped) = self.run_from(TagSieve::home_slot(tag_hash, self.peers.len() as u64));
+        self.peers[top].iter().chain(&self.peers[wrapped]).copied().collect()
     }
 }
 
@@ -296,12 +320,19 @@ mod tests {
 
     #[test]
     fn uniform_spec_matches_concrete_sieve() {
-        let spec = SieveSpec::Uniform { salt: 9, r: 4, n: 100 };
+        let spec = SieveSpec::Uniform { index: 9, r: 4, n: 100 };
         let concrete = UniformSieve::replication(9, 4, 100);
         for k in 0..200 {
             let it = item(&format!("u{k}"));
-            assert_eq!(spec.accepts(&it), concrete.accepts(&it));
+            let home = TagSieve::home_slot(it.key_hash, 100) == 9;
+            assert_eq!(spec.accepts(&it), concrete.accepts(&it) || home);
         }
+        assert_eq!(spec.class_id(), concrete.class_id());
+    }
+
+    #[test]
+    fn a_spec_fits_in_24_bytes() {
+        assert!(std::mem::size_of::<SieveSpec>() <= 24, "{}", std::mem::size_of::<SieveSpec>());
     }
 
     #[test]

@@ -1235,8 +1235,11 @@ mod tests {
     #[test]
     fn undelivered_writes_retire_oldest_live_first_and_redeliver_sorted() {
         let (me, peer) = (NodeId(0), NodeId(10));
-        let all = crate::sieve_spec::SieveSpec::Range { index: 0, of: 1, r: 1 };
-        let mut n = SoftNode::new(&[me], Arc::new(OwnerIndex::new(vec![peer], vec![all])), 16);
+        let mut n = SoftNode::new(
+            &[me],
+            Arc::new(OwnerIndex::new(vec![peer], crate::Placement::RangePartition, 1)),
+            16,
+        );
         let id = |i: u64| (Key::from(format!("k{i}").as_str()).hash(), Version(1));
         let write = |n: &mut SoftNode, ctx: &mut Ctx<'_, DropletMsg>, i: u64| {
             n.start_write(ctx, i, TupleSpec::new(format!("k{i}"), vec![], None, None), false, None);
@@ -1317,8 +1320,8 @@ mod tests {
     fn a_routed_op_is_forwarded_once_and_the_others_are_coordinated_at_entry() {
         let me = NodeId(0);
         let members: Vec<NodeId> = (0..4).map(NodeId).collect();
-        let all = crate::sieve_spec::SieveSpec::Range { index: 0, of: 1, r: 1 };
-        let persist = Arc::new(OwnerIndex::new(vec![NodeId(10)], vec![all]));
+        let persist =
+            Arc::new(OwnerIndex::new(vec![NodeId(10)], crate::Placement::RangePartition, 1));
         let mut n = SoftNode::new(&members, persist, 16);
         // A name the soft ring routes away from / to this node (a key and
         // a tag of the same text hash alike).
@@ -1407,8 +1410,7 @@ mod tests {
         // every kind of reply: fetches, tag fetches, scans and aggregates
         // as the owner, sub-put acks as a key coordinator.
         let (me, peer) = (NodeId(0), NodeId(10));
-        let all = crate::sieve_spec::SieveSpec::Range { index: 0, of: 1, r: 1 };
-        let persist = Arc::new(OwnerIndex::new(vec![peer], vec![all]));
+        let persist = Arc::new(OwnerIndex::new(vec![peer], crate::Placement::RangePartition, 1));
         let reqs: Vec<u64> = (1..=15).collect();
         let of_kind = |kind: u64| reqs.iter().copied().filter(move |req| req % 5 == kind);
         let multi_ops: Vec<u64> = reqs.iter().copied().filter(|req| req % 5 < 2).collect();

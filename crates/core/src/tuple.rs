@@ -371,6 +371,21 @@ mod tests {
     }
 
     #[test]
+    fn a_version_tie_goes_to_the_tombstone_then_the_higher_content_hash() {
+        let [a, b] =
+            [b"a", b"b"].map(|v| StoredTuple::new("k".into(), Version(3), v.to_vec(), None, None));
+        let (high, low) = if a.content_hash() > b.content_hash() { (&a, &b) } else { (&b, &a) };
+        assert!(high.supersedes(low) && !low.supersedes(high));
+        let dead = StoredTuple::tombstone("k".into(), Version(3));
+        for live in [&a, &b] {
+            assert!(dead.supersedes(live) && !live.supersedes(&dead), "the tombstone wins");
+        }
+        assert!(!a.supersedes(&a), "a copy never replaces itself");
+        let newer = StoredTuple::new("k".into(), Version(4), b"c".to_vec(), None, None);
+        assert!(newer.supersedes(&dead) && !dead.supersedes(&newer), "versions come first");
+    }
+
+    #[test]
     fn rumor_ids_are_unique_per_key_version() {
         let a1 = StoredTuple::new("a".into(), Version(1), b"".to_vec(), None, None);
         let a2 = StoredTuple::new("a".into(), Version(2), b"".to_vec(), None, None);

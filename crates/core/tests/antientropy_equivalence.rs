@@ -36,7 +36,7 @@ fn sieve_population(family: u8, n: u64, r: u32) -> Vec<SieveSpec> {
     (0..n)
         .map(|i| match family % 3 {
             0 => SieveSpec::default_for(i, n, r),
-            1 => SieveSpec::Uniform { salt: i ^ 0xABCD, r, n },
+            1 => SieveSpec::Uniform { index: i, r, n },
             _ => SieveSpec::Tag { slot: i, slots: n, r },
         })
         .collect()

@@ -55,7 +55,7 @@ fn allocated_by(f: impl FnOnce()) -> (u64, u64) {
 fn evaluating_a_sieve_spec_never_allocates() {
     let specs = [
         SieveSpec::Range { index: 38, of: 40, r: 3 },
-        SieveSpec::Uniform { salt: 7, r: 3, n: 40 },
+        SieveSpec::Uniform { index: 7, r: 3, n: 40 },
         SieveSpec::Tag { slot: 5, slots: 36, r: 3 },
     ];
     for spec in &specs {

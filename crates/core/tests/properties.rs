@@ -296,13 +296,14 @@ mod interning {
 }
 
 /// Compiled placement: [`SieveSpec`] answers in closed form on its own
-/// fields and [`OwnerIndex`] inverts a whole population once. Both must
-/// decide exactly what the objects they replaced decided — the concrete
-/// `dd_sieve` sieve built from the same fields, and the ask-every-sieve
-/// scan the coordinator used to run per write.
+/// fields and [`OwnerIndex`] inverts a whole placement in closed form.
+/// Both must decide exactly what the objects they replaced decided — the
+/// concrete `dd_sieve` sieve built from the same fields, and the
+/// ask-every-sieve scan the coordinator used to run per write — and every
+/// tuple must have an owner.
 mod placement {
     use super::*;
-    use dd_core::OwnerIndex;
+    use dd_core::{OwnerIndex, Placement};
     use dd_sieve::{RangeSieve, Sieve, TagSieve, UniformSieve};
     use dd_sim::rng::mix;
     use dd_sim::NodeId;
@@ -353,30 +354,12 @@ mod placement {
             .collect()
     }
 
-    /// What a tag read asked before the index named its targets: the peers
-    /// running each of the tag's slots, in `TagSieve::tag_slots` order.
-    fn slot_runners(peers: &[NodeId], slots: &[u64], tag_hash: u64, r: u32) -> Vec<NodeId> {
-        TagSieve::tag_slots(tag_hash, slots.len() as u64, r)
-            .into_iter()
-            .flat_map(|want| peers.iter().zip(slots).filter(move |&(_, &s)| s == want))
-            .map(|(&peer, _)| peer)
-            .collect()
-    }
-
-    /// A permutation of `0..n` drawn from `seed` (Fisher–Yates).
-    fn permutation(n: u64, seed: u64) -> Vec<u64> {
-        let mut order: Vec<u64> = (0..n).collect();
-        for i in (1..n as usize).rev() {
-            order.swap(i, (mix(seed, i as u64) % (i as u64 + 1)) as usize);
-        }
-        order
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// All three variants, `of` rarely dividing 2⁶⁴ and `r` on both
         /// sides of `of`, probed at the partition seams and at random.
+        /// `Uniform` is the coin of `UniformSieve` plus the key's home.
         #[test]
         fn closed_forms_equal_the_concrete_sieves(
             of in 1u64..200,
@@ -397,12 +380,17 @@ mod placement {
                     &RangeSieve::partition(index, of, r),
                     &items,
                 );
+                let uniform = SieveSpec::Uniform { index, r, n: of };
+                let coin = UniformSieve::replication(index, r, of);
+                for item in &items {
+                    let home = TagSieve::home_slot(item.key_hash, of) == index;
+                    prop_assert_eq!(uniform.accepts(item), coin.accepts(item) || home,
+                        "{:?} on {:?}", uniform, item);
+                }
+                prop_assert_eq!(uniform.class_id(), coin.class_id());
+                let p = coin.grain();
+                prop_assert_eq!(uniform.grain().to_bits(), (p + (1.0 - p) / of as f64).to_bits());
             }
-            assert_same(
-                &SieveSpec::Uniform { salt: pick, r, n: of },
-                &UniformSieve::replication(pick, r, of),
-                &items,
-            );
             assert_same(
                 &SieveSpec::Tag { slot: index, slots: of, r },
                 &TagSieve::new(index, of, r),
@@ -410,36 +398,20 @@ mod placement {
             );
         }
 
-        /// Indexed lookup returns the scan's owners, in peer order, for
-        /// every population shape the index distinguishes — tabled
-        /// (`Range`, `Tag`, either with positions permuted against peer
-        /// order) and scanned (`Uniform`, mixed). A tag read
-        /// asks the tag's slot-runners in slot order under `Tag`, and
-        /// every peer otherwise.
+        /// Every tuple has an owner: under each placement, for tagged,
+        /// untagged, attribute-less and seam-hash tuples, the index names
+        /// the scan's owners in peer order — never none, and exactly
+        /// `min(r, n)` under `Range` and `Tag`. Tombstones go to every
+        /// peer. A tag read asks the tag's slot-runners in slot order
+        /// under `Tag`, and every peer otherwise.
         #[test]
-        fn owner_index_matches_the_linear_scan(
-            n in 2u64..40,
+        fn every_tuple_has_an_owner(
+            n in 1u64..40,
             r in 1u32..6,
-            seed in any::<u64>(),
             keys in prop::collection::vec("[a-z0-9:]{1,16}", 1..24),
         ) {
             // Descending ids: peer order is list order, not id order.
             let peers: Vec<NodeId> = (0..n).map(|i| NodeId(1000 - i)).collect();
-            let shuffled = permutation(n, seed);
-            let range = |i: u64| SieveSpec::default_for(i, n, r);
-            let tag = |i: u64| SieveSpec::Tag { slot: i, slots: n, r };
-            let uniform = |i: u64| SieveSpec::Uniform { salt: mix(seed, i), r, n };
-            let populations: Vec<Vec<SieveSpec>> = vec![
-                (0..n).map(range).collect(),
-                (0..n).map(tag).collect(),
-                (0..n).map(uniform).collect(),
-                (0..n).map(|i| if i % 3 == 0 { tag(i) } else { range(i) }).collect(),
-                // One sieve of another partition makes the whole list mixed.
-                (0..n).map(|i| if i == 0 { SieveSpec::default_for(0, 1, r) } else { range(i) })
-                    .collect(),
-                shuffled.iter().map(|&i| range(i)).collect(),
-                shuffled.iter().map(|&i| tag(i)).collect(),
-            ];
             let mut tuples = Vec::new();
             for (i, key) in keys.iter().enumerate() {
                 let attr = (i % 2 == 0).then_some(i as f64);
@@ -449,52 +421,55 @@ mod placement {
                 tuples.push(StoredTuple::new(key.clone(), Version(1), b"v".to_vec(), attr, tag));
                 tuples.push(StoredTuple::tombstone(key, Version(2)));
             }
-            // Seams of the key space, which no short key hashes onto.
+            // Seams of the key space, which no short key hashes onto, bare
+            // and tagged.
+            let bare = StoredTuple::new(Key::from("seam"), Version(1), b"v".to_vec(), None, None);
+            let tagged = StoredTuple::new(
+                Key::from("seam"), Version(1), b"v".to_vec(), None, Some("feed:seam"));
             for h in seam_hashes(n) {
-                let mut t = tuples[0].clone();
-                t.key_hash = h;
-                tuples.push(t);
+                for t in [&bare, &tagged] {
+                    let mut t = t.clone();
+                    t.key_hash = h;
+                    tuples.push(t);
+                }
             }
             // Tags homed within r − 1 of the last slot, so their reads wrap.
             let wrapping = (0u64..).filter(|&h| TagSieve::home_slot(h, n) + u64::from(r) >= n);
             let tags: Vec<u64> =
                 tuples.iter().filter_map(|t| t.tag_hash).chain(wrapping.take(4)).collect();
-            for sieves in populations {
-                let index = OwnerIndex::new(peers.clone(), sieves.clone());
-                let slots: Option<Vec<u64>> = sieves
-                    .iter()
-                    .map(|s| if let SieveSpec::Tag { slot, .. } = *s { Some(slot) } else { None })
-                    .collect();
-                for &tag in &tags {
-                    let want = match &slots {
-                        Some(slots) => slot_runners(&peers, slots, tag, r),
-                        None => peers.clone(),
-                    };
-                    prop_assert_eq!(index.tag_targets(tag), want, "tag {} under {:?}", tag, &sieves[0]);
-                }
+            let span = u64::from(r).min(n) as usize;
+            for placement in [Placement::RangePartition, Placement::Uniform, Placement::TagCollocation] {
+                let index = OwnerIndex::new(peers.clone(), placement, r);
+                let sieves: Vec<SieveSpec> = (0..n as usize).map(|i| index.sieve(i)).collect();
                 for tuple in &tuples {
                     let owners = index.owners_of(tuple);
+                    prop_assert!(!owners.is_empty(), "{:?} has no owner under {:?}", tuple, placement);
                     prop_assert_eq!(&owners, &scan_owners(&peers, &sieves, tuple),
-                        "{:?} under {:?}", tuple, &sieves[0]);
+                        "{:?} under {:?}", tuple, placement);
                     if tuple.deleted {
                         prop_assert_eq!(&owners, &peers, "tombstones go to every peer");
+                    } else if placement != Placement::Uniform {
+                        prop_assert_eq!(owners.len(), span, "{:?} under {:?}", tuple, placement);
                     }
+                }
+                for &tag in &tags {
+                    let want: Vec<NodeId> = match placement {
+                        Placement::TagCollocation => TagSieve::tag_slots(tag, n, r)
+                            .into_iter()
+                            .map(|slot| peers[slot as usize])
+                            .collect(),
+                        _ => peers.clone(),
+                    };
+                    prop_assert_eq!(index.tag_targets(tag), want, "tag {} under {:?}", tag, placement);
                 }
             }
         }
     }
 
     #[test]
-    #[should_panic(expected = "one sieve per persist peer")]
-    fn owner_index_rejects_lists_that_are_not_parallel() {
-        let sieves = (0..4).map(|i| SieveSpec::default_for(i, 4, 2)).collect();
-        let _ = OwnerIndex::new((0..5).map(NodeId).collect(), sieves);
-    }
-
-    #[test]
     #[should_panic(expected = "node index out of range")]
     fn owner_index_rejects_a_position_outside_the_population() {
-        let sieves = vec![SieveSpec::default_for(0, 2, 1), SieveSpec::default_for(2, 2, 1)];
-        let _ = OwnerIndex::new(vec![NodeId(0), NodeId(1)], sieves);
+        let index = OwnerIndex::new(vec![NodeId(0), NodeId(1)], Placement::RangePartition, 1);
+        let _ = index.sieve(2);
     }
 }

@@ -6,7 +6,7 @@ use crate::config::FuzzConfig;
 use crate::gen::{generate, Case};
 use crate::run::{run_case, Verdict};
 use crate::shrink::{shrink, ShrinkStats};
-use dd_core::{Planes, ViolationKind};
+use dd_core::{LostCause, Planes, Violation, ViolationKind};
 use std::time::{Duration, Instant};
 
 /// How a campaign walks the seed space and when it stops.
@@ -122,6 +122,9 @@ pub struct CampaignSummary {
     pub rejected: u64,
     /// `(kind, violations)` across all runs, in first-appearance order.
     pub kind_census: Vec<(ViolationKind, u64)>,
+    /// `(cause, lost writes)` across all runs, in first-appearance order
+    /// (`None`: a lost write the audit could not attribute).
+    pub cause_census: Vec<(Option<LostCause>, u64)>,
     /// Shrunk findings (every safety/panic finding, plus the first
     /// [`FuzzConfig::shrink_findings`] durability findings).
     pub findings: Vec<Finding>,
@@ -167,6 +170,14 @@ impl CampaignSummary {
             .iter()
             .map(|(k, n)| format!("    {{\"kind\": \"{k}\", \"violations\": {n}}}"))
             .collect();
+        let causes: Vec<String> = self
+            .cause_census
+            .iter()
+            .map(|(cause, n)| {
+                let cause = cause.map_or("unattributed", LostCause::label);
+                format!("    {{\"cause\": \"{cause}\", \"lost_writes\": {n}}}")
+            })
+            .collect();
         let findings: Vec<String> = self
             .findings
             .iter()
@@ -196,7 +207,8 @@ impl CampaignSummary {
              \"seeds_run\": {},\n  \"clean\": {},\n  \"durability\": {},\n  \"safety\": {},\n  \
              \"panics\": {},\n  \"rejected\": {},\n  \"scenarios_per_sec\": {:.2},\n  \
              \"mean_shrink_ratio\": {:.4},\n  \"elapsed_ms\": {},\n  \
-             \"kind_census\": [\n{}\n  ],\n  \"findings\": [\n{}\n  ]\n}}\n",
+             \"kind_census\": [\n{}\n  ],\n  \"cause_census\": [\n{}\n  ],\n  \
+             \"findings\": [\n{}\n  ]\n}}\n",
             json_string(config_name),
             self.seeds_run,
             self.clean,
@@ -208,8 +220,17 @@ impl CampaignSummary {
             self.mean_shrink_ratio(),
             self.elapsed.as_millis(),
             census.join(",\n"),
+            causes.join(",\n"),
             findings.join(",\n"),
         )
+    }
+}
+
+/// Adds `n` to `key`'s count, appending `key` on its first appearance.
+fn tally<K: PartialEq>(census: &mut Vec<(K, u64)>, key: K, n: u64) {
+    match census.iter_mut().find(|(k, _)| *k == key) {
+        Some((_, total)) => *total += n,
+        None => census.push((key, n)),
     }
 }
 
@@ -234,6 +255,7 @@ pub fn run_campaign(cfg: &FuzzConfig, plan: &CampaignPlan) -> CampaignSummary {
         panics: 0,
         rejected: 0,
         kind_census: Vec::new(),
+        cause_census: Vec::new(),
         findings: Vec::new(),
         elapsed: Duration::ZERO,
     };
@@ -248,10 +270,13 @@ pub fn run_campaign(cfg: &FuzzConfig, plan: &CampaignPlan) -> CampaignSummary {
         let case = generate(cfg, seed);
         let result = run_case(&case);
         summary.seeds_run += 1;
-        for (kind, n) in &result.kinds {
-            match summary.kind_census.iter_mut().find(|(k, _)| k == kind) {
-                Some((_, total)) => *total += n,
-                None => summary.kind_census.push((*kind, *n)),
+        for &(kind, n) in &result.kinds {
+            tally(&mut summary.kind_census, kind, n);
+        }
+        let audit = result.report.as_ref().and_then(|r| r.audit.as_ref());
+        for violation in audit.map_or(&[][..], |a| &a.violations) {
+            if let Violation::LostWrite { cause, .. } = violation {
+                tally(&mut summary.cause_census, *cause, 1);
             }
         }
         let shrink_this = match result.verdict {

@@ -142,6 +142,10 @@ fn main() {
     for (kind, n) in &summary.kind_census {
         println!("  census {kind}: {n} violations");
     }
+    for (cause, n) in &summary.cause_census {
+        let cause = cause.map_or("unattributed", dd_core::LostCause::label);
+        println!("  lost writes {cause}: {n}");
+    }
     for finding in &summary.findings {
         let label = match finding.verdict {
             Verdict::Violating(kind) => format!("{kind}"),

@@ -5,7 +5,7 @@
 //! and unrevived crashes — and their census is frozen, so a change that
 //! moves it says so.
 
-use dd_core::ViolationKind;
+use dd_core::{LostCause, ViolationKind};
 use dd_fuzz::{run_campaign, run_case, CampaignPlan, FuzzConfig, Verdict};
 use std::time::Duration;
 
@@ -15,19 +15,21 @@ const CI_SEED_START: u64 = 0;
 const CI_SEEDS: u64 = 250;
 
 /// The census of the window, frozen: `(clean, durability, safety, panics,
-/// rejected)`. Lost writes are the only violation: unrevived crashes of
-/// whole replica groups, plus tuples that the uniform coin (under
-/// `Uniform`, and for untagged items under `Tag`) rejects on every sieve.
-/// A change that moves these numbers (closing that hole will) edits them
-/// here and says why.
-const CENSUS: (u64, u64, u64, u64, u64) = (88, 162, 0, 0, 0);
-/// Lost writes across the window, the census's only violation kind.
-const LOST_WRITES: u64 = 886;
+/// rejected)`. Lost writes are the only violation. Every tuple has an
+/// owner, so none is lost without a fault: they are acked writes whose
+/// owners all crashed unrevived, plus (rarely, under a message-loss spike)
+/// one whose live owner never received it. A change that moves these
+/// numbers edits them here and says why.
+const CENSUS: (u64, u64, u64, u64, u64) = (197, 53, 0, 0, 0);
+/// Lost writes across the window by cause, the census's only violation
+/// kind.
+const LOST_WRITES: [(Option<LostCause>, u64); 2] =
+    [(Some(LostCause::AllOwnersDown), 313), (Some(LostCause::LiveOwnerMissing), 1)];
 /// The shrunk findings: the first two durability seeds (the smoke profile
 /// shrinks two), both lost writes.
 const FINDINGS: [(u64, Verdict); 2] = [
-    (0, Verdict::Violating(ViolationKind::LostWrite)),
-    (1, Verdict::Violating(ViolationKind::LostWrite)),
+    (3, Verdict::Violating(ViolationKind::LostWrite)),
+    (13, Verdict::Violating(ViolationKind::LostWrite)),
 ];
 
 #[test]
@@ -51,7 +53,9 @@ fn smoke_campaign_has_no_unshrunk_safety_violations() {
         CENSUS,
         "the smoke census moved; edit CENSUS and say why"
     );
-    assert_eq!(summary.kind_census, [(ViolationKind::LostWrite, LOST_WRITES)]);
+    let lost: u64 = LOST_WRITES.iter().map(|&(_, n)| n).sum();
+    assert_eq!(summary.kind_census, [(ViolationKind::LostWrite, lost)]);
+    assert_eq!(summary.cause_census, LOST_WRITES);
     let findings: Vec<_> = summary.findings.iter().map(|f| (f.seed, f.verdict)).collect();
     assert_eq!(findings, FINDINGS);
     // Every shrunk finding got strictly smaller or stayed put, never grew.
@@ -73,6 +77,7 @@ fn campaigns_replay_byte_identically() {
         (b.clean, b.durability, b.safety, b.panics, b.rejected)
     );
     assert_eq!(a.kind_census, b.kind_census);
+    assert_eq!(a.cause_census, b.cause_census);
     assert_eq!(a.findings.len(), b.findings.len());
     for (fa, fb) in a.findings.iter().zip(&b.findings) {
         assert_eq!(fa.seed, fb.seed);

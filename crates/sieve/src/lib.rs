@@ -18,7 +18,8 @@
 //! * [`CapacitySieve`] — "flexibility to cope with nodes with disparate
 //!   storage capabilities … adjusting the sieve grain".
 //! * [`TagSieve`] — §III-B-1 "smarter sieve functions that … take advantage
-//!   of tuple correlation and thus locally co-locate related items".
+//!   of tuple correlation and thus locally co-locate related items";
+//!   untagged items home by their key, so the key space stays covered.
 //! * [`HistogramSieve`] — §III-B-1 "if data follows a normal distribution,
 //!   sieves located near the mean ± standard deviation need to be much
 //!   finer than sieves outside that region".
@@ -28,8 +29,10 @@
 //!
 //! The store runs three of these: a `dd_core::Placement` builds a range,
 //! uniform or tag `dd_core::SieveSpec`, whose closed forms the property
-//! tests hold bit-identical to [`RangeSieve`], [`UniformSieve`] and
-//! [`TagSieve`]. [`HistogramSieve`] (E08) and [`CapacitySieve`] (E03) are
+//! tests hold bit-identical to [`RangeSieve`] and [`TagSieve`], and to
+//! [`UniformSieve`] plus a home node per key (the store's uniform
+//! placement adds the home so no key is dropped by every coin).
+//! [`HistogramSieve`] (E08) and [`CapacitySieve`] (E03) are
 //! experiment-only: no cluster runs them.
 
 #![forbid(unsafe_code)]

@@ -8,10 +8,11 @@
 //! A [`TagSieve`] deterministically maps each *tag* (e.g. "user 42's
 //! timeline") to `r` of `n` tag-slots and accepts an item iff the node owns
 //! the item's tag slot. All items sharing a tag therefore land on the same
-//! `r` nodes — collocation — while untagged items fall back to an inner
-//! uniform sieve so the key space stays covered.
+//! `r` nodes — collocation — while an untagged item homes by its key hash
+//! the same way, so the key space stays covered: every item has exactly
+//! `min(r, n)` owners.
 
-use crate::{ItemMeta, Sieve, UniformSieve};
+use crate::{ItemMeta, Sieve};
 use dd_sim::rng::mix;
 
 /// Sieve that collocates equal-tag items on the same nodes.
@@ -23,14 +24,11 @@ pub struct TagSieve {
     slots: u64,
     /// Replication degree: a tag maps to `r` consecutive slots.
     r: u32,
-    /// Fallback for untagged items.
-    fallback: UniformSieve,
 }
 
 impl TagSieve {
     /// Creates the sieve for slot `slot` of `slots`, with tag replication
-    /// `r`; untagged items use an `r/slots` uniform fallback salted by the
-    /// slot.
+    /// `r`; an untagged item is placed as if its key hash were its tag.
     ///
     /// # Panics
     /// Panics if `slots == 0`, `r == 0` or `slot >= slots`.
@@ -39,7 +37,7 @@ impl TagSieve {
         assert!(slots > 0, "slot count must be positive");
         assert!(r > 0, "replication degree must be positive");
         assert!(slot < slots, "slot out of range");
-        TagSieve { slot, slots, r, fallback: UniformSieve::replication(slot, r, slots) }
+        TagSieve { slot, slots, r }
     }
 
     /// The first of a tag's `r` consecutive slots; panics if `slots == 0`.
@@ -81,10 +79,7 @@ impl TagSieve {
 
 impl Sieve for TagSieve {
     fn accepts(&self, item: &ItemMeta) -> bool {
-        match item.tag_hash {
-            Some(t) => self.owns_tag(t),
-            None => self.fallback.accepts(item),
-        }
+        self.owns_tag(item.tag_hash.unwrap_or(item.key_hash))
     }
 
     fn grain(&self) -> f64 {
@@ -131,19 +126,16 @@ mod tests {
     }
 
     #[test]
-    fn untagged_items_fall_back_to_uniform() {
-        let n = 200u64;
-        let r = 4u32;
+    fn untagged_items_home_by_their_key() {
+        let (n, r) = (200u64, 4u32);
         let sieves: Vec<TagSieve> = (0..n).map(|i| TagSieve::new(i, n, r)).collect();
-        let samples = 2_000u64;
-        let total: usize = (0..samples)
-            .map(|i| {
-                let item = ItemMeta::from_key(format!("plain-{i}").as_bytes());
-                sieves.iter().filter(|s| s.accepts(&item)).count()
-            })
-            .sum();
-        let mean = total as f64 / samples as f64;
-        assert!((mean - f64::from(r)).abs() < 0.5, "untagged mean replicas {mean}");
+        for i in 0..2_000u64 {
+            let item = ItemMeta::from_key(format!("plain-{i}").as_bytes());
+            let owners: Vec<u64> = (0..n).filter(|&s| sieves[s as usize].accepts(&item)).collect();
+            let mut want = TagSieve::tag_slots(item.key_hash, n, r);
+            want.sort_unstable();
+            assert_eq!(owners, want, "an untagged item is kept where its key hash homes");
+        }
     }
 
     #[test]

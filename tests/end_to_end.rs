@@ -5,9 +5,10 @@
 
 use dd_core::cluster::DropletNode;
 use dd_core::{
-    Cluster, ClusterConfig, Fault, Key, OpError, OpMix, Phase, Placement, Scenario, Tier,
-    TupleSpec, Workload, WorkloadKind,
+    Cluster, ClusterConfig, Fault, Key, OpError, OpMix, Phase, Placement, Scenario, StoredTuple,
+    Tier, TupleSpec, Workload, WorkloadKind,
 };
+use dd_dht::Version;
 use dd_estimation::DistSketch;
 use dd_sim::churn::ChurnModel;
 use std::collections::HashMap;
@@ -174,9 +175,41 @@ fn aggregate_sketch_is_the_global_bottom_k_under_any_placement() {
     let range8 = aggregate(ClusterConfig::small().persist_n(8));
     let range32 = aggregate(ClusterConfig::small().persist_n(32));
     assert_eq!(range8.sketch(), range32.sketch(), "range placement, 8 vs 32 nodes");
-    // Uniform placement can leave a tuple with no owner, so its stored set
-    // (and sketch) may lack a few of the range placements' tuples.
-    aggregate(ClusterConfig::small().persist_n(8).placement(Placement::Uniform));
+    // Every tuple has an owner under uniform placement too, so it stores
+    // the same set.
+    let uniform8 = aggregate(ClusterConfig::small().persist_n(8).placement(Placement::Uniform));
+    assert_eq!(uniform8.sketch(), range8.sketch(), "uniform vs range placement, 8 nodes");
+}
+
+/// Two different writes under one version — possible only once a soft
+/// wipe has lost the version authority — settle to one winner on every
+/// replica: the higher content hash, since neither is a tombstone.
+#[test]
+fn a_version_tie_after_a_soft_wipe_converges_on_one_winner() {
+    let mut c = settled(ClusterConfig::small(), 31);
+    let mut client = c.client();
+    let mut put = |c: &mut Cluster, value: &str| {
+        let p = client.put(c, "tied", value.as_bytes().to_vec(), None, None);
+        client.recv(c, p).expect("write ordered").version
+    };
+    assert_eq!(put(&mut c, "first"), Version(1));
+    c.run_for(2_000);
+    c.wipe_soft_layer();
+    assert_eq!(put(&mut c, "second"), Version(1), "the wiped authority re-issues version 1");
+    c.settle();
+    c.repair_sweep();
+    c.settle();
+    let [a, b] = ["first", "second"]
+        .map(|v| StoredTuple::new("tied".into(), Version(1), v.as_bytes().to_vec(), None, None));
+    let winner = if a.content_hash() > b.content_hash() { a } else { b };
+    let held: Vec<&StoredTuple> = c
+        .persist_ids()
+        .iter()
+        .filter_map(|&id| c.sim.node(id).and_then(DropletNode::as_persist))
+        .filter_map(|node| node.store.get(&winner.key_hash))
+        .collect();
+    assert!(held.len() >= 3, "{} replicas hold the key", held.len());
+    assert!(held.iter().all(|t| t.value == winner.value), "every replica holds the winner");
 }
 
 #[test]
