@@ -101,8 +101,8 @@ pub enum Outcome {
 /// Resolves a batched write's acknowledged `(key_hash, version)` pairs
 /// ([`Outcome::MultiPut`]) against its invocation's key list
 /// ([`OpDesc::MultiPut`]), yielding `(key, version)` per ordered item —
-/// the one place the hash-matching rule lives, shared by the version
-/// oracle and the read-your-writes checker.
+/// the one place the hash-matching rule lives, shared by the checkers'
+/// history index and [`History::acked_write`].
 pub(crate) fn resolve_batch_acks<'a>(
     keys: &'a [String],
     versions: &'a [(u64, Version)],

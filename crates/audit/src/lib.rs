@@ -13,13 +13,16 @@
 //!   append-only [`History`]. Recording is passive: it never touches the
 //!   simulation's RNG or message flow, so an audited run replays
 //!   byte-identically to an unaudited one.
-//! * **Checking** — [`check()`] (or the per-guarantee `check_*` functions)
-//!   walks a [`History`] plus a post-settle [`ReplicaTuple`] snapshot and
-//!   emits structured [`Violation`]s, each carrying the minimal witnessing
-//!   sub-history.
+//! * **Checking** — [`check()`] indexes a [`History`] in one walk (keys
+//!   interned to dense ids, every string borrowed) and runs each checker
+//!   as a walk over that index and a post-settle [`ReplicaTuple`]
+//!   snapshot, at a cost of O(history + snapshot). It emits structured
+//!   [`Violation`]s, each carrying the minimal witnessing sub-history. The
+//!   per-guarantee `check_*` functions are conveniences that each build
+//!   the index for one guarantee.
 //! * **Shared bookkeeping** — [`VersionOracle`], the per-key
-//!   latest-acknowledged-version table used both by the scenario plane's
-//!   staleness attribution and by the convergence checker.
+//!   latest-acknowledged-version table behind the scenario plane's
+//!   staleness attribution.
 //!
 //! The checkers are *sound* for the DataDroplets protocols: on a fault-free
 //! run every violation is a real bug, and under injected faults only the

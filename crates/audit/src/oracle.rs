@@ -1,13 +1,9 @@
 //! The per-key version oracle: latest *acknowledged* version per key.
 //!
-//! One implementation serves two consumers: the scenario plane's phase
-//! engine attributes read staleness against it while a run executes, and
-//! the convergence checker rebuilds one from a recorded [`crate::History`]
-//! to judge the post-settle replica snapshot. (It was born as a private
-//! `HashMap` inside the phase engine; extracting it here deleted the
-//! duplicate the checker would otherwise have grown.)
+//! The scenario plane's phase engine attributes read staleness against it
+//! while a run executes; the convergence checker keeps the same per-key
+//! latest ack in its history index.
 
-use crate::history::{History, OpDesc, Outcome};
 use dd_dht::Version;
 use std::collections::BTreeMap;
 
@@ -25,34 +21,14 @@ impl VersionOracle {
         Self::default()
     }
 
-    /// Builds the oracle from a history: every acknowledged write — puts,
-    /// deletes, and each ordered item of a batched write — feeds it.
-    #[must_use]
-    pub fn from_history(history: &History) -> Self {
-        let mut oracle = Self::new();
-        for op in history.ops() {
-            match (&op.desc, &op.outcome) {
-                (
-                    OpDesc::Put { key, .. } | OpDesc::Delete { key },
-                    Some(Outcome::Write { version }),
-                ) => {
-                    oracle.note_ack(key, *version);
-                }
-                (OpDesc::MultiPut { keys, .. }, Some(Outcome::MultiPut { versions, .. })) => {
-                    for (key, version) in crate::history::resolve_batch_acks(keys, versions) {
-                        oracle.note_ack(key, version);
-                    }
-                }
-                _ => {}
-            }
-        }
-        oracle
-    }
-
     /// Records an acknowledged write of `key` at `version`.
     pub fn note_ack(&mut self, key: &str, version: Version) {
-        let slot = self.latest.entry(key.to_owned()).or_insert(Version::ZERO);
-        *slot = (*slot).max(version);
+        match self.latest.get_mut(key) {
+            Some(slot) => *slot = (*slot).max(version),
+            None => {
+                self.latest.insert(key.to_owned(), version);
+            }
+        }
     }
 
     /// Latest acknowledged version of `key` ([`Version::ZERO`] when no
@@ -90,7 +66,6 @@ impl VersionOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::history::Recorder;
 
     #[test]
     fn acks_ratchet_upward_only() {
@@ -101,25 +76,5 @@ mod tests {
         assert!(o.is_stale("k", Version(2)));
         assert!(!o.is_stale("k", Version(3)));
         assert_eq!(o.latest("unwritten"), Version::ZERO);
-    }
-
-    #[test]
-    fn from_history_folds_every_ack_kind() {
-        let mut rec = Recorder::new();
-        rec.invoke(1, 1, 0, OpDesc::Put { key: "a".into(), tag: None });
-        rec.complete(1, 5, Outcome::Write { version: Version(1) });
-        rec.invoke(2, 1, 6, OpDesc::Delete { key: "a".into() });
-        rec.complete(2, 9, Outcome::Write { version: Version(2) });
-        let bh = dd_sim::rng::stable_hash(b"b");
-        rec.invoke(3, 1, 10, OpDesc::MultiPut { keys: vec!["b".into()], tag: None });
-        rec.complete(3, 15, Outcome::MultiPut { versions: vec![(bh, Version(4))], want: 1 });
-        // Un-acked ops contribute nothing.
-        rec.invoke(4, 1, 16, OpDesc::Put { key: "c".into(), tag: None });
-        let o = VersionOracle::from_history(rec.history());
-        assert_eq!(o.latest("a"), Version(2));
-        assert_eq!(o.latest("b"), Version(4));
-        assert_eq!(o.latest("c"), Version::ZERO);
-        let keys: Vec<&str> = o.iter().map(|(k, _)| k).collect();
-        assert_eq!(keys, vec!["a", "b"], "iteration is key-ordered");
     }
 }

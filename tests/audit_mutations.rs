@@ -4,7 +4,9 @@
 //! checks clean. Then each test corrupts the recorded history (or the
 //! replica snapshot) in exactly one way — drops an ack, reorders a
 //! session's reads, resurrects a tombstone, tears a batch — and asserts
-//! the matching checker reports exactly the injected violation.
+//! the matching checker reports exactly the injected violation, and that
+//! every checker still equals the reference checkers on the corrupted
+//! history.
 
 use dd_audit::{
     check, check_atomic_visibility, check_convergence, check_monotonic_reads,
@@ -13,6 +15,23 @@ use dd_audit::{
 };
 use dd_core::{Cluster, ClusterConfig, Placement, Planes, TupleSpec};
 use dd_dht::Version;
+
+#[path = "../crates/audit/src/check/reference.rs"]
+mod reference;
+
+/// Every indexed checker, and the suite, return exactly what the reference
+/// checkers return on `history` and `snapshot`.
+fn assert_matches_reference(history: &History, snapshot: &[ReplicaTuple]) {
+    assert_eq!(check_read_your_writes(history), reference::check_read_your_writes(history));
+    assert_eq!(check_monotonic_reads(history), reference::check_monotonic_reads(history));
+    assert_eq!(check_tombstone_safety(history), reference::check_tombstone_safety(history));
+    assert_eq!(check_atomic_visibility(history), reference::check_atomic_visibility(history));
+    assert_eq!(
+        check_convergence(history, snapshot),
+        reference::check_convergence(history, snapshot)
+    );
+    assert_eq!(check(history, snapshot).violations, reference::violations(history, snapshot));
+}
 
 /// Drives a real (tag-collocated) cluster through writes, overwrites,
 /// feed batches, feed reads, a delete and re-reads — all recorded — and
@@ -101,6 +120,7 @@ fn uncorrupted_fixture_checks_clean() {
     let report = check(&history, &snapshot);
     assert!(report.violations.is_empty(), "baseline must be spotless:\n{report}");
     assert!(report.ops >= 12 && report.unresolved == 0);
+    assert_matches_reference(&history, &snapshot);
 }
 
 #[test]
@@ -112,7 +132,9 @@ fn dropping_an_ack_is_caught_as_fabrication() {
     let victim =
         find_op(&history, 1, |op| matches!(&op.desc, OpDesc::Put { key, .. } if key == "k"));
     ops.remove(victim);
-    let violations = check_convergence(&History::from_ops(ops), &snapshot);
+    let h = History::from_ops(ops);
+    let violations = check_convergence(&h, &snapshot);
+    assert_matches_reference(&h, &snapshot);
     assert_eq!(violations.len(), 1, "exactly the injected violation: {violations:?}");
     assert!(matches!(
         &violations[0],
@@ -146,17 +168,19 @@ fn reordered_session_reads_are_caught_as_monotonicity() {
     // The reader session never wrote, so read-your-writes stays silent —
     // the corruption is attributed to the right guarantee.
     assert!(check_read_your_writes(&h).is_empty());
-    let _ = snapshot;
+    assert_matches_reference(&h, &snapshot);
 }
 
 #[test]
 fn stale_read_after_own_write_is_caught_as_read_your_writes() {
-    let (history, _) = recorded_fixture();
+    let (history, snapshot) = recorded_fixture();
     // The writer acked "k"@2, then read it back: lower that read to v1.
     let mut ops = history.ops().to_vec();
     let writer_read = find_op(&history, 0, |op| is_get_of(op, "k"));
     ops[writer_read].outcome = Some(Outcome::Read { version: Some(Version(1)) });
-    let violations = check_read_your_writes(&History::from_ops(ops));
+    let h = History::from_ops(ops);
+    let violations = check_read_your_writes(&h);
+    assert_matches_reference(&h, &snapshot);
     assert_eq!(violations.len(), 1, "exactly the injected violation: {violations:?}");
     assert!(matches!(
         &violations[0],
@@ -166,7 +190,7 @@ fn stale_read_after_own_write_is_caught_as_read_your_writes() {
 
 #[test]
 fn resurrecting_a_tombstone_is_caught() {
-    let (history, _) = recorded_fixture();
+    let (history, snapshot) = recorded_fixture();
     // Append a read that returns the deleted key's old value after the
     // delete was acknowledged and observed.
     let mut ops = history.ops().to_vec();
@@ -181,7 +205,9 @@ fn resurrecting_a_tombstone_is_caught() {
         completed: Some(end + 20),
         outcome: Some(Outcome::Read { version: Some(Version(1)) }),
     });
-    let violations = check_tombstone_safety(&History::from_ops(ops));
+    let h = History::from_ops(ops);
+    let violations = check_tombstone_safety(&h);
+    assert_matches_reference(&h, &snapshot);
     assert_eq!(violations.len(), 1, "exactly the injected violation: {violations:?}");
     assert!(matches!(
         &violations[0],
@@ -192,7 +218,7 @@ fn resurrecting_a_tombstone_is_caught() {
 
 #[test]
 fn tearing_a_batch_is_caught_as_torn_batch() {
-    let (history, _) = recorded_fixture();
+    let (history, snapshot) = recorded_fixture();
     // Remove item "b" from the second complete feed read: the fully-acked,
     // fully-visible batch is now partially visible with no delete.
     let mut ops = history.ops().to_vec();
@@ -203,7 +229,9 @@ fn tearing_a_batch_is_caught_as_torn_batch() {
     let torn: Vec<_> = items.into_iter().filter(|(k, _)| k != "b").collect();
     assert_eq!(torn.len(), 2);
     ops[second].outcome = Some(Outcome::MultiGet { items: torn, complete });
-    let violations = check_atomic_visibility(&History::from_ops(ops));
+    let h = History::from_ops(ops);
+    let violations = check_atomic_visibility(&h);
+    assert_matches_reference(&h, &snapshot);
     assert_eq!(violations.len(), 1, "exactly the injected violation: {violations:?}");
     assert!(matches!(
         &violations[0],
@@ -214,7 +242,7 @@ fn tearing_a_batch_is_caught_as_torn_batch() {
 
 #[test]
 fn regressing_a_feed_item_is_caught() {
-    let (history, _) = recorded_fixture();
+    let (history, snapshot) = recorded_fixture();
     // Lower one item's version in the second complete feed read.
     let mut ops = history.ops().to_vec();
     let second = find_op(&history, 1, is_mget);
@@ -224,7 +252,9 @@ fn regressing_a_feed_item_is_caught() {
     let slot = items.iter_mut().find(|(k, _)| k == "c").expect("item present");
     slot.1 = Version(0);
     ops[second].outcome = Some(Outcome::MultiGet { items, complete });
-    let violations = check_atomic_visibility(&History::from_ops(ops));
+    let h = History::from_ops(ops);
+    let violations = check_atomic_visibility(&h);
+    assert_matches_reference(&h, &snapshot);
     assert_eq!(violations.len(), 1, "exactly the injected violation: {violations:?}");
     assert!(matches!(
         &violations[0],
@@ -235,7 +265,7 @@ fn regressing_a_feed_item_is_caught() {
 
 #[test]
 fn partial_feed_reads_are_exempt_from_atomicity() {
-    let (history, _) = recorded_fixture();
+    let (history, snapshot) = recorded_fixture();
     // The same tear, but on a read marked partial (deadline-cut union):
     // missing items there are availability, not safety.
     let mut ops = history.ops().to_vec();
@@ -245,7 +275,9 @@ fn partial_feed_reads_are_exempt_from_atomicity() {
     };
     let torn: Vec<_> = items.into_iter().filter(|(k, _)| k != "b").collect();
     ops[second].outcome = Some(Outcome::MultiGet { items: torn, complete: false });
-    assert!(check_atomic_visibility(&History::from_ops(ops)).is_empty());
+    let h = History::from_ops(ops);
+    assert!(check_atomic_visibility(&h).is_empty());
+    assert_matches_reference(&h, &snapshot);
 }
 
 #[test]
@@ -257,6 +289,7 @@ fn diverged_replicas_are_caught() {
     let t = snap.iter_mut().find(|t| t.key_hash == ah).expect("replica of a");
     t.version = Version(0);
     let violations = check_convergence(&history, &snap);
+    assert_matches_reference(&history, &snap);
     assert_eq!(violations.len(), 1, "exactly the injected violation: {violations:?}");
     assert!(matches!(
         &violations[0],
@@ -271,6 +304,7 @@ fn losing_an_acked_write_is_a_warning() {
     let ah = dd_sim::rng::stable_hash(b"a");
     let snap: Vec<ReplicaTuple> = snapshot.into_iter().filter(|t| t.key_hash != ah).collect();
     let violations = check_convergence(&history, &snap);
+    assert_matches_reference(&history, &snap);
     assert_eq!(violations.len(), 1, "exactly the injected violation: {violations:?}");
     assert!(matches!(
         &violations[0],

@@ -392,3 +392,59 @@ fn timeout_and_absent_key_are_distinct_outcomes() {
     let p = client.put(&mut c, "k", b"v".to_vec(), None, None);
     assert_eq!(client.recv(&mut c, p), Err(OpError::NoLiveEntry));
 }
+
+#[test]
+fn a_scan_never_returns_a_superseded_version() {
+    // One holder of `k` sleeps through its overwrite and, with repair off,
+    // wakes still holding v1 beside the other holder's v2. Whichever reply
+    // reaches the gather first, the scan must return v2. (A scan may still
+    // time out while the gather waits on every persist node.)
+    let config = ClusterConfig::small()
+        .placement(Placement::RangePartition)
+        .persist_n(8)
+        .replication(2)
+        .no_repair();
+    let kh = Key::from("k").hash();
+    let held = |c: &Cluster, id| {
+        c.sim
+            .node(id)
+            .and_then(DropletNode::as_persist)
+            .and_then(|p| p.store.get(&kh))
+            .map(|t| t.version)
+    };
+    let (mut completed, mut stale_holders) = (0, 0);
+    for seed in 0..40 {
+        let mut c = settled(config.clone(), seed);
+        let mut s = c.client();
+        let p = s.put(&mut c, "k", b"v1".to_vec(), Some(50.0), None);
+        let v1 = s.recv(&mut c, p).expect("v1 ordered").version;
+        c.run_for(2_000);
+        let holders: Vec<_> =
+            c.persist_ids().iter().copied().filter(|&id| held(&c, id).is_some()).collect();
+        assert_eq!(holders.len(), 2, "seed {seed}: r = 2 holders of k");
+        c.sim.kill(holders[0]);
+        c.run_for(1_000);
+        let p = s.put(&mut c, "k", b"v2".to_vec(), Some(50.0), None);
+        let v2 = s.recv(&mut c, p).expect("v2 ordered").version;
+        assert!(v1 < v2);
+        c.run_for(2_000);
+        c.sim.revive(holders[0]);
+        c.run_for(1_000);
+        stale_holders += usize::from(held(&c, holders[0]) == Some(v1));
+        let q = s.scan(&mut c, 0.0, 100.0);
+        match s.recv(&mut c, q) {
+            Ok(items) => {
+                completed += 1;
+                let got: Vec<Version> =
+                    items.iter().filter(|t| t.key == Key::from("k")).map(|t| t.version).collect();
+                assert_eq!(got, vec![v2], "seed {seed}: the scan returned a superseded version");
+            }
+            Err(OpError::Timeout { .. }) => {}
+            Err(e) => panic!("seed {seed}: scan failed: {e:?}"),
+        }
+    }
+    assert!(
+        completed > 0 && stale_holders > 0,
+        "{completed} scans over {stale_holders} stale holders"
+    );
+}
