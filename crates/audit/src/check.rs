@@ -857,28 +857,6 @@ mod tests {
         assert_eq!(a.kind(), b.kind(), "kinds agree regardless of payload");
     }
 
-    #[test]
-    fn latest_acks_fold_every_ack_kind() {
-        let mut rec = Recorder::new();
-        rec.invoke(1, 1, 0, OpDesc::Put { key: "a".into(), tag: None });
-        rec.complete(1, 5, Outcome::Write { version: Version(1) });
-        rec.invoke(2, 1, 6, OpDesc::Delete { key: "a".into() });
-        rec.complete(2, 9, Outcome::Write { version: Version(2) });
-        let bh = stable_hash(b"b");
-        rec.invoke(3, 1, 10, OpDesc::MultiPut { keys: vec!["b".into()], tag: None });
-        rec.complete(3, 15, Outcome::MultiPut { versions: vec![(bh, Version(4))], want: 1 });
-        // Un-acked ops contribute nothing.
-        rec.invoke(4, 1, 16, OpDesc::Put { key: "c".into(), tag: None });
-        let lost: Vec<(String, Version)> = check_convergence(&rec.finish(), &[])
-            .into_iter()
-            .map(|v| match v {
-                Violation::LostWrite { key, acked, converged: None, .. } => (key, acked),
-                other => panic!("only lost writes: {other:?}"),
-            })
-            .collect();
-        assert_eq!(lost, vec![("a".into(), Version(2)), ("b".into(), Version(4))], "key order");
-    }
-
     /// Draws from a seed.
     struct Draw(u64);
 

@@ -66,6 +66,8 @@ impl VersionOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::{check_convergence, Violation};
+    use crate::history::{OpDesc, Outcome, Recorder};
 
     #[test]
     fn acks_ratchet_upward_only() {
@@ -76,5 +78,37 @@ mod tests {
         assert!(o.is_stale("k", Version(2)));
         assert!(!o.is_stale("k", Version(3)));
         assert_eq!(o.latest("unwritten"), Version::ZERO);
+    }
+
+    /// The convergence checker's history index folds puts, deletes and
+    /// each ordered batch item into the same latest-ack-per-key map this
+    /// oracle keeps: an empty snapshot reports every acked key as lost at
+    /// exactly the oracle's version, in key order.
+    #[test]
+    fn from_history_folds_every_ack_kind() {
+        let mut rec = Recorder::new();
+        rec.invoke(1, 1, 0, OpDesc::Put { key: "a".into(), tag: None });
+        rec.complete(1, 5, Outcome::Write { version: Version(1) });
+        rec.invoke(2, 1, 6, OpDesc::Delete { key: "a".into() });
+        rec.complete(2, 9, Outcome::Write { version: Version(2) });
+        let bh = dd_sim::rng::stable_hash(b"b");
+        rec.invoke(3, 1, 10, OpDesc::MultiPut { keys: vec!["b".into()], tag: None });
+        rec.complete(3, 15, Outcome::MultiPut { versions: vec![(bh, Version(4))], want: 1 });
+        // Un-acked ops contribute nothing.
+        rec.invoke(4, 1, 16, OpDesc::Put { key: "c".into(), tag: None });
+        let lost: Vec<(String, Version)> = check_convergence(&rec.finish(), &[])
+            .into_iter()
+            .map(|v| match v {
+                Violation::LostWrite { key, acked, converged: None, .. } => (key, acked),
+                other => panic!("only lost writes: {other:?}"),
+            })
+            .collect();
+        let mut o = VersionOracle::new();
+        for (key, version) in [("a", 1), ("a", 2), ("b", 4)] {
+            o.note_ack(key, Version(version));
+        }
+        let expected: Vec<(String, Version)> = o.iter().map(|(k, v)| (k.to_owned(), v)).collect();
+        assert_eq!(lost, expected, "key order");
+        assert_eq!(lost, vec![("a".into(), Version(2)), ("b".into(), Version(4))]);
     }
 }
