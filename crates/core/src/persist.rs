@@ -929,6 +929,31 @@ mod tests {
         assert_eq!(lone.pick_repair_peer(&mut rand::rngs::SmallRng::seed_from_u64(1)), None);
     }
 
+    #[test]
+    fn cluster_members_draw_pinned_repair_partners() {
+        // Pins every member's partner draws in one- to eight-node layers,
+        // with and without ring-biased repair; the one- and two-node rings
+        // (no neighbour, one neighbour) are reached by no other fixture.
+        use crate::cluster::{Cluster, ClusterConfig, DropletNode};
+        use rand::SeedableRng;
+        let mut fold = 0u64;
+        for ring in [false, true] {
+            for n in [1, 2, 3, 8] {
+                let config = ClusterConfig::small().persist_n(n);
+                let cluster = Cluster::new(if ring { config.ring_repair() } else { config }, 7);
+                for &id in &cluster.persist.peers {
+                    let node = cluster.sim.node(id).and_then(DropletNode::as_persist).unwrap();
+                    let mut rng = rand::rngs::SmallRng::seed_from_u64(id.0);
+                    for _ in 0..64 {
+                        let partner = node.pick_repair_peer(&mut rng);
+                        fold = dd_sim::rng::mix(fold, partner.map_or(u64::MAX, |p| p.0));
+                    }
+                }
+            }
+        }
+        assert_eq!(fold, 0x870b_734a_c331_51df);
+    }
+
     fn sorted_ids(n: &PersistNode) -> Vec<u64> {
         let mut ids: Vec<u64> = n.store.values().map(StoredTuple::rumor_id).collect();
         ids.sort_unstable();
