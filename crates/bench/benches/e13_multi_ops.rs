@@ -124,11 +124,8 @@ fn bench(c: &mut Criterion) {
     // The multi-get hot path on a persist node: secondary-index lookup of
     // one tag among many.
     use dd_core::{SieveSpec, StoredTuple};
-    let mut node = dd_core::persist::PersistNode::new(
-        SieveSpec::Range { index: 0, of: 1, r: 1 },
-        vec![],
-        None,
-    );
+    let mut node =
+        dd_core::persist::PersistNode::new(SieveSpec::Range { index: 0, of: 1, r: 1 }, None);
     for i in 0..10_000u64 {
         let tag = format!("feed:{}", i % 200);
         node.apply(StoredTuple::new(

@@ -445,12 +445,10 @@ impl Cluster {
             (config.soft_n..config.soft_n + config.persist_n).map(NodeId).collect();
         // Sieve acceptance is deterministic from the placement, so the
         // coordinators share one owner index and route writes directly to
-        // owners.
+        // owners; the replicas share the same index, each holding a handle
+        // and its own position in it.
         let persist = Arc::new(OwnerIndex::new(persist_ids, config.placement, config.replication));
         let persist_ids = &persist.peers;
-        // One peer table for the whole persist layer: each node holds a
-        // handle and its own position, not a private copy of the other ids.
-        let peer_table: Arc<[NodeId]> = persist_ids.as_slice().into();
         // Pre-size the event heap for the population's steady chatter
         // (start events, repair timers, dissemination bursts) so large
         // clusters don't regrow it through the opening storm.
@@ -462,21 +460,9 @@ impl Cluster {
             sim.add_node(id, DropletNode::Soft(soft));
         }
         for (i, &id) in persist_ids.iter().enumerate() {
-            let mut node = PersistNode::member(
-                persist.sieve(i),
-                Arc::clone(&peer_table),
-                i,
-                config.repair_period.map(Duration),
-            );
-            if config.ring_repair && config.persist_n > 1 {
-                // Ring adjacency follows persist_ids order — the same
-                // order slot ownership and range segments use, so
-                // neighbours hold the most overlapping sieve projections.
-                let n = persist_ids.len();
-                let mut neighbors = vec![persist_ids[(i + n - 1) % n], persist_ids[(i + 1) % n]];
-                neighbors.dedup();
-                node = node.with_ring_neighbors(neighbors);
-            }
+            let mut node =
+                PersistNode::member(Arc::clone(&persist), i, config.repair_period.map(Duration));
+            node.ring_repair = config.ring_repair;
             sim.add_node(id, DropletNode::Persist(node));
         }
         // Everyone starts up, unpartitioned and believed reachable: the

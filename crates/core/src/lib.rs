@@ -115,7 +115,7 @@ pub use dd_obs::{Detector, Finding, Telemetry, TelemetryReport};
 pub use dd_trace::{PathStep, Recorder, Trace, TraceReport, TraceSet};
 pub use driver::OpMix;
 pub use msg::{Answer, ClientOp, DropletMsg, Query};
-pub use persist::{PersistNode, RepairPeering};
+pub use persist::PersistNode;
 pub use scenario::{
     EnvChange, ErrorCounts, Fault, Phase, PhaseReport, Scenario, ScenarioError, ScenarioReport,
     Tier,

@@ -204,10 +204,9 @@ pub enum DropletMsg {
     /// broadcast would, at ~`r` messages per tuple instead of
     /// `fanout × N`).
     DeliverBatch {
-        /// The tuples (each carries its own rumor id).
+        /// The tuples (each carries its own rumor id); the sender is the
+        /// coordinator awaiting their storage acks.
         tuples: Vec<StoredTuple>,
-        /// Coordinator awaiting storage acks.
-        coordinator: NodeId,
         /// Per-tuple causal trace contexts, parallel to `tuples` (empty in
         /// untraced runs).
         traces: Vec<Option<TraceCtx>>,

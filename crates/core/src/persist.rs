@@ -6,15 +6,17 @@
 //! retention ("global dissemination / local decision"), and same-class
 //! anti-entropy maintains redundancy. Reads, scans and aggregates arrive
 //! as one [`Query`] each and [`PersistNode::answer`] serves them from the
-//! local store.
+//! local store. A cluster member holds the same [`OwnerIndex`] the soft
+//! coordinators route by, plus its own position in it: its sieve, its
+//! repair peers and its ring neighbours all come from that one table.
 
 use crate::msg::{Answer, DropletMsg, Query, SKETCH_K};
-use crate::sieve_spec::SieveSpec;
+use crate::sieve_spec::{OwnerIndex, SieveSpec};
 use crate::tuple::StoredTuple;
 use dd_epidemic::antientropy::{Digest, Summary};
 use dd_epidemic::push::RumorId;
 use dd_estimation::DistSketch;
-use dd_sim::{Ctx, Duration, NodeId, TimerTag, TraceCtx};
+use dd_sim::{Ctx, Duration, NodeId, TimerTag};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use std::collections::{HashMap, HashSet};
@@ -27,26 +29,9 @@ pub const REPAIR_TIMER: TimerTag = TimerTag(0xFE4A);
 /// steady-state anti-entropy round, independent of store size.
 pub const REPAIR_BUCKETS: usize = 64;
 
-/// One round in [`FAR_PULL_PERIOD`] under ring-biased peering makes a
+/// One round in [`FAR_PULL_PERIOD`] under ring-biased repair makes a
 /// uniform far pull instead of a neighbour pull.
 const FAR_PULL_PERIOD: u32 = 4;
-
-/// Repair-partner selection policy for the periodic anti-entropy round.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RepairPeering {
-    /// Uniform choice over every peer — the historical default. Kept as
-    /// the default so recorded scenario seeds replay byte-identically.
-    Random,
-    /// Topology-aware: most rounds pull from a ring neighbour (whose sieve
-    /// segment overlaps ours most under range placement, so divergence is
-    /// found where it concentrates), with a uniform far pull every fourth
-    /// round (`FAR_PULL_PERIOD`) so divergence that skipped the ring —
-    /// revival gaps, cross-class tombstones — still converges.
-    RingBiased {
-        /// The ring-adjacent peers (normally two; one in a two-node ring).
-        neighbors: Vec<NodeId>,
-    },
-}
 
 /// What a node with `sieve` wants: live tuples the sieve accepts, plus
 /// any tombstone (see [`PersistNode::wants`] for why tombstones are
@@ -60,21 +45,26 @@ fn wants_with(sieve: &SieveSpec, tuple: &StoredTuple) -> bool {
 pub struct PersistNode {
     /// This node's sieve.
     pub sieve: SieveSpec,
-    /// The persist population this node repairs with (closed
-    /// world per experiment). A cluster member shares one table with every
-    /// other member — n ids per cluster, not n per node — and skips its own
-    /// entry; see [`PersistNode::peers`].
-    table: Arc<[NodeId]>,
-    /// This node's own position in `table`; `None` for a bare node, whose
-    /// table lists only the others.
-    position: Option<usize>,
+    /// The persist layer this node repairs with (closed world per
+    /// experiment): the one index every coordinator and every replica of
+    /// a cluster shares — n ids per cluster, not n per node. Empty for a
+    /// standalone store.
+    layer: Arc<OwnerIndex>,
+    /// This node's own position in `layer`.
+    position: usize,
     /// Latest live tuple per key hash. Mutate through [`PersistNode::apply`]
     /// only — it keeps the secondary tag index consistent.
     pub store: HashMap<u64, StoredTuple>,
     /// Repair period; `None` disables maintenance.
     pub repair_period: Option<Duration>,
-    /// How the periodic round picks its partner.
-    pub repair_peering: RepairPeering,
+    /// Topology-aware repair: most periodic rounds pull from a ring
+    /// neighbour (whose sieve segment overlaps ours most under range
+    /// placement, so divergence is found where it concentrates), with a
+    /// uniform far pull one round in `FAR_PULL_PERIOD` so divergence that
+    /// skipped the ring — revival gaps, cross-class tombstones — still
+    /// converges. Off by default: every round is a uniform draw, so
+    /// recorded scenario seeds replay byte-identically.
+    pub ring_repair: bool,
     /// Secondary index: tag hash → key hashes of live tuples carrying the
     /// tag. Serves tag-scoped reads ([`Query::Tag`]) without a
     /// store scan; maintained by [`PersistNode::apply`].
@@ -86,76 +76,65 @@ pub struct PersistNode {
 }
 
 impl PersistNode {
-    /// Creates a bare node whose peers are exactly `peers` (itself not
-    /// among them).
+    /// Creates a standalone store with no peers: it serves and repairs
+    /// when driven directly, but its own rounds find nobody to pull from.
     #[must_use]
-    pub fn new(sieve: SieveSpec, peers: Vec<NodeId>, repair_period: Option<Duration>) -> Self {
-        Self::build(sieve, peers.into(), None, repair_period)
+    pub fn new(sieve: SieveSpec, repair_period: Option<Duration>) -> Self {
+        Self::build(sieve, Arc::default(), 0, repair_period)
     }
 
-    /// Creates the member at `position` of a persist population: `table`
-    /// lists every member, this node included, and is shared — not copied
-    /// — between them, so a cluster of n nodes holds n ids, not n².
+    /// Creates the member at `position` of the persist layer `layer`,
+    /// running [`OwnerIndex::sieve`]`(position)`. The index is shared — not
+    /// copied — with the coordinators and the other members.
     ///
     /// # Panics
-    /// Panics if `position` lies outside `table`.
+    /// Panics if `position` lies outside `layer`.
     #[must_use]
     pub fn member(
-        sieve: SieveSpec,
-        table: Arc<[NodeId]>,
+        layer: Arc<OwnerIndex>,
         position: usize,
         repair_period: Option<Duration>,
     ) -> Self {
-        assert!(position < table.len(), "own position {position} outside the peer table");
-        Self::build(sieve, table, Some(position), repair_period)
+        Self::build(layer.sieve(position), layer, position, repair_period)
     }
 
     fn build(
         sieve: SieveSpec,
-        table: Arc<[NodeId]>,
-        position: Option<usize>,
+        layer: Arc<OwnerIndex>,
+        position: usize,
         repair_period: Option<Duration>,
     ) -> Self {
         PersistNode {
             sieve,
-            table,
+            layer,
             position,
             store: HashMap::new(),
             repair_period,
-            repair_peering: RepairPeering::Random,
+            ring_repair: false,
             tag_index: HashMap::new(),
             summary_scratch: Summary::new(REPAIR_BUCKETS),
         }
     }
 
-    /// Builder: switch the periodic round to ring-biased peering with the
-    /// given ring-adjacent peers.
-    #[must_use]
-    pub fn with_ring_neighbors(mut self, neighbors: Vec<NodeId>) -> Self {
-        self.repair_peering = RepairPeering::RingBiased { neighbors };
-        self
-    }
-
-    /// Every persist-layer peer — everyone in the population but this node
-    /// — in table (`persist_ids`) order. A view over the shared table, not
-    /// a per-node list (a Cyclon view would plug in behind the same
-    /// accessor).
+    /// Every persist-layer peer — everyone in the layer but this node — in
+    /// position order. A view over the shared index, not a per-node list
+    /// (a Cyclon view would plug in behind the same accessor).
     pub fn peers(&self) -> impl Iterator<Item = NodeId> + '_ {
         let me = self.position;
-        self.table.iter().enumerate().filter(move |&(i, _)| Some(i) != me).map(|(_, &id)| id)
+        self.layer.peers.iter().enumerate().filter(move |&(i, _)| i != me).map(|(_, &id)| id)
     }
 
     /// One uniform draw over [`PersistNode::peers`] — the same single
     /// `gen_range` (and therefore the same node) as `choose` over the
     /// materialised list, without materialising it.
     fn choose_peer<R: Rng>(&self, rng: &mut R) -> Option<NodeId> {
-        let n = self.table.len() - usize::from(self.position.is_some());
+        let n = self.layer.peers.len().saturating_sub(1);
         if n == 0 {
             return None;
         }
         let j = rng.gen_range(0..n);
         // Peers from this node's own position onward sit one slot later.
-        Some(self.table[j + usize::from(self.position.is_some_and(|me| j >= me))])
+        Some(self.layer.peers[j + usize::from(j >= self.position)])
     }
 
     /// Number of live (non-tombstone) tuples held.
@@ -455,18 +434,6 @@ impl PersistNode {
         }
     }
 
-    /// Records an instantaneous span at this node for a traced request —
-    /// the persist-side store/serve marker that shows up as a leaf under
-    /// the coordinator's wait span. No-op when the run or op is untraced.
-    fn trace_event(ctx: &mut Ctx<'_, DropletMsg>, trace: Option<TraceCtx>, label: &'static str) {
-        let Some(tc) = trace else { return };
-        let now = ctx.now();
-        let me = ctx.id();
-        let Some(tr) = ctx.tracer() else { return };
-        let span = tr.open(now, me, tc.op, Some(tc.span), label);
-        tr.close(now, tc.op, span, true);
-    }
-
     /// Handles persist-layer messages; shared by the composite process.
     pub fn on_message(&mut self, ctx: &mut Ctx<'_, DropletMsg>, from: NodeId, msg: DropletMsg) {
         match msg {
@@ -477,10 +444,10 @@ impl PersistNode {
                     Query::Range { .. } | Query::Aggregate => {}
                 }
                 let answer = self.answer(&query);
-                Self::trace_event(ctx, trace, "persist.serve");
+                ctx.trace_instant(trace, "persist.serve");
                 ctx.send(from, DropletMsg::Reply { req, answer });
             }
-            DropletMsg::DeliverBatch { tuples, coordinator, traces } => {
+            DropletMsg::DeliverBatch { tuples, traces } => {
                 // Sieve-routed direct delivery: the coordinator already
                 // computed that our sieve accepts these, so in the common
                 // case every tuple is stored and acked in one batch.
@@ -492,7 +459,7 @@ impl PersistNode {
                         if self.apply(tuple) {
                             ctx.metrics().incr("persist.stored");
                         }
-                        Self::trace_event(ctx, traces.get(i).copied().flatten(), "persist.store");
+                        ctx.trace_instant(traces.get(i).copied().flatten(), "persist.store");
                         // Ack even a no-op apply (we hold >= that version):
                         // redelivery after a heal must clear the
                         // coordinator's undelivered buffer.
@@ -500,7 +467,7 @@ impl PersistNode {
                     }
                 }
                 if !acked.is_empty() {
-                    ctx.send(coordinator, DropletMsg::StoredAckBatch { acked });
+                    ctx.send(from, DropletMsg::StoredAckBatch { acked });
                 }
             }
             DropletMsg::RepairDigest { sieve } => {
@@ -568,21 +535,20 @@ impl PersistNode {
         }
     }
 
-    /// Picks this round's repair partner under the configured policy.
-    /// Under [`RepairPeering::Random`] this consumes exactly one uniform
-    /// draw, identical to the historical `peers.choose` — recorded seeds
-    /// keep replaying byte-for-byte.
+    /// Picks this round's repair partner. Without [`PersistNode::ring_repair`]
+    /// this consumes exactly one uniform draw, identical to the historical
+    /// `peers.choose` — recorded seeds keep replaying byte-for-byte. With
+    /// it, the neighbours are the positions either side of ours, which
+    /// slot ownership and range segments follow: two in a ring of three or
+    /// more, one in a two-node ring, none (so a uniform draw) in a lone one.
     fn pick_repair_peer<R: Rng>(&self, rng: &mut R) -> Option<NodeId> {
-        match &self.repair_peering {
-            RepairPeering::RingBiased { neighbors } if !neighbors.is_empty() => {
-                if rng.gen_range(0..FAR_PULL_PERIOD) > 0 {
-                    neighbors.choose(rng).copied()
-                } else {
-                    self.choose_peer(rng)
-                }
-            }
-            _ => self.choose_peer(rng),
+        let (peers, p) = (&self.layer.peers, self.position);
+        let n = peers.len();
+        if self.ring_repair && n > 1 && rng.gen_range(0..FAR_PULL_PERIOD) > 0 {
+            let ring = [peers[(p + n - 1) % n], peers[(p + 1) % n]];
+            return ring[..n.min(3) - 1].choose(rng).copied();
         }
+        self.choose_peer(rng)
     }
 
     /// Handles the repair timer.
@@ -615,7 +581,7 @@ mod tests {
 
     #[test]
     fn apply_keeps_latest_version_only() {
-        let mut n = PersistNode::new(SieveSpec::Range { index: 0, of: 1, r: 1 }, vec![], None);
+        let mut n = PersistNode::new(SieveSpec::Range { index: 0, of: 1, r: 1 }, None);
         assert!(n.apply(tuple("k", 1)));
         assert!(n.apply(tuple("k", 3)));
         assert!(!n.apply(tuple("k", 2)), "stale write rejected");
@@ -625,7 +591,7 @@ mod tests {
 
     #[test]
     fn tombstone_supersedes_and_live_count_drops() {
-        let mut n = PersistNode::new(SieveSpec::Range { index: 0, of: 1, r: 1 }, vec![], None);
+        let mut n = PersistNode::new(SieveSpec::Range { index: 0, of: 1, r: 1 }, None);
         n.apply(tuple("k", 1));
         assert_eq!(n.live_count(), 1);
         n.apply(StoredTuple::tombstone("k".into(), Version(2)));
@@ -639,7 +605,7 @@ mod tests {
 
     #[test]
     fn tag_index_serves_live_tuples_by_tag() {
-        let mut n = PersistNode::new(SieveSpec::Range { index: 0, of: 1, r: 1 }, vec![], None);
+        let mut n = PersistNode::new(SieveSpec::Range { index: 0, of: 1, r: 1 }, None);
         let th = dd_sim::rng::stable_hash(b"feed:a");
         n.apply(tagged("p1", 1, "feed:a"));
         n.apply(tagged("p2", 1, "feed:a"));
@@ -653,7 +619,7 @@ mod tests {
 
     #[test]
     fn tag_index_follows_overwrites_and_tombstones() {
-        let mut n = PersistNode::new(SieveSpec::Range { index: 0, of: 1, r: 1 }, vec![], None);
+        let mut n = PersistNode::new(SieveSpec::Range { index: 0, of: 1, r: 1 }, None);
         let ta = dd_sim::rng::stable_hash(b"feed:a");
         let tb = dd_sim::rng::stable_hash(b"feed:b");
         n.apply(tagged("p", 1, "feed:a"));
@@ -678,7 +644,7 @@ mod tests {
 
     #[test]
     fn a_get_is_answered_at_its_version_floor_and_a_tombstone_is_found() {
-        let mut n = PersistNode::new(SieveSpec::Range { index: 0, of: 1, r: 1 }, vec![], None);
+        let mut n = PersistNode::new(SieveSpec::Range { index: 0, of: 1, r: 1 }, None);
         n.apply(tuple("k", 3));
         let get = |n: &PersistNode, key: &str, version: u64| {
             n.answer(&Query::Get { key_hash: Key::from(key).hash(), version: Version(version) })
@@ -693,7 +659,7 @@ mod tests {
 
     #[test]
     fn tag_and_range_answers_hold_live_tuples_only() {
-        let mut n = PersistNode::new(SieveSpec::Range { index: 0, of: 1, r: 1 }, vec![], None);
+        let mut n = PersistNode::new(SieveSpec::Range { index: 0, of: 1, r: 1 }, None);
         n.apply(with("a", 1, Some(1.0), Some("feed")));
         n.apply(with("b", 1, Some(2.0), Some("feed")));
         n.apply(with("c", 1, Some(3.0), None));
@@ -712,7 +678,7 @@ mod tests {
 
     #[test]
     fn an_aggregate_answer_skips_tombstones_and_tuples_without_an_attribute() {
-        let mut n = PersistNode::new(SieveSpec::Range { index: 0, of: 1, r: 1 }, vec![], None);
+        let mut n = PersistNode::new(SieveSpec::Range { index: 0, of: 1, r: 1 }, None);
         let Answer::Summary { sketch, min, max } = n.answer(&Query::Aggregate) else {
             panic!("an aggregate query is answered with a summary")
         };
@@ -738,8 +704,7 @@ mod tests {
         let live = tagged("p", 1, "feed:a");
         let th = live.tag_hash.expect("tagged");
         let owner_slot = dd_sieve::TagSieve::tag_slots(th, slots, 1)[0];
-        let mut owner =
-            PersistNode::new(SieveSpec::Tag { slot: owner_slot, slots, r: 1 }, vec![], None);
+        let mut owner = PersistNode::new(SieveSpec::Tag { slot: owner_slot, slots, r: 1 }, None);
         assert!(owner.wants(&live));
         owner.apply(live);
         let tomb = StoredTuple::tombstone("p".into(), Version(2));
@@ -758,8 +723,7 @@ mod tests {
         let live = tagged("p", 1, "feed:a");
         let th = live.tag_hash.expect("tagged");
         let owner_slot = dd_sieve::TagSieve::tag_slots(th, slots, 1)[0];
-        let mut owner =
-            PersistNode::new(SieveSpec::Tag { slot: owner_slot, slots, r: 1 }, vec![], None);
+        let mut owner = PersistNode::new(SieveSpec::Tag { slot: owner_slot, slots, r: 1 }, None);
         let tomb = StoredTuple::tombstone("p".into(), Version(2));
         assert!(owner.wants(&tomb), "tombstone wanted before any version is held");
         owner.apply(tomb);
@@ -770,7 +734,7 @@ mod tests {
 
     #[test]
     fn digest_reflects_key_versions() {
-        let mut n = PersistNode::new(SieveSpec::Range { index: 0, of: 1, r: 1 }, vec![], None);
+        let mut n = PersistNode::new(SieveSpec::Range { index: 0, of: 1, r: 1 }, None);
         n.apply(tuple("a", 1));
         let d1 = n.digest();
         n.apply(tuple("a", 2));
@@ -782,7 +746,7 @@ mod tests {
     #[test]
     fn items_for_peer_respects_their_sieve_and_digest() {
         let all = SieveSpec::Range { index: 0, of: 1, r: 1 };
-        let mut n = PersistNode::new(all, vec![], None);
+        let mut n = PersistNode::new(all, None);
         // 8-segment sieve for the peer: accepts only a fraction of keys.
         let peer_sieve = SieveSpec::Range { index: 0, of: 8, r: 1 };
         for i in 0..64 {
@@ -842,8 +806,8 @@ mod tests {
     #[test]
     fn scratch_diff_agrees_with_fresh_summaries_across_rounds() {
         let all = SieveSpec::Range { index: 0, of: 1, r: 1 };
-        let mut a = PersistNode::new(all, vec![], None);
-        let mut b = PersistNode::new(all, vec![], None);
+        let mut a = PersistNode::new(all, None);
+        let mut b = PersistNode::new(all, None);
         for i in 0..40 {
             a.apply(tuple(&format!("k{i}"), 1));
             if i % 3 != 0 {
@@ -862,14 +826,17 @@ mod tests {
         }
     }
 
+    /// A layer of `n` members `NodeId(0..n)` under range placement.
+    fn layer(n: u64) -> Arc<OwnerIndex> {
+        Arc::new(OwnerIndex::new((0..n).map(NodeId).collect(), crate::Placement::RangePartition, 1))
+    }
+
     #[test]
     fn ring_biased_rounds_pull_mostly_from_neighbours() {
         use rand::SeedableRng;
-        let all = SieveSpec::Range { index: 0, of: 1, r: 1 };
-        let peers: Vec<NodeId> = (1..=10).map(NodeId).collect();
-        let neighbours = vec![NodeId(1), NodeId(10)];
-        let n = PersistNode::new(all, peers, Some(Duration(100)))
-            .with_ring_neighbors(neighbours.clone());
+        let neighbours = [NodeId(1), NodeId(10)];
+        let mut n = PersistNode::member(layer(11), 0, Some(Duration(100)));
+        n.ring_repair = true;
         let mut rng = rand::rngs::SmallRng::seed_from_u64(0xCA117);
         let rounds = 1_000;
         let mut neighbour_pulls = 0usize;
@@ -895,10 +862,9 @@ mod tests {
     #[test]
     fn random_peering_is_the_default_and_draws_uniformly() {
         use rand::SeedableRng;
-        let all = SieveSpec::Range { index: 0, of: 1, r: 1 };
         let peers: Vec<NodeId> = (1..=4).map(NodeId).collect();
-        let n = PersistNode::new(all, peers.clone(), Some(Duration(100)));
-        assert_eq!(n.repair_peering, RepairPeering::Random);
+        let n = PersistNode::member(layer(5), 0, Some(Duration(100)));
+        assert!(!n.ring_repair);
         // One draw per round, same as `peers.choose` — the property the
         // determinism replay suite depends on.
         let mut a = rand::rngs::SmallRng::seed_from_u64(7);
@@ -911,11 +877,11 @@ mod tests {
     #[test]
     fn shared_table_draw_equals_choose_over_the_materialised_list() {
         use rand::SeedableRng;
-        let all = SieveSpec::Range { index: 0, of: 1, r: 1 };
-        let table: Arc<[NodeId]> = (10..17).map(NodeId).collect();
-        for me in 0..table.len() {
-            let n = PersistNode::member(all, Arc::clone(&table), me, None);
-            let others: Vec<NodeId> = table.iter().copied().filter(|&p| p != table[me]).collect();
+        let table = layer(7);
+        for me in 0..table.peers.len() {
+            let n = PersistNode::member(Arc::clone(&table), me, None);
+            let others: Vec<NodeId> =
+                table.peers.iter().copied().filter(|&p| p.0 != me as u64).collect();
             assert_eq!(n.peers().collect::<Vec<_>>(), others, "everyone but me, in table order");
             for seed in 0..1_000 {
                 let mut a = rand::rngs::SmallRng::seed_from_u64(seed);
@@ -925,7 +891,7 @@ mod tests {
             }
         }
         // A lone member has nobody to pick, and draws nothing.
-        let lone = PersistNode::member(all, vec![NodeId(3)].into(), 0, None);
+        let lone = PersistNode::member(layer(1), 0, None);
         assert_eq!(lone.pick_repair_peer(&mut rand::rngs::SmallRng::seed_from_u64(1)), None);
     }
 
@@ -963,8 +929,8 @@ mod tests {
     #[test]
     fn converged_pair_exchanges_two_constant_size_messages() {
         let all = SieveSpec::Range { index: 0, of: 1, r: 1 };
-        let mut a = PersistNode::new(all, vec![], None);
-        let mut b = PersistNode::new(all, vec![], None);
+        let mut a = PersistNode::new(all, None);
+        let mut b = PersistNode::new(all, None);
         for i in 0..100 {
             a.apply(tuple(&format!("k{i}"), 1));
             b.apply(tuple(&format!("k{i}"), 1));
@@ -977,8 +943,8 @@ mod tests {
     #[test]
     fn empty_stores_agree_on_an_empty_digest() {
         let all = SieveSpec::Range { index: 0, of: 1, r: 1 };
-        let mut a = PersistNode::new(all, vec![], None);
-        let mut b = PersistNode::new(all, vec![], None);
+        let mut a = PersistNode::new(all, None);
+        let mut b = PersistNode::new(all, None);
         assert!(a.shared_summary(&b.sieve).is_empty());
         assert_eq!(reconcile(&mut a, &mut b), 2, "nothing to pull from empty stores");
     }
@@ -986,8 +952,8 @@ mod tests {
     #[test]
     fn disjoint_stores_converge_in_one_round() {
         let all = SieveSpec::Range { index: 0, of: 1, r: 1 };
-        let mut a = PersistNode::new(all, vec![], None);
-        let mut b = PersistNode::new(all, vec![], None);
+        let mut a = PersistNode::new(all, None);
+        let mut b = PersistNode::new(all, None);
         for i in 0..20 {
             a.apply(tuple(&format!("a{i}"), 1));
             b.apply(tuple(&format!("b{i}"), 1));
@@ -1005,8 +971,8 @@ mod tests {
         // though b's sieve would reject the live key.
         let left = SieveSpec::Range { index: 0, of: 2, r: 1 };
         let right = SieveSpec::Range { index: 1, of: 2, r: 1 };
-        let mut a = PersistNode::new(left, vec![], None);
-        let mut b = PersistNode::new(right, vec![], None);
+        let mut a = PersistNode::new(left, None);
+        let mut b = PersistNode::new(right, None);
         a.apply(StoredTuple::tombstone("gone1".into(), Version(2)));
         a.apply(StoredTuple::tombstone("gone2".into(), Version(5)));
         reconcile(&mut a, &mut b);
@@ -1043,8 +1009,8 @@ mod tests {
                 )
             })
             .unwrap();
-        let mut a = PersistNode::new(left, vec![], None);
-        let mut b = PersistNode::new(right, vec![], None);
+        let mut a = PersistNode::new(left, None);
+        let mut b = PersistNode::new(right, None);
         a.apply(StoredTuple::tombstone(key.as_str().into(), Version(2)));
         b.apply(StoredTuple::tombstone(key.as_str().into(), Version(2)));
         a.apply(tuple(&key, 3)); // rebirth, delivered only to its owner
@@ -1057,8 +1023,8 @@ mod tests {
     #[test]
     fn repair_delta_reports_what_each_side_lacks() {
         let all = SieveSpec::Range { index: 0, of: 1, r: 1 };
-        let mut a = PersistNode::new(all, vec![], None);
-        let mut b = PersistNode::new(all, vec![], None);
+        let mut a = PersistNode::new(all, None);
+        let mut b = PersistNode::new(all, None);
         let shared = tuple("both", 1);
         let only_a = tuple("mine", 1);
         let only_b = tuple("yours", 1);

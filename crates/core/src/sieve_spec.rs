@@ -209,9 +209,11 @@ impl SieveSpec {
     }
 }
 
-/// The persistent layer as a coordinator sees it: every persist node's id
-/// in position order, the [`Placement`] they run and its replication
-/// degree. Position `i` runs [`OwnerIndex::sieve`]`(i)`, and the inverse
+/// The persistent layer as the whole cluster sees it: every persist
+/// node's id in position order, the [`Placement`] they run and its
+/// replication degree. A cluster builds one and shares it: coordinators
+/// route by it, and each replica reads its own sieve and its repair peers
+/// from it. Position `i` runs [`OwnerIndex::sieve`]`(i)`, and the inverse
 /// map — an item to the peers that keep it — is a closed form too: under
 /// `Range` and `Tag` a tuple's owners are one run of `min(r, n)`
 /// consecutive positions (O(r) per lookup); under `Uniform`, whose coin

@@ -404,7 +404,6 @@ impl SoftNode {
         target: NodeId,
         batch: Vec<(StoredTuple, Option<TraceCtx>)>,
     ) {
-        let me = ctx.id();
         ctx.metrics().incr("soft.deliveries");
         ctx.metrics().observe("soft.batch", batch.len() as f64);
         // The trace vec stays empty in untraced runs (no per-batch
@@ -418,7 +417,7 @@ impl SoftNode {
             }
             tuples.push(tuple);
         }
-        ctx.send(target, DropletMsg::DeliverBatch { tuples, coordinator: me, traces });
+        ctx.send(target, DropletMsg::DeliverBatch { tuples, traces });
     }
 
     /// Flushes every queued batch, in sorted target order (hash-map
@@ -472,7 +471,7 @@ impl SoftNode {
         self.metadata.record_write(key_hash, version, &[]);
         self.cache.put(key_hash, version, tuple.clone());
         ctx.metrics().incr("soft.writes");
-        let order = self.trace_hop(ctx, trace, "soft.order");
+        let order = ctx.trace_instant(trace, "soft.order");
         self.disseminate(ctx, tuple, order);
         (key_hash, version)
     }
@@ -591,24 +590,6 @@ impl SoftNode {
     // and the two span maps stay empty — so traced and untraced runs walk
     // byte-identical protocol states.
     // ------------------------------------------------------------------
-
-    /// Opens an instantaneous hop span (forwarding, ordering) under
-    /// `parent` and returns the re-parented context for downstream
-    /// messages.
-    fn trace_hop(
-        &mut self,
-        ctx: &mut Ctx<'_, DropletMsg>,
-        parent: Option<TraceCtx>,
-        label: &'static str,
-    ) -> Option<TraceCtx> {
-        let p = parent?;
-        let now = ctx.now();
-        let me = ctx.id();
-        let tr = ctx.tracer()?;
-        let span = tr.open(now, me, p.op, Some(p.span), label);
-        tr.close(now, p.op, span, true);
-        Some(TraceCtx { op: p.op, span })
-    }
 
     /// Opens the coordinator span of a traced op at this node; it stays
     /// open until [`SoftNode::trace_finish_op`].
@@ -1021,7 +1002,7 @@ impl SoftNode {
                 match op.route().map(|hash| self.coordinator_of(hash)) {
                     Some(Some(c)) if c != ctx.id() => {
                         ctx.metrics().incr("soft.forwards");
-                        let trace = self.trace_hop(ctx, trace, "soft.forward");
+                        let trace = ctx.trace_instant(trace, "soft.forward");
                         ctx.send(c, DropletMsg::Client { req, op, trace });
                     }
                     // An empty soft ring coordinates nothing.

@@ -4,7 +4,7 @@ use crate::metrics::Metrics;
 use crate::net::{LatencyModel, NetConfig};
 use crate::rng::stream_rng;
 use crate::time::{Duration, Time};
-use crate::trace::Tracer;
+use crate::trace::{TraceCtx, Tracer};
 use crate::types::{NodeId, TimerTag};
 use rand::rngs::SmallRng;
 use std::any::Any;
@@ -137,6 +137,24 @@ impl<M> Ctx<'_, M> {
     /// tracing costs one branch when off.
     pub fn tracer(&mut self) -> Option<&mut (dyn Tracer + 'static)> {
         self.tracer.as_deref_mut()
+    }
+
+    /// Records an instantaneous span named `label` at this node under
+    /// `parent` — a hop such as forwarding or ordering, or a leaf marker
+    /// such as a replica's store — and returns the context for the
+    /// messages it causes. `None`, recording nothing, when the op or the
+    /// run is untraced.
+    pub fn trace_instant(
+        &mut self,
+        parent: Option<TraceCtx>,
+        label: &'static str,
+    ) -> Option<TraceCtx> {
+        let p = parent?;
+        let (now, me) = (self.now, self.id);
+        let tr = self.tracer.as_deref_mut()?;
+        let span = tr.open(now, me, p.op, Some(p.span), label);
+        tr.close(now, p.op, span, true);
+        Some(TraceCtx { op: p.op, span })
     }
 }
 
