@@ -56,6 +56,9 @@ pub enum OpFailure {
     Timeout,
     /// No live soft node existed at submission.
     NoLiveEntry,
+    /// A scan or aggregate completed, but the replicas that answered left
+    /// some tuple without an answering owner.
+    Partial,
 }
 
 /// What an operation *returned* (the completion half of the pair).

@@ -56,12 +56,16 @@ pub enum OpError {
         /// was dead, or the op never reached one).
         waiting_on: Option<NodeId>,
     },
-    /// A batched operation completed with fewer items than submitted
-    /// (dead or unreachable key coordinators were given up on).
+    /// A batched write completed with fewer items than submitted (dead or
+    /// unreachable key coordinators were given up on), or a scan or
+    /// aggregate completed without the replies to cover every tuple (the
+    /// persist peers that answered leave some tuple with no answering
+    /// owner).
     PartialResult {
-        /// Items that completed.
+        /// Items that completed; for a scan or aggregate, persist peers
+        /// that answered.
         got: usize,
-        /// Items submitted.
+        /// Items submitted; for a scan or aggregate, persist peers.
         want: usize,
     },
     /// No live soft node existed to accept the operation at submission.
@@ -82,7 +86,7 @@ impl fmt::Display for OpError {
                 write!(f, "operation timed out after {OP_TIMEOUT} ticks")
             }
             OpError::PartialResult { got, want } => {
-                write!(f, "batched operation completed {got} of {want} items")
+                write!(f, "operation completed partially: {got} of {want}")
             }
             OpError::NoLiveEntry => write!(f, "no live soft node to accept the operation"),
             OpError::AlreadyHarvested => {
@@ -337,6 +341,10 @@ fn resolve(done: Done, o: Outstanding, audit: bool) -> (Completion, Option<Outco
             });
             (Completion::MultiGet(Ok(MultiGetResult { items, complete })), outcome)
         }
+        Done::Partial { got, want } => {
+            let outcome = audit.then_some(Outcome::Failed(OpFailure::Partial));
+            (o.kind.failed(OpError::PartialResult { got, want }), outcome)
+        }
     }
 }
 
@@ -488,12 +496,17 @@ impl Client {
         Pending::new(self.submit(cluster, ClientOp::Delete(key.into())))
     }
 
-    /// Submits an attribute range scan over `[lo, hi]`.
+    /// Submits an attribute range scan over `[lo, hi]`. It waits for every
+    /// reachable persist peer; when some are dead it completes `Ok` if the
+    /// ones that answered still hold an owner of every tuple, and
+    /// [`OpError::PartialResult`] (peers that answered, of all peers)
+    /// otherwise.
     pub fn scan(&mut self, cluster: &mut Cluster, lo: f64, hi: f64) -> Pending<ops::Scan> {
         Pending::new(self.submit(cluster, ClientOp::Scan { lo, hi }))
     }
 
-    /// Submits an aggregate query over all stored tuples.
+    /// Submits an aggregate query over all stored tuples. Dead persist
+    /// peers are handled as for [`Client::scan`].
     pub fn aggregate(&mut self, cluster: &mut Cluster) -> Pending<ops::Aggregate> {
         Pending::new(self.submit(cluster, ClientOp::Aggregate))
     }

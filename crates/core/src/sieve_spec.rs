@@ -218,7 +218,9 @@ impl SieveSpec {
 /// `Range` and `Tag` a tuple's owners are one run of `min(r, n)`
 /// consecutive positions (O(r) per lookup); under `Uniform`, whose coin
 /// has no inverse, each sieve is asked in turn (O(N), allocation-free).
-/// Owners come back in peer order.
+/// Owners come back in peer order. [`OwnerIndex::covers`] is the same
+/// closed form run the other way: whether the peers that answered a scan
+/// still hold an owner of every tuple.
 #[derive(Debug, Default)]
 pub struct OwnerIndex {
     /// All persistent-layer node ids, in position order.
@@ -283,6 +285,29 @@ impl OwnerIndex {
         };
         let (top, wrapped) = self.run_from(first);
         self.peers[wrapped].iter().chain(&self.peers[top]).copied().collect()
+    }
+
+    /// Whether every tuple has an owner outside `silent`, so that a scan or
+    /// aggregate the other peers answered is whole. Under `Range` and `Tag`
+    /// every position starts some tuple's owner run, so this holds when
+    /// each run has a position that is not silent. Under `Uniform` any
+    /// silent peer may be some key's only owner, so it holds only when
+    /// `silent` is empty — or when `r ≥ n` puts every key on every peer,
+    /// where one run spans them all.
+    #[must_use]
+    pub fn covers(&self, silent: &[NodeId]) -> bool {
+        let n = self.peers.len();
+        if silent.is_empty() {
+            return true;
+        }
+        if self.placement == Placement::Uniform && (self.r as usize) < n {
+            return false;
+        }
+        let dark: Vec<bool> = self.peers.iter().map(|p| silent.contains(p)).collect();
+        (0..n as u64).all(|first| {
+            let (top, wrapped) = self.run_from(first);
+            !dark[top].iter().chain(&dark[wrapped]).all(|&d| d)
+        })
     }
 
     /// The peers a read of everything tagged `tag_hash` asks. Under

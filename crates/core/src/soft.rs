@@ -129,6 +129,10 @@ pub(crate) enum Done {
     /// A tag-scoped read: the deduplicated live tuples, and whether every
     /// contacted replica answered before the deadline.
     MultiGet { items: Vec<StoredTuple>, complete: bool },
+    /// A scan or aggregate whose answering replicas leave some owner run
+    /// uncovered ([`OwnerIndex::covers`]): `got` of the `want` persist
+    /// peers answered.
+    Partial { got: usize, want: usize },
 }
 
 /// Ticks a multi-tuple operation waits for stragglers before completing
@@ -161,27 +165,41 @@ pub struct MultiPutStatus {
     pub versions: Vec<(u64, Version)>,
 }
 
-/// An operation in flight at its coordinator, awaiting replies.
+/// An operation in flight at its coordinator, awaiting replies. Every kind
+/// waits by one rule ([`Pending::settled`]) and gives up on a peer one way:
+/// a target dark when asked, struck by a death notice or outlived by the
+/// deadline moves to `silent`.
 #[derive(Debug, Clone)]
 struct Pending {
     /// The nodes still owing a reply, one entry per outstanding request (a
     /// multi-put lists a key coordinator once per item it owns).
     waiting: Vec<NodeId>,
+    /// Targets that were dark when asked, or have been struck since.
+    silent: Vec<NodeId>,
     /// When the op started, for the deadline sweep ([`MULTI_OP_TIMER`]).
     started: Time,
     op: PendingOp,
 }
 
+impl Pending {
+    /// Nobody reachable owes a reply. A read also waits out its silent
+    /// replicas — a heal re-fetches from them ([`DropletMsg::PeerUp`]), so
+    /// it never concludes "not found" while one may hold the write.
+    fn settled(&self) -> bool {
+        self.waiting.is_empty()
+            && (self.silent.is_empty() || !matches!(self.op, PendingOp::Get { .. }))
+    }
+}
+
 /// What differs between the kinds of pending operation: the reply folded
-/// so far, and what a death notice or the deadline does to the op.
+/// so far. A scan or aggregate that finishes with silent peers is whole
+/// only when the peers that answered still cover every owner run
+/// ([`OwnerIndex::covers`]), else it completes as [`Done::Partial`]; a
+/// multi-get with silent peers completes incomplete.
 #[derive(Debug, Clone)]
 enum PendingOp {
-    /// A single read of `key_hash` at `version`. `unreached` holds the
-    /// replicas that were dark when the fetch went out or have been declared
-    /// dead since, re-fetched on [`DropletMsg::PeerUp`] — a read must never
-    /// conclude "not found" while a replica it couldn't reach may hold the
-    /// write.
-    Get { key_hash: u64, version: Version, unreached: Vec<NodeId> },
+    /// A single read of `key_hash` at `version`.
+    Get { key_hash: u64, version: Version },
     /// A scan: the raw replica items gathered so far.
     Scan { items: Vec<StoredTuple> },
     /// An aggregate: the merged sketch and attribute bounds so far.
@@ -189,9 +207,8 @@ enum PendingOp {
     /// A batched write: the versions ordered so far, and the batch size for
     /// partial accounting.
     MultiPut { versions: Vec<(u64, Version)>, want: usize },
-    /// A tag-scoped read: the gathered items, and whether every slot-owner
-    /// could be contacted and has been waited for.
-    MultiGet { items: Vec<StoredTuple>, full: bool },
+    /// A tag-scoped read: the gathered items.
+    MultiGet { items: Vec<StoredTuple> },
 }
 
 impl PendingOp {
@@ -309,7 +326,7 @@ impl SoftNode {
     }
 
     /// Parks the reply to `req` for its session and closes the op's
-    /// coordinator span (`answered` = nothing was given up on). The record
+    /// coordinator span (`answered` = the reply is whole). The record
     /// the cap retires to make room, if any, takes its ack route with it.
     fn complete(&mut self, ctx: &mut Ctx<'_, DropletMsg>, req: u64, done: Done, answered: bool) {
         self.trace_finish_op(ctx, req, answered);
@@ -491,43 +508,45 @@ impl SoftNode {
     }
 
     /// Completes `req` with what its pending entry gathered, whichever path
-    /// got here — last reply, death notice, or the deadline sweep. A
-    /// multi-op that gave up on somebody counts as a partial.
+    /// got here — last reply, death notice, or the deadline sweep. An op
+    /// that gave up on somebody counts as a partial, unless it is a scan or
+    /// aggregate whose answers still cover every owner.
     fn finish(&mut self, ctx: &mut Ctx<'_, DropletMsg>, req: u64, p: Pending) {
-        match p.op {
-            PendingOp::Get { .. } => self.complete(ctx, req, Done::Read(None), true),
-            PendingOp::Scan { items } => {
-                self.complete(ctx, req, Done::Scan(Self::finalize_gather(items)), true);
+        let (done, answered) = match p.op {
+            PendingOp::Get { .. } => (Done::Read(None), true),
+            PendingOp::Scan { .. } | PendingOp::Aggregate { .. }
+                if !self.persist.covers(&p.silent) =>
+            {
+                let want = self.persist.peers.len();
+                (Done::Partial { got: want - p.silent.len(), want }, false)
             }
+            PendingOp::Scan { items } => (Done::Scan(Self::finalize_gather(items)), true),
             PendingOp::Aggregate { sketch, min, max } => {
-                self.complete(ctx, req, Done::Aggregate { sketch, min, max }, true);
+                (Done::Aggregate { sketch, min, max }, true)
             }
             PendingOp::MultiPut { versions, want } => {
                 let ordered = versions.len() >= want;
                 if !ordered {
                     ctx.metrics().incr("soft.multi_put_partials");
                 }
-                let status = MultiPutStatus { items: versions.len(), versions };
-                self.complete(ctx, req, Done::MultiPut(status), ordered);
+                (Done::MultiPut(MultiPutStatus { items: versions.len(), versions }), ordered)
             }
-            PendingOp::MultiGet { items, full } => {
+            PendingOp::MultiGet { items } => {
+                let full = p.silent.is_empty();
                 if !full {
                     ctx.metrics().incr("soft.multi_get_partials");
                 }
                 let items = Self::finalize_gather(items);
-                self.complete(ctx, req, Done::MultiGet { items, complete: full }, full);
+                (Done::MultiGet { items, complete: full }, full)
             }
-        }
+        };
+        self.complete(ctx, req, done, answered);
     }
 
     /// A reply to pending `req` landed from `from`: stop waiting on it, fold
-    /// the answer into the op, and finish the op once nobody owes a reply
-    /// (for a read: nobody reachable *or* dark — a dark replica may hold the
-    /// write, read-your-writes over availability). A found tuple completes
-    /// its read at once; a late one changes nothing.
+    /// the answer into the op, and finish the op once it is settled. A
+    /// found tuple completes its read at once; a late one changes nothing.
     fn on_reply(&mut self, ctx: &mut Ctx<'_, DropletMsg>, req: u64, from: NodeId, answer: Answer) {
-        // Before the lookup: a scan this node gave up on still shows which
-        // replicas answered it.
         self.trace_reply(ctx, req, from);
         let Some(p) = self.pending.get_mut(&req) else { return };
         if let Answer::Found(Some(t)) = answer {
@@ -559,8 +578,7 @@ impl SoftNode {
             }
             _ => {}
         }
-        let parked = matches!(&p.op, PendingOp::Get { unreached, .. } if !unreached.is_empty());
-        if p.waiting.is_empty() && !parked {
+        if p.settled() {
             let p = self.pending.remove(&req).expect("present");
             self.finish(ctx, req, p);
         }
@@ -700,54 +718,35 @@ impl SoftNode {
     /// timed-out client learns *which* node never replied.
     pub(crate) fn blame(&self, req: u64) -> Option<NodeId> {
         let p = self.pending.get(&req)?;
-        let dark = match &p.op {
-            PendingOp::Get { unreached, .. } => unreached.first(),
-            _ => None,
-        };
-        p.waiting.first().or(dark).copied()
+        p.waiting.first().or(p.silent.first()).copied()
     }
 
-    /// The failure detector declared `peer` dead: every pending op stops
-    /// waiting on it, in request order — completions enter the retention
-    /// log (whose cap retires by age) and close trace spans, so hash-map
-    /// order must not reach them.
+    /// The failure detector declared `peer` dead: every pending op that
+    /// waited on it moves it to `silent`, in request order — completions
+    /// enter the retention log (whose cap retires by age) and close trace
+    /// spans, so hash-map order must not reach them. A scan or aggregate
+    /// then finishes once settled, whole if the peers that answered cover
+    /// every owner and [`Done::Partial`] otherwise.
     fn strike_peer(&mut self, ctx: &mut Ctx<'_, DropletMsg>, peer: NodeId) {
         let mut struck: Vec<u64> = Vec::new();
         for (&req, p) in &mut self.pending {
             let before = p.waiting.len();
             p.waiting.retain(|&n| n != peer);
             if p.waiting.len() < before {
+                p.silent.push(peer);
                 struck.push(req);
             }
         }
         struck.sort_unstable();
         for req in struck {
-            let p = self.pending.get_mut(&req).expect("struck above");
-            let idle = p.waiting.is_empty();
-            match &mut p.op {
-                // A read is still semantically waiting: a heal re-fetches,
-                // and its wait span stays open so a never-healed replica
-                // shows as the hop that never answered.
-                PendingOp::Get { unreached, .. } => {
-                    unreached.push(peer);
-                    continue;
-                }
-                // Neither has a partial result to report, and a revived
-                // node never answers the old request: forget the op and
-                // leave its session to time out. The trace keeps the wait
-                // on `peer` open, as for a read.
-                PendingOp::Scan { .. } | PendingOp::Aggregate { .. } => {
-                    self.pending.remove(&req);
-                    continue;
-                }
-                PendingOp::MultiGet { full, .. } => *full = false,
-                PendingOp::MultiPut { .. } => {}
+            // A read is still semantically waiting: a heal re-fetches, and
+            // its wait span stays open so a never-healed replica shows as
+            // the hop that never answered. Any other op genuinely stops
+            // waiting — its span on `peer` closes unanswered now.
+            if !matches!(self.pending[&req].op, PendingOp::Get { .. }) {
+                self.trace_unwait(ctx, req, peer);
             }
-            // Multi-ops genuinely stop waiting — their span on `peer`
-            // closes unanswered now — and one whose last outstanding reply
-            // was on it completes instead of sitting out the deadline.
-            self.trace_unwait(ctx, req, peer);
-            if idle {
+            if self.pending[&req].settled() {
                 let p = self.pending.remove(&req).expect("struck above");
                 self.finish(ctx, req, p);
             }
@@ -761,11 +760,11 @@ impl SoftNode {
     fn peer_restored(&mut self, ctx: &mut Ctx<'_, DropletMsg>, peer: NodeId) {
         let mut refetches: Vec<(u64, Query)> = Vec::new();
         for (&req, p) in &mut self.pending {
-            let PendingOp::Get { key_hash, version, unreached } = &mut p.op else { continue };
-            if let Some(pos) = unreached.iter().position(|&n| n == peer) {
-                unreached.remove(pos);
+            let PendingOp::Get { key_hash, version } = p.op else { continue };
+            if let Some(pos) = p.silent.iter().position(|&n| n == peer) {
+                p.silent.remove(pos);
                 p.waiting.push(peer);
-                refetches.push((req, Query::Get { key_hash: *key_hash, version: *version }));
+                refetches.push((req, Query::Get { key_hash, version }));
             }
         }
         refetches.sort_unstable_by_key(|&(req, _)| req);
@@ -827,41 +826,39 @@ impl SoftNode {
         }
     }
 
-    /// Asks every persist peer `query` for a scan or aggregate and registers
-    /// the op — unless a peer is already known dead: it will never answer
-    /// and neither op has a partial result to report, so the session times
-    /// out on its own and the replies that do come find no entry. With no
-    /// persist peers at all the op completes at once, empty.
-    fn ask_every_peer(
+    /// Asks the reachable `targets` `query` and registers the op, the
+    /// unreachable ones silent from the start. Returns how many were asked.
+    fn gather(
         &mut self,
         ctx: &mut Ctx<'_, DropletMsg>,
         req: u64,
+        targets: Vec<NodeId>,
         query: Query,
         op: PendingOp,
-    ) {
-        let p = Pending { waiting: self.persist.peers.clone(), started: ctx.now(), op };
-        if p.waiting.is_empty() {
-            self.finish(ctx, req, p);
-            return;
-        }
-        self.ask(ctx, req, &p.waiting, query);
-        if p.waiting.iter().all(|t| self.reachable.contains(t)) {
-            self.pending.insert(req, p);
-        }
+    ) -> usize {
+        let (waiting, silent): (Vec<NodeId>, Vec<NodeId>) =
+            targets.into_iter().partition(|t| self.reachable.contains(t));
+        self.ask(ctx, req, &waiting, query);
+        let asked = waiting.len();
+        self.register(ctx, req, Pending { waiting, silent, started: ctx.now(), op });
+        asked
     }
 
-    /// Registers a multi-op under the deadline sweep, or completes it on
-    /// the spot when there is nobody to wait for.
-    fn await_multi_op(&mut self, ctx: &mut Ctx<'_, DropletMsg>, req: u64, p: Pending) {
-        if p.waiting.is_empty() {
+    /// Completes `p` on the spot when it is already settled; otherwise
+    /// records it, a multi-op under the deadline sweep.
+    fn register(&mut self, ctx: &mut Ctx<'_, DropletMsg>, req: u64, p: Pending) {
+        if p.settled() {
             self.finish(ctx, req, p);
             return;
         }
+        let deadline = p.op.has_deadline();
         self.pending.insert(req, p);
-        // When this fires, this request (and any older one) is past its
-        // timeout and completes with whatever arrived — a silently lost
-        // reply must not hang the op.
-        ctx.set_timer(Duration(MULTI_OP_TIMEOUT), MULTI_OP_TIMER);
+        if deadline {
+            // When this fires, this request (and any older one) is past its
+            // timeout and completes with whatever arrived — a silently lost
+            // reply must not hang the op.
+            ctx.set_timer(Duration(MULTI_OP_TIMEOUT), MULTI_OP_TIMER);
+        }
     }
 
     fn start_read(&mut self, ctx: &mut Ctx<'_, DropletMsg>, req: u64, key: &Key) {
@@ -890,18 +887,8 @@ impl SoftNode {
             targets = pool;
             ctx.metrics().incr("soft.fallback_fetches");
         }
-        if targets.is_empty() {
-            self.complete(ctx, req, Done::Read(None), true);
-            return;
-        }
-        // Fetch from the reachable replicas now; remember the unreachable
-        // ones so a heal re-fetches instead of letting the op time out —
-        // and never answer "not found" while one of them may hold the key.
-        let (waiting, unreached): (Vec<NodeId>, Vec<NodeId>) =
-            targets.into_iter().partition(|t| self.reachable.contains(t));
-        self.ask(ctx, req, &waiting, Query::Get { key_hash, version: latest });
-        let op = PendingOp::Get { key_hash, version: latest, unreached };
-        self.pending.insert(req, Pending { waiting, started: ctx.now(), op });
+        let op = PendingOp::Get { key_hash, version: latest };
+        self.gather(ctx, req, targets, Query::Get { key_hash, version: latest }, op);
     }
 
     /// Coordinates client op `req` at this node, which is its key's or
@@ -927,7 +914,7 @@ impl SoftNode {
             ClientOp::Scan { lo, hi } => {
                 self.trace_coord(ctx, req, trace, "soft.scan");
                 let op = PendingOp::Scan { items: Vec::new() };
-                self.ask_every_peer(ctx, req, Query::Range { lo, hi }, op);
+                self.gather(ctx, req, self.persist.peers.clone(), Query::Range { lo, hi }, op);
             }
             ClientOp::Aggregate => {
                 self.trace_coord(ctx, req, trace, "soft.agg");
@@ -936,7 +923,7 @@ impl SoftNode {
                     min: f64::INFINITY,
                     max: f64::NEG_INFINITY,
                 };
-                self.ask_every_peer(ctx, req, Query::Aggregate, op);
+                self.gather(ctx, req, self.persist.peers.clone(), Query::Aggregate, op);
             }
             ClientOp::MultiPut(items) => {
                 ctx.metrics().incr("soft.multi_puts");
@@ -948,8 +935,7 @@ impl SoftNode {
                 }
                 let (me, want) = (ctx.id(), items.len());
                 let coord_trace = self.trace_ctx_of(req);
-                let mut versions = Vec::new();
-                let mut waiting = Vec::new();
+                let (mut versions, mut waiting, mut silent) = (Vec::new(), Vec::new(), Vec::new());
                 for item in items {
                     match self.coordinator_of(item.key.hash()) {
                         Some(c) if c == me => {
@@ -964,30 +950,25 @@ impl SoftNode {
                             let trace = self.trace_wait(ctx, req, c, "soft.subput_wait");
                             ctx.send(c, DropletMsg::SubPut { req, item, trace });
                         }
-                        _ => {}
+                        Some(c) => silent.push(c),
+                        None => {}
                     }
                 }
                 ctx.metrics().add("multi_put.msgs", waiting.len() as u64);
                 let op = PendingOp::MultiPut { versions, want };
-                self.await_multi_op(ctx, req, Pending { waiting, started: ctx.now(), op });
+                self.register(ctx, req, Pending { waiting, silent, started: ctx.now(), op });
             }
             ClientOp::MultiGet(tag) => {
                 let tag_hash = tag.hash();
                 ctx.metrics().incr("soft.multi_gets");
                 self.trace_coord(ctx, req, trace, "soft.multi_get");
+                // Skipping a known-dead slot-owner marks the result partial
+                // at once instead of waiting out the deadline for it.
                 let targets = self.persist.tag_targets(tag_hash);
-                // Only reachable slot-owners are contacted; skipping a
-                // known-dead one marks the result partial immediately
-                // instead of waiting out the deadline for it.
-                let (waiting, skipped): (Vec<NodeId>, Vec<NodeId>) =
-                    targets.into_iter().partition(|t| self.reachable.contains(t));
-                ctx.metrics().observe("multi_get.contacted_nodes", waiting.len() as f64);
-                ctx.metrics().add("multi_get.msgs", waiting.len() as u64);
-                self.ask(ctx, req, &waiting, Query::Tag(tag_hash));
-                // With nothing answerable the result is empty, and full
-                // only when there were no owners at all to ask.
-                let op = PendingOp::MultiGet { items: Vec::new(), full: skipped.is_empty() };
-                self.await_multi_op(ctx, req, Pending { waiting, started: ctx.now(), op });
+                let op = PendingOp::MultiGet { items: Vec::new() };
+                let asked = self.gather(ctx, req, targets, Query::Tag(tag_hash), op);
+                ctx.metrics().observe("multi_get.contacted_nodes", asked as f64);
+                ctx.metrics().add("multi_get.msgs", asked as u64);
             }
         }
     }
@@ -1033,9 +1014,10 @@ impl SoftNode {
     }
 
     /// Handles the multi-op deadline sweep: every pending multi-get and
-    /// multi-put older than [`MULTI_OP_TIMEOUT`] completes with what it
-    /// gathered so far (each op's own timer fires exactly at its expiry,
-    /// so this never cuts a request short).
+    /// multi-put older than [`MULTI_OP_TIMEOUT`] gives up on whoever still
+    /// owes a reply and completes with what it gathered so far (each op's
+    /// own timer fires exactly at its expiry, so this never cuts a request
+    /// short).
     pub fn on_timer(&mut self, ctx: &mut Ctx<'_, DropletMsg>, tag: TimerTag) {
         if tag == BATCH_TIMER {
             self.flush_outbox(ctx);
@@ -1056,9 +1038,7 @@ impl SoftNode {
         expired.sort_unstable();
         for req in expired {
             let mut p = self.pending.remove(&req).expect("present");
-            if let PendingOp::MultiGet { full, .. } = &mut p.op {
-                *full = false;
-            }
+            p.silent.append(&mut p.waiting);
             self.finish(ctx, req, p);
         }
     }
@@ -1433,8 +1413,13 @@ mod tests {
         // which kind of op a request is.
         let mut struck = with_pending_ops();
         drive(&mut struck, 1, |n, ctx| n.on_message(ctx, me, DropletMsg::PeerDown(peer)));
-        assert!(struck.completed.order.iter().eq(&multi_ops), "{:?}", struck.completed.order);
-        // Scans and aggregates are forgotten, reads park on the dark peer…
+        let unparked: Vec<u64> = reqs.iter().copied().filter(|req| req % 5 != 2).collect();
+        assert!(struck.completed.order.iter().eq(&unparked), "{:?}", struck.completed.order);
+        // Scans and aggregates lost their one owner and complete partial,
+        // reads park on the dark peer…
+        assert!(of_kind(3)
+            .chain(of_kind(4))
+            .all(|req| matches!(struck.completed.map[&req], Done::Partial { got: 0, want: 1 })));
         assert_eq!(struck.pending_ops(), of_kind(2).count());
         assert!(of_kind(2).all(|req| struck.blame(req) == Some(peer)));
         // …and are re-fetched, then answered, once it is back.
@@ -1452,9 +1437,8 @@ mod tests {
             }
         });
         assert_eq!(struck.pending_ops(), 0);
-        let finished: Vec<u64> = multi_ops.iter().copied().chain(of_kind(2)).collect();
+        let finished: Vec<u64> = unparked.iter().copied().chain(of_kind(2)).collect();
         assert!(struck.completed.order.iter().eq(&finished), "exactly once each");
-        assert!(of_kind(3).chain(of_kind(4)).all(|req| struck.take(req).is_none()));
 
         // The deadline is the multi-ops' alone.
         let mut expired = with_pending_ops();

@@ -464,6 +464,48 @@ mod placement {
                 }
             }
         }
+
+        /// A scan or aggregate is whole without the `silent` peers exactly
+        /// when every tuple keeps an owner outside them: `covers` against
+        /// `owners_of` over a dense sample of key and tag hashes, seams
+        /// included, for a random silent subset. Under `Uniform` below
+        /// `r = n` any silent peer may be some key's only owner, which a
+        /// sample can only fail to witness: there `covers` claims coverage
+        /// only when nobody is silent.
+        #[test]
+        fn covers_holds_when_every_tuple_keeps_an_answering_owner(
+            n in 1u64..40,
+            r in 1u32..6,
+            salt in any::<u64>(),
+            silent_eighths in 0u64..=8,
+        ) {
+            let peers: Vec<NodeId> = (0..n).map(|i| NodeId(1000 - i)).collect();
+            let silent: Vec<NodeId> = (0..n)
+                .filter(|&i| mix(salt, i) % 8 < silent_eighths)
+                .map(|i| peers[i as usize])
+                .collect();
+            let base = StoredTuple::new(Key::from("s"), Version(1), b"v".to_vec(), None, None);
+            let mut tuples = Vec::new();
+            for h in seam_hashes(n).into_iter().chain((0..1024).map(|i| mix(salt ^ 0x5CA7, i))) {
+                let mut bare = base.clone();
+                bare.key_hash = h;
+                let mut tagged = base.clone();
+                tagged.tag_hash = Some(h);
+                tuples.extend([bare, tagged]);
+            }
+            for placement in [Placement::RangePartition, Placement::Uniform, Placement::TagCollocation] {
+                let index = OwnerIndex::new(peers.clone(), placement, r);
+                let covers = index.covers(&silent);
+                let answered = |t: &StoredTuple| index.owners_of(t).iter().any(|o| !silent.contains(o));
+                let every = tuples.iter().all(answered);
+                if placement == Placement::Uniform && u64::from(r) < n {
+                    prop_assert_eq!(covers, silent.is_empty(), "{:?} silent under {:?}", silent, placement);
+                    prop_assert!(!covers || every, "{:?} silent under {:?}", silent, placement);
+                } else {
+                    prop_assert_eq!(covers, every, "{:?} silent under {:?}", silent, placement);
+                }
+            }
+        }
     }
 
     #[test]

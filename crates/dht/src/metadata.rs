@@ -61,13 +61,6 @@ impl Metadata {
         }
     }
 
-    /// Removes a node from all hints (failure detected).
-    pub fn forget_node(&mut self, node: NodeId) {
-        for e in self.entries.values_mut() {
-            e.holders.retain(|&h| h != node);
-        }
-    }
-
     /// Latest version of a key (`Version::ZERO` when unknown).
     #[must_use]
     pub fn latest(&self, key_hash: u64) -> Version {
@@ -152,16 +145,6 @@ mod tests {
         m.record_write(1, Version(2), &[]);
         m.add_holder(1, Version(1), NodeId(9));
         assert!(m.holders(1).is_empty());
-    }
-
-    #[test]
-    fn forget_node_purges_hints() {
-        let mut m = Metadata::new(4);
-        m.record_write(1, Version(1), &[NodeId(5), NodeId(6)]);
-        m.record_write(2, Version(1), &[NodeId(5)]);
-        m.forget_node(NodeId(5));
-        assert_eq!(m.holders(1), &[NodeId(6)]);
-        assert!(m.holders(2).is_empty());
     }
 
     #[test]

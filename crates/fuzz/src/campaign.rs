@@ -6,7 +6,7 @@ use crate::config::FuzzConfig;
 use crate::gen::{generate, Case};
 use crate::run::{run_case, Verdict};
 use crate::shrink::{shrink, ShrinkStats};
-use dd_core::{LostCause, Planes, Violation, ViolationKind};
+use dd_core::{LostCause, Planes, ScenarioReport, Violation, ViolationKind};
 use std::time::{Duration, Instant};
 
 /// How a campaign walks the seed space and when it stops.
@@ -120,6 +120,9 @@ pub struct CampaignSummary {
     pub panics: u64,
     /// Generated cases rejected by validation (generator bug if ever > 0).
     pub rejected: u64,
+    /// Client operations the completed runs issued: the traffic behind
+    /// the census, so a census move shows whether the load moved with it.
+    pub ops_issued: u64,
     /// `(kind, violations)` across all runs, in first-appearance order.
     pub kind_census: Vec<(ViolationKind, u64)>,
     /// `(cause, lost writes)` across all runs, in first-appearance order
@@ -205,7 +208,8 @@ impl CampaignSummary {
         format!(
             "{{\n  \"bench\": \"fuzz_campaign\",\n  \"config\": {},\n  \
              \"seeds_run\": {},\n  \"clean\": {},\n  \"durability\": {},\n  \"safety\": {},\n  \
-             \"panics\": {},\n  \"rejected\": {},\n  \"scenarios_per_sec\": {:.2},\n  \
+             \"panics\": {},\n  \"rejected\": {},\n  \"ops_issued\": {},\n  \
+             \"scenarios_per_sec\": {:.2},\n  \
              \"mean_shrink_ratio\": {:.4},\n  \"elapsed_ms\": {},\n  \
              \"kind_census\": [\n{}\n  ],\n  \"cause_census\": [\n{}\n  ],\n  \
              \"findings\": [\n{}\n  ]\n}}\n",
@@ -216,6 +220,7 @@ impl CampaignSummary {
             self.safety,
             self.panics,
             self.rejected,
+            self.ops_issued,
             self.scenarios_per_sec(),
             self.mean_shrink_ratio(),
             self.elapsed.as_millis(),
@@ -254,6 +259,7 @@ pub fn run_campaign(cfg: &FuzzConfig, plan: &CampaignPlan) -> CampaignSummary {
         safety: 0,
         panics: 0,
         rejected: 0,
+        ops_issued: 0,
         kind_census: Vec::new(),
         cause_census: Vec::new(),
         findings: Vec::new(),
@@ -270,6 +276,7 @@ pub fn run_campaign(cfg: &FuzzConfig, plan: &CampaignPlan) -> CampaignSummary {
         let case = generate(cfg, seed);
         let result = run_case(&case);
         summary.seeds_run += 1;
+        summary.ops_issued += result.report.as_ref().map_or(0, ScenarioReport::issued);
         for &(kind, n) in &result.kinds {
             tally(&mut summary.kind_census, kind, n);
         }

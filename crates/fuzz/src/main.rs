@@ -146,6 +146,13 @@ fn main() {
         let cause = cause.map_or("unattributed", dd_core::LostCause::label);
         println!("  lost writes {cause}: {n}");
     }
+    let lost: u64 = summary.cause_census.iter().map(|&(_, n)| n).sum();
+    let per_kop = if summary.ops_issued == 0 {
+        0.0
+    } else {
+        lost as f64 * 1_000.0 / summary.ops_issued as f64
+    };
+    println!("  ops issued {}  lost writes per 1000 ops {per_kop:.2}", summary.ops_issued);
     for finding in &summary.findings {
         let label = match finding.verdict {
             Verdict::Violating(kind) => format!("{kind}"),

@@ -14,15 +14,14 @@
 
 use dd_core::scenario::library;
 use dd_core::{
-    Cluster, ClusterConfig, OpError, OpMix, Phase, Placement, Planes, Scenario, TraceSet,
-    WorkloadKind,
+    Cluster, ClusterConfig, OpMix, Phase, Placement, Planes, Scenario, TraceSet, WorkloadKind,
 };
 
 /// `stable_hash` of the Chrome export of the `mixed` scenario's traced run.
 const MIXED_SEED9_SPANS: u64 = 11_762_620_794_387_712_866;
 
 /// `stable_hash` of the Chrome export of the scan/aggregate/fetch session.
-const SCAN_AGGREGATE_SEED26_SPANS: u64 = 18_358_784_309_913_720_026;
+const SCAN_AGGREGATE_SEED26_SPANS: u64 = 7_437_639_137_172_933_408;
 
 const CALM_SEED42: &str = "ScenarioReport { name: \"calm\", phases: [PhaseReport { name: \"load\", ticks: 6000, issued: 240, ok: 240, errors: ErrorCounts { timeouts: 0, partials: 0, no_entry: 0 }, reads_found: 0, reads_absent: 0, stale_reads: 0, tuples_read: 0, latency_p50: 25.0, latency_p95: 25.0, latency_p99: 25.0, msgs: 2944, contacts_mean: 0.0, contacts_max: 0.0 }, PhaseReport { name: \"serve\", ticks: 10000, issued: 420, ok: 420, errors: ErrorCounts { timeouts: 0, partials: 0, no_entry: 0 }, reads_found: 307, reads_absent: 0, stale_reads: 0, tuples_read: 3079, latency_p50: 25.0, latency_p95: 25.0, latency_p99: 25.0, msgs: 5347, contacts_mean: 32.0, contacts_max: 32.0 }, PhaseReport { name: \"readback\", ticks: 8000, issued: 200, ok: 200, errors: ErrorCounts { timeouts: 0, partials: 0, no_entry: 0 }, reads_found: 159, reads_absent: 0, stale_reads: 0, tuples_read: 2359, latency_p50: 25.0, latency_p95: 25.0, latency_p99: 25.0, msgs: 3520, contacts_mean: 32.0, contacts_max: 32.0 }], ticks: 24000, msgs: 11811, latency_p50: 25.0, latency_p95: 25.0, latency_p99: 25.0, audit: None, trace: None, telemetry: None }";
 
@@ -144,9 +143,10 @@ fn scan_aggregate_and_fetch_spans_are_frozen() {
     let early = (s.scan(&mut c, 0.0, 1.0), s.aggregate(&mut c));
     c.run_for(200);
     let late = (s.scan(&mut c, 0.0, 1.0), s.aggregate(&mut c));
+    // Every tuple keeps two live owners, so both pairs complete whole.
     for (scan, aggregate) in [early, late] {
-        assert!(matches!(s.recv(&mut c, scan), Err(OpError::Timeout { .. })));
-        assert!(matches!(s.recv(&mut c, aggregate), Err(OpError::Timeout { .. })));
+        assert_eq!(s.recv(&mut c, scan).expect("scan covered").len(), 8);
+        assert!(s.recv(&mut c, aggregate).is_ok());
     }
     let set = c.stop_observing().trace.expect("trace plane on");
     let json = set.to_chrome_json();

@@ -448,3 +448,37 @@ fn a_scan_never_returns_a_superseded_version() {
         "{completed} scans over {stale_holders} stale holders"
     );
 }
+
+/// One dead persist node out of 32 (r = 3) leaves every tuple two live
+/// owners under `Range` and `Tag`, so scans and aggregates complete whole.
+/// Under `Uniform` the dead node may be some key's only owner, so they
+/// complete as `PartialResult` — never as a `Timeout`.
+#[test]
+fn scans_and_aggregates_complete_on_owner_coverage_behind_a_dead_persist_node() {
+    for placement in [Placement::RangePartition, Placement::TagCollocation, Placement::Uniform] {
+        for seed in 0..20 {
+            let mut c = settled(ClusterConfig::small().placement(placement), seed);
+            let mut s = c.client();
+            for i in 0..50 {
+                let tag = format!("feed:{}", i % 5);
+                let w = s.put(&mut c, format!("k{i}"), vec![1], Some(f64::from(i)), Some(&tag));
+                s.recv(&mut c, w).expect("write ordered");
+            }
+            c.run_for(1_000);
+            let victim = c.persist_ids()[(seed * 7 % 32) as usize];
+            c.sim.kill(victim);
+            c.run_for(200);
+            let (scan, aggregate) = (s.scan(&mut c, 0.0, 50.0), s.aggregate(&mut c));
+            let (scan, aggregate) = (s.recv(&mut c, scan), s.recv(&mut c, aggregate));
+            let at = format!("seed {seed} under {placement:?}");
+            if placement == Placement::Uniform {
+                let partial = Some(OpError::PartialResult { got: 31, want: 32 });
+                assert_eq!(scan.err(), partial, "{at}");
+                assert_eq!(aggregate.err(), partial, "{at}");
+            } else {
+                assert_eq!(scan.map(|items| items.len()), Ok(50), "{at}");
+                assert_eq!(aggregate.map(|a| (a.min, a.max)), Ok((0.0, 49.0)), "{at}");
+            }
+        }
+    }
+}
