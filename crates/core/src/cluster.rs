@@ -359,12 +359,12 @@ impl dd_sim::Observer<DropletNode> for Observers {
                     t.gauge(tick, "soft.pending_ops", node, p as f64);
                     t.gauge(tick, "soft.undelivered", node, u as f64);
                     t.gauge(tick, "soft.outbox", node, s.outbox_depth() as f64);
-                    t.gauge(tick, "soft.fd_live", node, s.reachable_peers().len() as f64);
+                    t.gauge(tick, "soft.fd_live", node, s.trusted_peers() as f64);
                     backlog += b;
                     pending += p;
                     undelivered += u;
                     retired += s.completions_retired();
-                    fd_sum += s.reachable_peers().len() as u64;
+                    fd_sum += s.trusted_peers() as u64;
                     soft_n += 1;
                 }
                 Some(DropletNode::Persist(p)) => {

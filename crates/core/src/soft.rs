@@ -4,7 +4,7 @@
 use crate::msg::{Answer, ClientOp, DropletMsg, Query, SKETCH_K};
 use crate::sieve_spec::OwnerIndex;
 use crate::tuple::{Key, StoredTuple, TupleSpec};
-use dd_dht::{HashRing, Metadata, TupleCache, Version, VersionAuthority};
+use dd_dht::{HashRing, Metadata, TupleCache, Version};
 use dd_estimation::DistSketch;
 use dd_sim::{Ctx, Duration, NodeId, Time, TimerTag, TraceCtx};
 use rand::seq::SliceRandom;
@@ -179,6 +179,8 @@ struct Pending {
     /// When the op started, for the deadline sweep ([`MULTI_OP_TIMER`]).
     started: Time,
     op: PendingOp,
+    /// The op's open trace spans, closed by [`SoftNode::complete`].
+    spans: OpSpans,
 }
 
 impl Pending {
@@ -219,6 +221,65 @@ impl PendingOp {
     }
 }
 
+/// The trace spans of one op at its coordinator: the coordinator span and
+/// the open wait spans, as `(target, span)` pairs (a multi-put may wait on
+/// one key coordinator for several items). Both stay empty when the op or
+/// the run is untraced, so traced and untraced runs walk byte-identical
+/// protocol states.
+#[derive(Debug, Clone, Default)]
+struct OpSpans {
+    coord: Option<TraceCtx>,
+    waits: Vec<(NodeId, u32)>,
+}
+
+impl OpSpans {
+    /// Opens the coordinator span of an op traced under `parent` at this
+    /// node; it stays open until the op completes.
+    fn open(ctx: &mut Ctx<'_, DropletMsg>, parent: Option<TraceCtx>, label: &'static str) -> Self {
+        OpSpans { coord: ctx.trace_open(parent, ctx.id(), label), waits: Vec::new() }
+    }
+
+    /// Opens a wait span on `target` under the coordinator span and returns
+    /// the context to embed in the outgoing request. The span closes when
+    /// the reply lands, when the op stops waiting, or — for a reply that
+    /// never comes — at the trace horizon, which is exactly what pins a
+    /// timeout on the silent node.
+    fn wait(
+        &mut self,
+        ctx: &mut Ctx<'_, DropletMsg>,
+        target: NodeId,
+        label: &'static str,
+    ) -> Option<TraceCtx> {
+        let span = ctx.trace_open(self.coord, target, label)?;
+        self.waits.push((target, span.span));
+        Some(span)
+    }
+
+    /// Closes wait spans on `peer`: the first one as answered when its
+    /// reply landed, every one as unanswered when the op stopped waiting on
+    /// it (a death notice).
+    fn close_waits(&mut self, ctx: &mut Ctx<'_, DropletMsg>, peer: NodeId, answered: bool) {
+        let Some(TraceCtx { op, .. }) = self.coord else { return };
+        while let Some(pos) = self.waits.iter().position(|&(n, _)| n == peer) {
+            let (_, span) = self.waits.remove(pos);
+            ctx.trace_close(TraceCtx { op, span }, answered);
+            if answered {
+                break;
+            }
+        }
+    }
+
+    /// The op completed: closes any wait span still open as unanswered
+    /// (deadline-swept stragglers), then the coordinator span.
+    fn close(self, ctx: &mut Ctx<'_, DropletMsg>, answered: bool) {
+        let Some(coord) = self.coord else { return };
+        for (_, span) in self.waits {
+            ctx.trace_close(TraceCtx { op: coord.op, span }, false);
+        }
+        ctx.trace_close(coord, answered);
+    }
+}
+
 /// A write acked to the client whose delivery to some owners is still
 /// unconfirmed (they were unreachable, or the ack is simply in flight).
 #[derive(Debug, Clone)]
@@ -232,9 +293,9 @@ struct Undelivered {
 pub struct SoftNode {
     /// Ring over the *soft* nodes only (the moderately sized tier).
     pub ring: HashRing,
-    /// Per-key version authority (coordinator role).
-    pub authority: VersionAuthority,
-    /// Latest-version + location-hint metadata.
+    /// Per-key latest version and location hints. It orders this node's
+    /// writes as key coordinator ([`Metadata::assign`]) and is what
+    /// [`SoftNode::reconstruct`] rebuilds from the persistent layer.
     pub metadata: Metadata,
     /// The tuple cache.
     pub cache: TupleCache<StoredTuple>,
@@ -254,23 +315,15 @@ pub struct SoftNode {
     /// Operations of every kind awaiting replies: req → what is still owed.
     pending: HashMap<u64, Pending>,
 
-    /// Everyone this node's failure detector watches (soft members and
-    /// persist peers); the baseline `reachable` resets to after a wipe.
-    known_peers: Vec<NodeId>,
-    /// Peers the local failure detector currently trusts. Maintained by
-    /// [`DropletMsg::PeerDown`] / [`DropletMsg::PeerUp`] notices.
-    reachable: HashSet<NodeId>,
+    /// Watched peers (soft members and persist peers) the local failure
+    /// detector currently disbelieves; every other one is trusted.
+    /// Maintained by [`DropletMsg::PeerDown`] / [`DropletMsg::PeerUp`]
+    /// notices, and empty again after a wipe.
+    unreachable: HashSet<NodeId>,
     /// Per-target dissemination batches awaiting a flush, each tuple with
     /// the trace context of the op that wrote it (`None` when untraced).
     outbox: HashMap<NodeId, Vec<(StoredTuple, Option<TraceCtx>)>>,
     outbox_armed: bool,
-    /// Open coordinator span per in-flight traced op (req → span id).
-    /// Empty in untraced runs, so every tracing hook costs one emptiness
-    /// check when tracing is off.
-    trace_ops: HashMap<u64, u32>,
-    /// Open per-target wait spans per traced op, as `(target, span)` pairs
-    /// (a multi-put may wait on the same coordinator for several items).
-    trace_waits: HashMap<u64, Vec<(NodeId, u32)>>,
     /// Acked writes not yet confirmed stored at every owner, keyed by
     /// `(key_hash, version)`.
     undelivered: CompletionLog<(u64, Version), Undelivered>,
@@ -284,32 +337,25 @@ impl SoftNode {
         for &m in soft_members {
             ring.add(m, 16);
         }
-        let known_peers: Vec<NodeId> =
-            soft_members.iter().copied().chain(persist.peers.iter().copied()).collect();
-        let reachable: HashSet<NodeId> = known_peers.iter().copied().collect();
         SoftNode {
             ring,
-            authority: VersionAuthority::new(),
             metadata: Metadata::new(8),
             cache: TupleCache::new(cache_capacity),
             persist,
             completed: CompletionLog::new(COMPLETION_RETENTION),
             put_index: HashMap::new(),
             pending: HashMap::new(),
-            known_peers,
-            reachable,
+            unreachable: HashSet::new(),
             outbox: HashMap::new(),
             outbox_armed: false,
-            trace_ops: HashMap::new(),
-            trace_waits: HashMap::new(),
             undelivered: CompletionLog::new(UNDELIVERED_RETENTION),
         }
     }
 
-    /// Peers the local failure detector currently trusts.
+    /// Number of watched peers the local failure detector currently trusts.
     #[must_use]
-    pub fn reachable_peers(&self) -> &HashSet<NodeId> {
-        &self.reachable
+    pub fn trusted_peers(&self) -> usize {
+        self.ring.len() + self.persist.peers.len() - self.unreachable.len()
     }
 
     /// Acked writes not yet confirmed at every owner (re-delivery queue
@@ -326,10 +372,17 @@ impl SoftNode {
     }
 
     /// Parks the reply to `req` for its session and closes the op's
-    /// coordinator span (`answered` = the reply is whole). The record
-    /// the cap retires to make room, if any, takes its ack route with it.
-    fn complete(&mut self, ctx: &mut Ctx<'_, DropletMsg>, req: u64, done: Done, answered: bool) {
-        self.trace_finish_op(ctx, req, answered);
+    /// `spans` (`answered` = the reply is whole). The record the cap
+    /// retires to make room, if any, takes its ack route with it.
+    fn complete(
+        &mut self,
+        ctx: &mut Ctx<'_, DropletMsg>,
+        req: u64,
+        done: Done,
+        spans: OpSpans,
+        answered: bool,
+    ) {
+        spans.close(ctx, answered);
         if let Some((old, retired)) = self.completed.insert(req, done) {
             self.release_route(old, &retired);
         }
@@ -344,7 +397,7 @@ impl SoftNode {
     }
 
     /// Drops the ack route of retired write record `req` — unless it names
-    /// a later request: after a wipe resets the version authority, a new
+    /// a later request: after a wipe resets the key's versions, a new
     /// write of the same key is ordered at the same `(key_hash, version)`
     /// while the pre-wipe record may still be parked.
     fn release_route(&mut self, req: u64, done: &Done) {
@@ -461,7 +514,7 @@ impl SoftNode {
         let owners = self.persist.owners_of(&tuple);
         self.track_undelivered(&tuple, &owners);
         for owner in owners {
-            if self.reachable.contains(&owner) {
+            if !self.unreachable.contains(&owner) {
                 self.enqueue_delivery(ctx, owner, tuple.clone(), trace);
             }
         }
@@ -479,13 +532,12 @@ impl SoftNode {
         trace: Option<TraceCtx>,
     ) -> (u64, Version) {
         let key_hash = item.key.hash();
-        let version = self.authority.assign(key_hash);
+        let version = self.metadata.assign(key_hash);
         let tuple = if delete {
             StoredTuple::tombstone(item.key, version)
         } else {
             StoredTuple::from_spec(item, version)
         };
-        self.metadata.record_write(key_hash, version, &[]);
         self.cache.put(key_hash, version, tuple.clone());
         ctx.metrics().incr("soft.writes");
         let order = ctx.trace_instant(trace, "soft.order");
@@ -504,7 +556,7 @@ impl SoftNode {
         let (key_hash, version) = self.order_and_disseminate(ctx, item, delete, trace);
         self.put_index.insert((key_hash, version), req);
         let status = PutStatus { version, acks: 0 };
-        self.complete(ctx, req, Done::Write { status, key_hash }, true);
+        self.complete(ctx, req, Done::Write { status, key_hash }, OpSpans::default(), true);
     }
 
     /// Completes `req` with what its pending entry gathered, whichever path
@@ -540,21 +592,21 @@ impl SoftNode {
                 (Done::MultiGet { items, complete: full }, full)
             }
         };
-        self.complete(ctx, req, done, answered);
+        self.complete(ctx, req, done, p.spans, answered);
     }
 
     /// A reply to pending `req` landed from `from`: stop waiting on it, fold
     /// the answer into the op, and finish the op once it is settled. A
     /// found tuple completes its read at once; a late one changes nothing.
     fn on_reply(&mut self, ctx: &mut Ctx<'_, DropletMsg>, req: u64, from: NodeId, answer: Answer) {
-        self.trace_reply(ctx, req, from);
         let Some(p) = self.pending.get_mut(&req) else { return };
+        p.spans.close_waits(ctx, from, true);
         if let Answer::Found(Some(t)) = answer {
             // The first replica holding the version answers the read.
-            self.pending.remove(&req);
+            let p = self.pending.remove(&req).expect("present");
             self.metadata.add_holder(t.key_hash, t.version, from);
             self.cache.put(t.key_hash, t.version, t.clone());
-            self.complete(ctx, req, Done::Read((!t.deleted).then_some(t)), true);
+            self.complete(ctx, req, Done::Read((!t.deleted).then_some(t)), p.spans, true);
             return;
         }
         if let Some(pos) = p.waiting.iter().position(|&n| n == from) {
@@ -602,117 +654,6 @@ impl SoftNode {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Tracing hooks (dd-trace). Every hook is a no-op in untraced runs:
-    // no recorder is installed, the `trace` fields on messages are `None`,
-    // and the two span maps stay empty — so traced and untraced runs walk
-    // byte-identical protocol states.
-    // ------------------------------------------------------------------
-
-    /// Opens the coordinator span of a traced op at this node; it stays
-    /// open until [`SoftNode::trace_finish_op`].
-    fn trace_coord(
-        &mut self,
-        ctx: &mut Ctx<'_, DropletMsg>,
-        req: u64,
-        parent: Option<TraceCtx>,
-        label: &'static str,
-    ) {
-        let Some(p) = parent else { return };
-        let now = ctx.now();
-        let me = ctx.id();
-        let Some(tr) = ctx.tracer() else { return };
-        let span = tr.open(now, me, req, Some(p.span), label);
-        self.trace_ops.insert(req, span);
-    }
-
-    /// The op's open coordinator span as a context (`None` when untraced).
-    fn trace_ctx_of(&self, req: u64) -> Option<TraceCtx> {
-        self.trace_ops.get(&req).map(|&span| TraceCtx { op: req, span })
-    }
-
-    /// Opens a wait span on `target` under the op's coordinator span and
-    /// returns the context to embed in the outgoing request (`None` when
-    /// the op is untraced). The span closes when the reply lands, when the
-    /// op stops waiting, or — for a reply that never comes — at the trace
-    /// horizon, which is exactly what pins a timeout on the silent node.
-    fn trace_wait(
-        &mut self,
-        ctx: &mut Ctx<'_, DropletMsg>,
-        req: u64,
-        target: NodeId,
-        label: &'static str,
-    ) -> Option<TraceCtx> {
-        let parent = *self.trace_ops.get(&req)?;
-        let now = ctx.now();
-        let tr = ctx.tracer()?;
-        let span = tr.open(now, target, req, Some(parent), label);
-        self.trace_waits.entry(req).or_default().push((target, span));
-        Some(TraceCtx { op: req, span })
-    }
-
-    /// A reply from `from` landed: closes one of the op's wait spans on it
-    /// as answered.
-    fn trace_reply(&mut self, ctx: &mut Ctx<'_, DropletMsg>, req: u64, from: NodeId) {
-        if self.trace_waits.is_empty() {
-            return;
-        }
-        let Some(waits) = self.trace_waits.get_mut(&req) else { return };
-        let Some(pos) = waits.iter().position(|&(n, _)| n == from) else { return };
-        let (_, span) = waits.remove(pos);
-        let empty = waits.is_empty();
-        if empty {
-            self.trace_waits.remove(&req);
-        }
-        let now = ctx.now();
-        if let Some(tr) = ctx.tracer() {
-            tr.close(now, req, span, true);
-        }
-    }
-
-    /// The op stopped waiting on `peer` specifically (a death notice
-    /// struck it from the waiting list): closes its wait spans on that
-    /// peer as unanswered.
-    fn trace_unwait(&mut self, ctx: &mut Ctx<'_, DropletMsg>, req: u64, peer: NodeId) {
-        if self.trace_waits.is_empty() {
-            return;
-        }
-        let Some(waits) = self.trace_waits.get_mut(&req) else { return };
-        let now = ctx.now();
-        let Some(tr) = ctx.tracer() else { return };
-        waits.retain(|&(n, span)| {
-            if n == peer {
-                tr.close(now, req, span, false);
-                false
-            } else {
-                true
-            }
-        });
-        let empty = waits.is_empty();
-        if empty {
-            self.trace_waits.remove(&req);
-        }
-    }
-
-    /// The op completed at this coordinator: closes any wait span still
-    /// open as unanswered (deadline-swept stragglers), then the
-    /// coordinator span itself.
-    fn trace_finish_op(&mut self, ctx: &mut Ctx<'_, DropletMsg>, req: u64, answered: bool) {
-        if self.trace_ops.is_empty() && self.trace_waits.is_empty() {
-            return;
-        }
-        let waits = self.trace_waits.remove(&req);
-        let coord = self.trace_ops.remove(&req);
-        let now = ctx.now();
-        let Some(tr) = ctx.tracer() else { return };
-        for (_, span) in waits.into_iter().flatten() {
-            tr.close(now, req, span, false);
-        }
-        if let Some(span) = coord {
-            tr.close(now, req, span, answered);
-        }
-    }
-
     /// The replica this node is still waiting on for `req`, if the op is
     /// pending here — threaded into [`crate::OpError::Timeout`] so a
     /// timed-out client learns *which* node never replied.
@@ -743,10 +684,11 @@ impl SoftNode {
             // its wait span stays open so a never-healed replica shows as
             // the hop that never answered. Any other op genuinely stops
             // waiting — its span on `peer` closes unanswered now.
-            if !matches!(self.pending[&req].op, PendingOp::Get { .. }) {
-                self.trace_unwait(ctx, req, peer);
+            let p = self.pending.get_mut(&req).expect("struck above");
+            if !matches!(p.op, PendingOp::Get { .. }) {
+                p.spans.close_waits(ctx, peer, false);
             }
-            if self.pending[&req].settled() {
+            if p.settled() {
                 let p = self.pending.remove(&req).expect("struck above");
                 self.finish(ctx, req, p);
             }
@@ -771,7 +713,8 @@ impl SoftNode {
         for (req, query) in refetches {
             // A traced re-fetch opens a fresh wait span (the critical-path
             // walk credits the retry, not the first attempt).
-            self.ask(ctx, req, &[peer], query);
+            let spans = &mut self.pending.get_mut(&req).expect("collected above").spans;
+            Self::ask(ctx, req, spans, &[peer], query);
         }
         let mut owed: Vec<StoredTuple> = self
             .undelivered
@@ -813,7 +756,13 @@ impl SoftNode {
     }
 
     /// Sends `query` to each target, each under its own wait span.
-    fn ask(&mut self, ctx: &mut Ctx<'_, DropletMsg>, req: u64, targets: &[NodeId], query: Query) {
+    fn ask(
+        ctx: &mut Ctx<'_, DropletMsg>,
+        req: u64,
+        spans: &mut OpSpans,
+        targets: &[NodeId],
+        query: Query,
+    ) {
         let label = match query {
             Query::Get { .. } => "soft.fetch_wait",
             Query::Tag(_) => "soft.tagfetch_wait",
@@ -821,7 +770,7 @@ impl SoftNode {
             Query::Aggregate => "soft.agg_wait",
         };
         for &t in targets {
-            let trace = self.trace_wait(ctx, req, t, label);
+            let trace = spans.wait(ctx, t, label);
             ctx.send(t, DropletMsg::Ask { req, query, trace });
         }
     }
@@ -835,12 +784,13 @@ impl SoftNode {
         targets: Vec<NodeId>,
         query: Query,
         op: PendingOp,
+        mut spans: OpSpans,
     ) -> usize {
         let (waiting, silent): (Vec<NodeId>, Vec<NodeId>) =
-            targets.into_iter().partition(|t| self.reachable.contains(t));
-        self.ask(ctx, req, &waiting, query);
+            targets.into_iter().partition(|t| !self.unreachable.contains(t));
+        Self::ask(ctx, req, &mut spans, &waiting, query);
         let asked = waiting.len();
-        self.register(ctx, req, Pending { waiting, silent, started: ctx.now(), op });
+        self.register(ctx, req, Pending { waiting, silent, started: ctx.now(), op, spans });
         asked
     }
 
@@ -861,20 +811,20 @@ impl SoftNode {
         }
     }
 
-    fn start_read(&mut self, ctx: &mut Ctx<'_, DropletMsg>, req: u64, key: &Key) {
+    fn start_read(&mut self, ctx: &mut Ctx<'_, DropletMsg>, req: u64, key: &Key, spans: OpSpans) {
         let key_hash = key.hash();
         let latest = self.metadata.latest(key_hash);
         ctx.metrics().incr("soft.reads");
         if latest == Version::ZERO {
             // Key never written through this (healthy) soft layer.
-            self.complete(ctx, req, Done::Read(None), true);
+            self.complete(ctx, req, Done::Read(None), spans, true);
             return;
         }
         // §II: "the soft-layer always knows the most recent version … the
         // use of quorums at the persistent-state layer is not necessary."
         if let Some(t) = self.cache.get(key_hash, latest) {
             ctx.metrics().incr("soft.cache_hits");
-            self.complete(ctx, req, Done::Read((!t.deleted).then_some(t)), true);
+            self.complete(ctx, req, Done::Read((!t.deleted).then_some(t)), spans, true);
             return;
         }
         ctx.metrics().incr("soft.cache_misses");
@@ -888,7 +838,7 @@ impl SoftNode {
             ctx.metrics().incr("soft.fallback_fetches");
         }
         let op = PendingOp::Get { key_hash, version: latest };
-        self.gather(ctx, req, targets, Query::Get { key_hash, version: latest }, op);
+        self.gather(ctx, req, targets, Query::Get { key_hash, version: latest }, op, spans);
     }
 
     /// Coordinates client op `req` at this node, which is its key's or
@@ -908,46 +858,46 @@ impl SoftNode {
                 self.start_write(ctx, req, item, true, trace);
             }
             ClientOp::Get(key) => {
-                self.trace_coord(ctx, req, trace, "soft.get");
-                self.start_read(ctx, req, &key);
+                let spans = OpSpans::open(ctx, trace, "soft.get");
+                self.start_read(ctx, req, &key, spans);
             }
             ClientOp::Scan { lo, hi } => {
-                self.trace_coord(ctx, req, trace, "soft.scan");
+                let spans = OpSpans::open(ctx, trace, "soft.scan");
                 let op = PendingOp::Scan { items: Vec::new() };
-                self.gather(ctx, req, self.persist.peers.clone(), Query::Range { lo, hi }, op);
+                let targets = self.persist.peers.clone();
+                self.gather(ctx, req, targets, Query::Range { lo, hi }, op, spans);
             }
             ClientOp::Aggregate => {
-                self.trace_coord(ctx, req, trace, "soft.agg");
+                let spans = OpSpans::open(ctx, trace, "soft.agg");
                 let op = PendingOp::Aggregate {
                     sketch: DistSketch::new(SKETCH_K),
                     min: f64::INFINITY,
                     max: f64::NEG_INFINITY,
                 };
-                self.gather(ctx, req, self.persist.peers.clone(), Query::Aggregate, op);
+                self.gather(ctx, req, self.persist.peers.clone(), Query::Aggregate, op, spans);
             }
             ClientOp::MultiPut(items) => {
                 ctx.metrics().incr("soft.multi_puts");
                 ctx.metrics().observe("multi_put.batch", items.len() as f64);
-                self.trace_coord(ctx, req, trace, "soft.multi_put");
+                let mut spans = OpSpans::open(ctx, trace, "soft.multi_put");
                 if items.is_empty() {
-                    self.complete(ctx, req, Done::MultiPut(MultiPutStatus::default()), true);
+                    self.complete(ctx, req, Done::MultiPut(MultiPutStatus::default()), spans, true);
                     return;
                 }
                 let (me, want) = (ctx.id(), items.len());
-                let coord_trace = self.trace_ctx_of(req);
                 let (mut versions, mut waiting, mut silent) = (Vec::new(), Vec::new(), Vec::new());
                 for item in items {
                     match self.coordinator_of(item.key.hash()) {
                         Some(c) if c == me => {
-                            let ordered = self.order_and_disseminate(ctx, item, false, coord_trace);
+                            let ordered = self.order_and_disseminate(ctx, item, false, spans.coord);
                             versions.push(ordered);
                         }
                         // A known-dead coordinator cannot order its items
                         // now — don't wait out the deadline for an ack that
                         // will never come.
-                        Some(c) if self.reachable.contains(&c) => {
+                        Some(c) if !self.unreachable.contains(&c) => {
                             waiting.push(c);
-                            let trace = self.trace_wait(ctx, req, c, "soft.subput_wait");
+                            let trace = spans.wait(ctx, c, "soft.subput_wait");
                             ctx.send(c, DropletMsg::SubPut { req, item, trace });
                         }
                         Some(c) => silent.push(c),
@@ -956,17 +906,17 @@ impl SoftNode {
                 }
                 ctx.metrics().add("multi_put.msgs", waiting.len() as u64);
                 let op = PendingOp::MultiPut { versions, want };
-                self.register(ctx, req, Pending { waiting, silent, started: ctx.now(), op });
+                self.register(ctx, req, Pending { waiting, silent, started: ctx.now(), op, spans });
             }
             ClientOp::MultiGet(tag) => {
                 let tag_hash = tag.hash();
                 ctx.metrics().incr("soft.multi_gets");
-                self.trace_coord(ctx, req, trace, "soft.multi_get");
+                let spans = OpSpans::open(ctx, trace, "soft.multi_get");
                 // Skipping a known-dead slot-owner marks the result partial
                 // at once instead of waiting out the deadline for it.
                 let targets = self.persist.tag_targets(tag_hash);
                 let op = PendingOp::MultiGet { items: Vec::new() };
-                let asked = self.gather(ctx, req, targets, Query::Tag(tag_hash), op);
+                let asked = self.gather(ctx, req, targets, Query::Tag(tag_hash), op, spans);
                 ctx.metrics().observe("multi_get.contacted_nodes", asked as f64);
                 ctx.metrics().add("multi_get.msgs", asked as u64);
             }
@@ -1003,10 +953,10 @@ impl SoftNode {
                     self.note_stored(from, key_hash, version);
                 }
             }
-            DropletMsg::PeerDown(peer) if self.reachable.remove(&peer) => {
+            DropletMsg::PeerDown(peer) if self.unreachable.insert(peer) => {
                 self.strike_peer(ctx, peer);
             }
-            DropletMsg::PeerUp(peer) if self.reachable.insert(peer) => {
+            DropletMsg::PeerUp(peer) if self.unreachable.remove(&peer) => {
                 self.peer_restored(ctx, peer);
             }
             _ => {}
@@ -1059,33 +1009,29 @@ impl SoftNode {
         }
     }
 
-    /// Wipes all soft state (catastrophic failure, §II) — versions,
-    /// metadata, cache, pending operations, delivery queues — and resets
-    /// the failure-detector view to its optimistic baseline (the harness
-    /// re-injects down notices for anything still dead).
+    /// Wipes all soft state (catastrophic failure, §II) — metadata and
+    /// with it the versions, cache, pending operations and their trace
+    /// spans (left open, so they close unanswered at the trace horizon),
+    /// delivery queues — and resets the failure-detector view to its
+    /// optimistic baseline (the harness re-injects down notices for
+    /// anything still dead).
     pub fn wipe(&mut self) {
-        self.authority = VersionAuthority::new();
         self.metadata = Metadata::new(8);
         self.cache.clear();
         self.put_index.clear();
         self.pending.clear();
         self.outbox.clear();
         self.outbox_armed = false;
-        self.trace_ops.clear();
-        self.trace_waits.clear();
         self.undelivered = CompletionLog::new(UNDELIVERED_RETENTION);
-        self.reachable = self.known_peers.iter().copied().collect();
+        self.unreachable.clear();
     }
 
-    /// Reconstructs metadata and version counters from a persistent-layer
-    /// scan (§II: "metadata can be reconstructed from the data reliably
-    /// stored at the underlying persistent-state layer").
+    /// Folds a persistent-layer scan into the metadata (§II: "metadata can
+    /// be reconstructed from the data reliably stored at the underlying
+    /// persistent-state layer"); later writes are ordered above every
+    /// version it reports.
     pub fn reconstruct(&mut self, scan: impl IntoIterator<Item = (u64, Version, NodeId)>) {
-        let scan: Vec<(u64, Version, NodeId)> = scan.into_iter().collect();
-        self.metadata = Metadata::rebuild(8, scan.iter().copied());
-        for &(key, version, _) in &scan {
-            self.authority.observe(key, version);
-        }
+        self.metadata.reconstruct(scan);
     }
 }
 
@@ -1163,7 +1109,7 @@ mod tests {
                 let oldest = writes - COMPLETION_RETENTION as u64;
                 let route = (Key::from(format!("k{oldest}").as_str()).hash(), Version(1));
                 assert_eq!(n.put_index.get(&route), Some(&oldest));
-                n.start_read(ctx, writes, &Key::from("never-written"));
+                n.start_read(ctx, writes, &Key::from("never-written"), OpSpans::default());
                 let scan = client(writes + 1, ClientOp::Scan { lo: 0.0, hi: 1.0 });
                 n.on_message(ctx, NodeId(0), scan);
                 assert_eq!(n.completion_backlog(), COMPLETION_RETENTION);
@@ -1334,7 +1280,7 @@ mod tests {
         drive(&mut n, 0, |n, ctx| n.on_message(ctx, me, client(1, put_k())));
         n.wipe();
         drive(&mut n, 1, |n, ctx| n.on_message(ctx, me, client(2, put_k())));
-        // The wipe reset the version authority: both writes hold version 1.
+        // The wipe reset the key's versions: both writes hold version 1.
         assert!(
             matches!(n.take(1), Some(Done::Write { status, .. }) if status.version == Version(1))
         );
@@ -1396,7 +1342,7 @@ mod tests {
                         }
                         2 => {
                             let key = Key::from(routed(n, me, req).unwrap().as_str());
-                            n.metadata.record_write(key.hash(), Version(1), &[peer]);
+                            n.reconstruct([(key.hash(), Version(1), peer)]);
                             ClientOp::Get(key)
                         }
                         3 => ClientOp::Scan { lo: 0.0, hi: 1.0 },
@@ -1451,16 +1397,16 @@ mod tests {
     fn wipe_and_reconstruct_restores_versions() {
         let members = vec![NodeId(0)];
         let mut n = SoftNode::new(&members, Arc::default(), 16);
-        // Simulate three writes' worth of authority state.
+        // Simulate two writes' worth of version state.
         let kh = Key::from("k").hash();
-        n.authority.assign(kh);
-        n.authority.assign(kh);
-        n.metadata.record_write(kh, Version(2), &[NodeId(7)]);
+        n.metadata.assign(kh);
+        n.metadata.assign(kh);
+        n.metadata.add_holder(kh, Version(2), NodeId(7));
         n.wipe();
         assert_eq!(n.metadata.latest(kh), Version::ZERO);
         n.reconstruct(vec![(kh, Version(2), NodeId(7))]);
         assert_eq!(n.metadata.latest(kh), Version(2));
         assert_eq!(n.metadata.holders(kh), &[NodeId(7)]);
-        assert_eq!(n.authority.assign(kh), Version(3), "versions continue after rebuild");
+        assert_eq!(n.metadata.assign(kh), Version(3), "versions continue after rebuild");
     }
 }

@@ -9,15 +9,16 @@
 //! with a structured approach". This crate provides:
 //!
 //! * [`ring`] — consistent hashing with virtual nodes and successor lists.
-//! * [`ordering`] — per-key version assignment ("write operations are
+//! * [`ordering`] — the per-key write [`Version`] ("write operations are
 //!   correctly ordered by the soft-state layer", §II).
 //! * [`cache`] — the tuple cache: "we take advantage of spare capacity to
 //!   serve as a tuple cache … as the soft-layer always knows the most
 //!   recent version of an item, cache inconsistency issues are eliminated".
-//! * [`metadata`] — per-key latest version + location hints, and its
-//!   reconstruction from the persistent layer ("on the event of a
-//!   catastrophic failure … metadata can be reconstructed from the data
-//!   reliably stored at the underlying persistent-state layer").
+//! * [`metadata`] — per-key latest version + location hints. It orders
+//!   writes ([`Metadata::assign`]) and folds in a persistent-layer scan
+//!   ("on the event of a catastrophic failure … metadata can be
+//!   reconstructed from the data reliably stored at the underlying
+//!   persistent-state layer").
 //! * [`baseline`] — the incumbent the paper argues against (§I): a
 //!   Dynamo/Cassandra-style store replicating at ring successors with
 //!   heartbeat failure detection and *reactive* repair, whose churn cost
@@ -35,5 +36,5 @@ pub mod ring;
 pub use baseline::{BaselineConfig, BaselineMsg, BaselineNode};
 pub use cache::TupleCache;
 pub use metadata::{MetaEntry, Metadata};
-pub use ordering::{Version, VersionAuthority};
+pub use ordering::Version;
 pub use ring::HashRing;

@@ -1,12 +1,10 @@
-//! Request ordering: per-key version assignment.
+//! Request ordering: the per-key write version.
 //!
 //! §II: the soft-state layer resolves write conflicts by "a careful
 //! ordering of requests", and the persistent layer's *only* assumption is
 //! "that write operations are correctly ordered by the soft-state layer"
-//! (§II). The coordinator (primary ring owner of a key) runs a
-//! [`VersionAuthority`] assigning strictly increasing versions.
-
-use std::collections::HashMap;
+//! (§II). The coordinator (primary ring owner of a key) assigns strictly
+//! increasing versions with [`crate::Metadata::assign`].
 
 /// A per-key, totally ordered write version.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -29,99 +27,14 @@ impl std::fmt::Display for Version {
     }
 }
 
-/// Assigns strictly increasing versions per key hash.
-#[derive(Debug, Clone, Default)]
-pub struct VersionAuthority {
-    next: HashMap<u64, Version>,
-}
-
-impl VersionAuthority {
-    /// Empty authority.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Assigns the next version for `key_hash`.
-    pub fn assign(&mut self, key_hash: u64) -> Version {
-        let v = self.next.entry(key_hash).or_insert(Version::ZERO);
-        *v = v.next();
-        *v
-    }
-
-    /// The latest assigned version for `key_hash` (`Version::ZERO` before
-    /// the first write).
-    #[must_use]
-    pub fn latest(&self, key_hash: u64) -> Version {
-        self.next.get(&key_hash).copied().unwrap_or(Version::ZERO)
-    }
-
-    /// Fast-forwards the counter to at least `v` — used when a coordinator
-    /// takes over a key after reconstruction (it must never re-issue an
-    /// existing version).
-    pub fn observe(&mut self, key_hash: u64, v: Version) {
-        let e = self.next.entry(key_hash).or_insert(Version::ZERO);
-        if v > *e {
-            *e = v;
-        }
-    }
-
-    /// Number of keys with assigned versions.
-    #[must_use]
-    pub fn key_count(&self) -> usize {
-        self.next.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn versions_increase_per_key() {
-        let mut a = VersionAuthority::new();
-        assert_eq!(a.assign(1), Version(1));
-        assert_eq!(a.assign(1), Version(2));
-        assert_eq!(a.assign(2), Version(1), "keys are independent");
-        assert_eq!(a.latest(1), Version(2));
-        assert_eq!(a.latest(9), Version::ZERO);
-    }
-
-    #[test]
-    fn observe_fast_forwards_but_never_rewinds() {
-        let mut a = VersionAuthority::new();
-        a.observe(5, Version(10));
-        assert_eq!(a.assign(5), Version(11));
-        a.observe(5, Version(3));
-        assert_eq!(a.assign(5), Version(12), "observe must not rewind");
-    }
-
-    #[test]
-    fn reconstruction_scenario_issues_fresh_versions() {
-        // Coordinator dies; replacement scans the persistent layer and
-        // observes the highest stored versions, then continues the stream.
-        let mut original = VersionAuthority::new();
-        for _ in 0..7 {
-            original.assign(42);
-        }
-        let mut replacement = VersionAuthority::new();
-        replacement.observe(42, original.latest(42));
-        assert_eq!(replacement.assign(42), Version(8));
-    }
 
     #[test]
     fn version_ordering_and_display() {
         assert!(Version(2) > Version(1));
         assert_eq!(Version(1).next(), Version(2));
         assert_eq!(Version(3).to_string(), "v3");
-    }
-
-    #[test]
-    fn key_count_tracks_distinct_keys() {
-        let mut a = VersionAuthority::new();
-        a.assign(1);
-        a.assign(1);
-        a.assign(2);
-        assert_eq!(a.key_count(), 2);
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for the structured tier: ring ownership, version
 //! ordering, cache bounds, metadata reconstruction.
 
-use dd_dht::{HashRing, Metadata, TupleCache, Version, VersionAuthority};
+use dd_dht::{HashRing, Metadata, TupleCache, Version};
 use dd_sim::NodeId;
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -46,14 +46,14 @@ proptest! {
         }
     }
 
-    /// Versions from an authority are strictly increasing per key for any
-    /// interleaving of keys.
+    /// Versions assigned by the metadata are strictly increasing per key
+    /// for any interleaving of keys.
     #[test]
     fn versions_strictly_increase(ops in prop::collection::vec(0u64..8, 1..100)) {
-        let mut auth = VersionAuthority::new();
+        let mut meta = Metadata::new(1);
         let mut last: std::collections::HashMap<u64, Version> = Default::default();
         for key in ops {
-            let v = auth.assign(key);
+            let v = meta.assign(key);
             if let Some(&prev) = last.get(&key) {
                 prop_assert!(v > prev, "version not increasing for key {}", key);
             }
@@ -87,7 +87,8 @@ proptest! {
     ) {
         let triples: Vec<(u64, Version, NodeId)> =
             scan.iter().map(|&(k, v, h)| (k, Version(v), NodeId(h))).collect();
-        let meta = Metadata::rebuild(4, triples.iter().copied());
+        let mut meta = Metadata::new(4);
+        meta.reconstruct(triples.iter().copied());
         for &(k, _, _) in &triples {
             let max = triples
                 .iter()
@@ -100,18 +101,16 @@ proptest! {
         }
     }
 
-    /// Observing any set of versions then assigning yields a version above
-    /// all observed ones (safety of coordinator takeover).
+    /// Reconstructing from any set of stored versions then assigning
+    /// yields a version above all of them (safety of coordinator takeover).
     #[test]
     fn observe_then_assign_is_fresh(
         observed in prop::collection::vec(0u64..1000, 0..30),
         key in any::<u64>(),
     ) {
-        let mut auth = VersionAuthority::new();
-        for &v in &observed {
-            auth.observe(key, Version(v));
-        }
-        let next = auth.assign(key);
+        let mut meta = Metadata::new(4);
+        meta.reconstruct(observed.iter().map(|&v| (key, Version(v), NodeId(v))));
+        let next = meta.assign(key);
         for &v in &observed {
             prop_assert!(next > Version(v));
         }

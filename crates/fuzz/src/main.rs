@@ -2,7 +2,8 @@
 //! shrink every finding, write a JSON campaign summary, and exit nonzero
 //! if any safety violation or panic survives shrinking. Each finding is
 //! re-run with every observer plane on; its Chrome trace and telemetry CSV
-//! land in `<stem>_findings/` beside `--out <stem>.json`.
+//! land in `<stem>_findings/` beside `--out <stem>.json`, replacing those
+//! of an earlier run's findings.
 //!
 //! ```text
 //! dd-fuzz [--config smoke|soak] [--seed-start N] [--seeds N]
@@ -90,8 +91,20 @@ fn findings_dir(out: &str) -> PathBuf {
 }
 
 /// Re-runs each finding observed and writes its `seed-<N>.trace.json` and
-/// `seed-<N>.telemetry.csv` into `dir`.
+/// `seed-<N>.telemetry.csv` into `dir`, after removing those of earlier
+/// campaigns, so the directory holds this campaign's findings alone.
 fn write_observations(dir: &Path, findings: &[Finding]) -> std::io::Result<()> {
+    if dir.is_dir() {
+        for entry in std::fs::read_dir(dir)? {
+            let path = entry?.path();
+            if path.file_name().and_then(|n| n.to_str()).is_some_and(is_finding_file) {
+                std::fs::remove_file(path)?;
+            }
+        }
+    }
+    if findings.is_empty() {
+        return Ok(());
+    }
     std::fs::create_dir_all(dir)?;
     for finding in findings {
         let (seed, seen) = (finding.seed, finding.observe());
@@ -99,6 +112,14 @@ fn write_observations(dir: &Path, findings: &[Finding]) -> std::io::Result<()> {
         std::fs::write(dir.join(format!("seed-{seed}.telemetry.csv")), &seen.telemetry_csv)?;
     }
     Ok(())
+}
+
+/// Whether `name` is a file [`write_observations`] writes:
+/// `seed-<N>.trace.json` or `seed-<N>.telemetry.csv`.
+fn is_finding_file(name: &str) -> bool {
+    let Some(rest) = name.strip_prefix("seed-") else { return false };
+    let seed = rest.strip_suffix(".trace.json").or_else(|| rest.strip_suffix(".telemetry.csv"));
+    seed.is_some_and(|n| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()))
 }
 
 fn main() {
@@ -177,12 +198,12 @@ fn main() {
         std::process::exit(2);
     }
     println!("wrote {}", args.out);
+    let dir = findings_dir(&args.out);
+    if let Err(e) = write_observations(&dir, &summary.findings) {
+        eprintln!("dd-fuzz: could not write {}: {e}", dir.display());
+        std::process::exit(2);
+    }
     if !summary.findings.is_empty() {
-        let dir = findings_dir(&args.out);
-        if let Err(e) = write_observations(&dir, &summary.findings) {
-            eprintln!("dd-fuzz: could not write {}: {e}", dir.display());
-            std::process::exit(2);
-        }
         println!("wrote the trace and telemetry of each finding to {}", dir.display());
     }
     let _ = std::panic::take_hook();
@@ -194,5 +215,31 @@ fn main() {
             safety_findings.len()
         );
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_campaign_removes_earlier_findings_files_and_nothing_else() {
+        let dir = std::env::temp_dir().join(format!("dd-fuzz-findings-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let stale = ["seed-13.trace.json", "seed-13.telemetry.csv", "seed-3.trace.json"];
+        let kept = ["notes.txt", "seed-13.json", "seed-x.trace.json", "seed-.telemetry.csv"];
+        for name in stale.iter().chain(&kept) {
+            std::fs::write(dir.join(name), "x").unwrap();
+        }
+        write_observations(&dir, &[]).unwrap();
+        let mut left: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        left.sort();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let mut want = kept.map(String::from).to_vec();
+        want.sort();
+        assert_eq!(left, want);
     }
 }

@@ -53,15 +53,16 @@ pub trait Process: Sized + 'static {
 /// [`Sim::set_observer`].
 ///
 /// The kernel gives its observer two things. Its span sink
-/// ([`Observer::tracer`]) is handed to every callback through
-/// [`Ctx::tracer`]. And it is sampled: once before each processed event and
-/// once after [`Sim::run_until`]'s loop, whenever virtual time has reached
-/// the next sampling deadline, [`Observer::sample`] runs against an
-/// immutable view of the simulation and the deadline advances by
-/// [`Observer::period`] ticks. An observer cannot send, schedule or mutate
-/// node state, and the engine's RNGs and queue are untouched, so an
-/// observed run replays byte-identically. With no observer installed, or
-/// one that never samples, the poll costs one compare.
+/// ([`Observer::tracer`]) records every callback's spans
+/// ([`Ctx::trace_open`], [`Ctx::trace_close`]). And it is sampled: once
+/// before each processed event and once after [`Sim::run_until`]'s loop,
+/// whenever virtual time has reached the next sampling deadline,
+/// [`Observer::sample`] runs against an immutable view of the simulation
+/// and the deadline advances by [`Observer::period`] ticks. An observer
+/// cannot send, schedule or mutate node state, and the engine's RNGs and
+/// queue are untouched, so an observed run replays byte-identically. With
+/// no observer installed, or one that never samples, the poll costs one
+/// compare.
 ///
 /// `Any` is a supertrait so whoever installed the observer recovers its
 /// concrete type by upcasting to `dyn Any` and downcasting.
@@ -132,11 +133,29 @@ impl<M> Ctx<'_, M> {
         self.metrics
     }
 
-    /// The installed observer's span sink ([`Observer::tracer`]); `None`
-    /// when the run is not traced — traced code paths guard on this so
+    /// Opens a span named `label` on `node` under `parent` in the installed
+    /// observer's span sink ([`Observer::tracer`]) and returns its context;
+    /// it stays open until [`Ctx::trace_close`] (or the trace horizon).
+    /// `None`, recording nothing, when the op or the run is untraced — so
     /// tracing costs one branch when off.
-    pub fn tracer(&mut self) -> Option<&mut (dyn Tracer + 'static)> {
-        self.tracer.as_deref_mut()
+    pub fn trace_open(
+        &mut self,
+        parent: Option<TraceCtx>,
+        node: NodeId,
+        label: &'static str,
+    ) -> Option<TraceCtx> {
+        let p = parent?;
+        let now = self.now;
+        let span = self.tracer.as_deref_mut()?.open(now, node, p.op, Some(p.span), label);
+        Some(TraceCtx { op: p.op, span })
+    }
+
+    /// Closes `span` now; `answered` as in [`Tracer::close`].
+    pub fn trace_close(&mut self, span: TraceCtx, answered: bool) {
+        let now = self.now;
+        if let Some(tr) = self.tracer.as_deref_mut() {
+            tr.close(now, span.op, span.span, answered);
+        }
     }
 
     /// Records an instantaneous span named `label` at this node under
@@ -149,12 +168,9 @@ impl<M> Ctx<'_, M> {
         parent: Option<TraceCtx>,
         label: &'static str,
     ) -> Option<TraceCtx> {
-        let p = parent?;
-        let (now, me) = (self.now, self.id);
-        let tr = self.tracer.as_deref_mut()?;
-        let span = tr.open(now, me, p.op, Some(p.span), label);
-        tr.close(now, p.op, span, true);
-        Some(TraceCtx { op: p.op, span })
+        let span = self.trace_open(parent, self.id, label)?;
+        self.trace_close(span, true);
+        Some(span)
     }
 }
 
@@ -446,7 +462,7 @@ impl<P: Process> Sim<P> {
     }
 
     /// Installs `observer`, replacing any already installed: every
-    /// subsequent callback sees its span sink through [`Ctx::tracer`], and
+    /// subsequent callback records its spans into its span sink, and
     /// one that samples takes a sample every [`Observer::period`] ticks
     /// starting from the current time.
     pub fn set_observer(&mut self, observer: Box<dyn Observer<P>>) {
@@ -1078,10 +1094,7 @@ mod tests {
             }
             fn on_message(&mut self, _: &mut Ctx<'_, ()>, _: NodeId, _: ()) {}
             fn on_timer(&mut self, ctx: &mut Ctx<'_, ()>, _: TimerTag) {
-                let (now, me) = (ctx.now(), ctx.id());
-                if let Some(tr) = ctx.tracer() {
-                    tr.open(now, me, 1, None, "timer");
-                }
+                ctx.trace_instant(Some(TraceCtx { op: 1, span: 0 }), "timer");
             }
         }
         #[derive(Default)]

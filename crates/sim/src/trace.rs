@@ -3,11 +3,11 @@
 //!
 //! The kernel itself records nothing — it only hands the installed
 //! observer's [`Tracer`] ([`crate::Observer::tracer`], installed with
-//! [`crate::Sim::set_observer`]) to every [`crate::Process`] callback
-//! through [`crate::Ctx::tracer`].
+//! [`crate::Sim::set_observer`]) to every [`crate::Process`] callback.
 //! Protocol code opens and closes spans against whatever sink is
-//! installed; when none is, the accessor returns `None` and the traced
-//! code paths cost one branch. Timestamps are virtual time, so a traced
+//! installed ([`crate::Ctx::trace_open`], [`crate::Ctx::trace_close`]);
+//! when none is, they record nothing and the traced code paths cost one
+//! branch. Timestamps are virtual time, so a traced
 //! run replays byte-identically from its seed.
 //!
 //! Causality travels *inside* message payloads: a process that wants its

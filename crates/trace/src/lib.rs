@@ -11,8 +11,9 @@
 //! byte-identically from its seed. The [`Recorder`] implements
 //! [`dd_sim::Tracer`] and reaches the simulator as the installed
 //! observer's span sink ([`dd_sim::Observer::tracer`]); protocol code
-//! opens and closes spans through [`dd_sim::Ctx::tracer`], which costs one
-//! branch when no recorder is installed.
+//! opens and closes spans through [`dd_sim::Ctx::trace_open`] and
+//! [`dd_sim::Ctx::trace_close`], which cost one branch when no recorder is
+//! installed.
 //!
 //! On top of raw spans sit the analysis kernels:
 //!

@@ -5,8 +5,8 @@
 
 use dd_core::cluster::DropletNode;
 use dd_core::{
-    Cluster, ClusterConfig, Fault, Key, OpError, OpMix, Phase, Placement, Scenario, StoredTuple,
-    Tier, TupleSpec, Workload, WorkloadKind,
+    Cluster, ClusterConfig, Fault, Key, OpError, OpMix, Phase, Placement, Planes, Scenario,
+    StoredTuple, Tier, TupleSpec, Workload, WorkloadKind,
 };
 use dd_dht::Version;
 use dd_estimation::DistSketch;
@@ -232,6 +232,96 @@ fn soft_layer_rebuild_preserves_version_stream() {
     let r = client.get(&mut c, "versioned");
     let got = client.recv(&mut c, r).unwrap().unwrap();
     assert_eq!(got.value.to_vec(), vec![4]);
+}
+
+/// A soft wipe drops every in-flight op, trace spans included: a traced
+/// read waiting on a persist fetch leaves its coordinator and wait spans
+/// open, the replica's late reply finds no pending op to close them, and
+/// both close unanswered at the trace horizon.
+#[test]
+fn a_soft_wipe_leaves_a_traced_reads_spans_open() {
+    // A one-entry cache: a later write at the same coordinator evicts an
+    // earlier one, so a read of it goes to the persist layer.
+    let mut config = ClusterConfig::small();
+    config.cache_capacity = 1;
+    let mut c = settled(config, 26);
+    let mut client = c.client();
+    for i in 0..8 {
+        let w = client.put(&mut c, format!("k{i}"), vec![1], None, None);
+        client.recv(&mut c, w).expect("write ordered");
+    }
+    c.run_for(500);
+    c.observe(Planes { trace: true, ..Planes::default() });
+    let misses = c.sim.metrics().counter("soft.cache_misses");
+    let r = client.get(&mut c, "k0");
+    // Step until the coordinator missed its cache and asked a replica; the
+    // reply needs at least two more network hops.
+    let asked = (0..100).any(|_| {
+        c.pump(1);
+        c.sim.metrics().counter("soft.cache_misses") > misses
+    });
+    assert!(asked, "the read missed the cache");
+    c.wipe_soft_layer();
+    c.pump(100);
+    let set = c.stop_observing().trace.expect("trace plane on");
+    let trace = set.get(r.req()).expect("the read was traced");
+    // The replicas served the fetch (and replied) after the wipe; the
+    // trace's last close is the last serve, so that is its horizon.
+    let labelled = |label| trace.spans.iter().filter(move |s| s.label == label);
+    let horizon = labelled("persist.serve").map(|s| s.end).max().expect("a replica served");
+    assert_eq!(trace.spans.iter().map(|s| s.end).max(), Some(horizon));
+    assert!(labelled("soft.fetch_wait").count() > 0, "no fetch wait: {trace:?}");
+    for s in labelled("soft.get").chain(labelled("soft.fetch_wait")) {
+        assert!(!s.answered && s.end == horizon, "closed by the late reply: {s:?}");
+    }
+}
+
+/// The `soft.fd_live` gauge counts the watched peers a soft node trusts,
+/// itself included: s + n while every node is up, one less while a
+/// persist node is down, the optimistic s + n straight after a wipe, and
+/// one less again once the next failure-detector sweep re-notices.
+#[test]
+fn the_fd_live_gauge_tracks_each_soft_nodes_trust() {
+    let mut c = settled(ClusterConfig::small(), 8);
+    let all = (c.soft_ids().len() + c.persist_ids().len()) as f64;
+    let victim = c.persist_ids()[3];
+    c.observe(Planes { telemetry: true, ..Planes::default() });
+    // Two sample periods per window: the last sample of each falls after
+    // any notice the window's opening sweep injected has landed. A kill or
+    // revive lands as an event, so a one-tick run (whose closing sweep
+    // notices it) precedes its window.
+    let ticks = 2 * dd_obs::DEFAULT_SAMPLE_PERIOD;
+    let mut windows: Vec<(u64, u64, f64)> = Vec::new();
+    let mut window = |c: &mut Cluster, sweep: bool, want: f64| {
+        let from = c.sim.now().0;
+        if sweep {
+            c.run_for(ticks);
+        } else {
+            c.sim.run_for(dd_sim::Duration(ticks));
+        }
+        windows.push((from, c.sim.now().0, want));
+    };
+    window(&mut c, true, all);
+    c.sim.kill(victim);
+    c.run_for(1);
+    window(&mut c, true, all - 1.0);
+    c.sim.revive(victim);
+    c.run_for(1);
+    window(&mut c, true, all);
+    c.sim.kill(victim);
+    c.run_for(1);
+    window(&mut c, true, all - 1.0);
+    c.wipe_soft_layer();
+    window(&mut c, false, all);
+    window(&mut c, true, all - 1.0);
+    let telemetry = c.stop_observing().telemetry.expect("telemetry plane on");
+    for &id in c.soft_ids() {
+        let series = telemetry.get("soft.fd_live", dd_obs::Label::Node(id.0)).expect("sampled");
+        for &(from, to, want) in &windows {
+            let last = series.iter().filter(|&(t, _)| from < t && t <= to).last();
+            assert_eq!(last.map(|(_, v)| v), Some(want), "node {id:?} in ticks {from}..={to}");
+        }
+    }
 }
 
 #[test]
