@@ -19,6 +19,7 @@ use dd_epidemic::antientropy::Summary;
 use dd_epidemic::push::RumorId;
 use dd_estimation::DistSketch;
 use dd_sim::{NodeId, TraceCtx};
+use std::sync::Arc;
 
 /// One client operation, as submitted by a session and carried to its
 /// coordinator by [`DropletMsg::Client`].
@@ -118,7 +119,8 @@ pub enum Query {
 
 /// A reply a coordinator folds into its pending operation, carried by
 /// [`DropletMsg::Reply`]: a replica's answer to a [`Query`], or a key
-/// coordinator's ack of a [`DropletMsg::SubPut`].
+/// coordinator's ack of a [`DropletMsg::SubPut`]. Tuples in an answer are
+/// owned copies of the replica's.
 #[derive(Debug, Clone)]
 pub enum Answer {
     /// To [`Query::Get`]: the tuple, if held at a sufficient version.
@@ -205,8 +207,10 @@ pub enum DropletMsg {
     /// `fanout × N`).
     DeliverBatch {
         /// The tuples (each carries its own rumor id); the sender is the
-        /// coordinator awaiting their storage acks.
-        tuples: Vec<StoredTuple>,
+        /// coordinator awaiting their storage acks. Each is the one shared
+        /// copy of its write: every owner's batch holds the same `Arc`, and
+        /// the receiving store keeps it as it is.
+        tuples: Vec<Arc<StoredTuple>>,
         /// Per-tuple causal trace contexts, parallel to `tuples` (empty in
         /// untraced runs).
         traces: Vec<Option<TraceCtx>>,
@@ -256,8 +260,9 @@ pub enum DropletMsg {
     /// (`want` non-empty triggers one reciprocal `RepairItems` with the
     /// wanted tuples and an empty `want`).
     RepairItems {
-        /// Tuples the receiver was missing.
-        items: Vec<StoredTuple>,
+        /// Tuples the receiver was missing, shared with the sender's store
+        /// (the receiver stores the same `Arc`).
+        items: Vec<Arc<StoredTuple>>,
         /// Ids the sender is missing and wants back.
         want: Vec<RumorId>,
     },

@@ -52,9 +52,11 @@ pub struct PersistNode {
     layer: Arc<OwnerIndex>,
     /// This node's own position in `layer`.
     position: usize,
-    /// Latest live tuple per key hash. Mutate through [`PersistNode::apply`]
-    /// only — it keeps the secondary tag index consistent.
-    pub store: HashMap<u64, StoredTuple>,
+    /// Latest tuple per key hash: the written version's one shared copy,
+    /// the same `Arc` the other replicas hold. Mutate through
+    /// [`PersistNode::apply`] only — it keeps the secondary tag index
+    /// consistent.
+    pub store: HashMap<u64, Arc<StoredTuple>>,
     /// Repair period; `None` disables maintenance.
     pub repair_period: Option<Duration>,
     /// Topology-aware repair: most periodic rounds pull from a ring
@@ -151,7 +153,9 @@ impl PersistNode {
     }
 
     /// Total stored payload bytes across live tuples (tombstones carry
-    /// no value).
+    /// no value). Logical bytes: a value shared with other replicas counts
+    /// once per replica holding it, so a layer at replication degree r
+    /// reports r bytes per user byte although it allocates the value once.
     #[must_use]
     pub fn store_bytes(&self) -> usize {
         self.store.values().map(|t| t.value.len()).sum()
@@ -167,8 +171,10 @@ impl PersistNode {
 
     /// Applies a tuple if it supersedes what we hold (the deterministic
     /// [`StoredTuple::supersedes`] order), keeping the tag index in step.
-    /// Returns `true` when the store changed.
-    pub fn apply(&mut self, tuple: StoredTuple) -> bool {
+    /// An `Arc` is kept as it is, so the store shares it with every other
+    /// holder. Returns `true` when the store changed.
+    pub fn apply(&mut self, tuple: impl Into<Arc<StoredTuple>>) -> bool {
+        let tuple = tuple.into();
         let previous_tag = match self.store.get(&tuple.key_hash) {
             Some(existing) if !tuple.supersedes(existing) => return false,
             Some(existing) => existing.tag_hash,
@@ -200,7 +206,8 @@ impl PersistNode {
         wants_with(&self.sieve, tuple)
     }
 
-    /// Live tuples carrying `tag_hash`, via the secondary index.
+    /// Live tuples carrying `tag_hash`, via the secondary index, as owned
+    /// copies.
     #[must_use]
     pub fn by_tag(&self, tag_hash: u64) -> Vec<StoredTuple> {
         self.tag_index
@@ -209,7 +216,7 @@ impl PersistNode {
             .flatten()
             .filter_map(|kh| self.store.get(kh))
             .filter(|t| !t.deleted)
-            .cloned()
+            .map(|t| StoredTuple::clone(t))
             .collect()
     }
 
@@ -217,19 +224,23 @@ impl PersistNode {
     /// version floor (a tombstone is an answer), the live tuples of a tag
     /// or an attribute range, or a duplicate-tolerant summary of the live
     /// attributed tuples (bottom-k sketch by key hash, exact min and max).
+    /// Tuples in an answer are owned copies.
     #[must_use]
     pub fn answer(&self, query: &Query) -> Answer {
         match *query {
-            Query::Get { key_hash, version } => {
-                Answer::Found(self.store.get(&key_hash).filter(|t| t.version >= version).cloned())
-            }
+            Query::Get { key_hash, version } => Answer::Found(
+                self.store
+                    .get(&key_hash)
+                    .filter(|t| t.version >= version)
+                    .map(|t| StoredTuple::clone(t)),
+            ),
             Query::Tag(tag_hash) => Answer::Tagged(self.by_tag(tag_hash)),
             Query::Range { lo, hi } => Answer::InRange(
                 self.store
                     .values()
                     .filter(|t| !t.deleted)
                     .filter(|t| t.attr.is_some_and(|a| a >= lo && a <= hi))
-                    .cloned()
+                    .map(|t| StoredTuple::clone(t))
                     .collect(),
             ),
             Query::Aggregate => {
@@ -255,13 +266,13 @@ impl PersistNode {
 
     /// Tuples the peer (per its digest) is missing *and* wants: live
     /// tuples its sieve accepts, plus any tombstone (see
-    /// [`PersistNode::wants`]).
+    /// [`PersistNode::wants`]). Shared with our store, not copied.
     #[must_use]
     pub fn items_for_peer(
         &self,
         their_digest: &Digest,
         their_sieve: &SieveSpec,
-    ) -> Vec<StoredTuple> {
+    ) -> Vec<Arc<StoredTuple>> {
         let theirs: HashSet<RumorId> = their_digest.ids().iter().copied().collect();
         self.shared(their_sieve)
             .filter(|t| !theirs.contains(&RumorId(t.rumor_id())))
@@ -280,7 +291,10 @@ impl PersistNode {
 
     /// Our store projected through the peer's sieve: every tuple a node
     /// with `their_sieve` wants. The one store scan of the repair exchange.
-    fn shared<'a>(&'a self, their_sieve: &'a SieveSpec) -> impl Iterator<Item = &'a StoredTuple> {
+    fn shared<'a>(
+        &'a self,
+        their_sieve: &'a SieveSpec,
+    ) -> impl Iterator<Item = &'a Arc<StoredTuple>> {
         self.store.values().filter(|t| wants_with(their_sieve, t))
     }
 
@@ -322,14 +336,15 @@ impl PersistNode {
     /// Resolves a [`DropletMsg::RepairPull`]: among our shared-projection
     /// tuples in `buckets`, the ones absent from `their_ids` (they lack
     /// them), plus the ids in `their_ids` we ourselves lack (and want —
-    /// the peer built that list through *our* sieve).
+    /// the peer built that list through *our* sieve). The delta shares our
+    /// copies.
     #[must_use]
     pub fn repair_delta(
         &self,
         their_sieve: &SieveSpec,
         buckets: &[u32],
         their_ids: &[RumorId],
-    ) -> (Vec<StoredTuple>, Vec<RumorId>) {
+    ) -> (Vec<Arc<StoredTuple>>, Vec<RumorId>) {
         let theirs: HashSet<RumorId> = their_ids.iter().copied().collect();
         let chosen: HashSet<u32> = buckets.iter().copied().collect();
         let mut items = Vec::new();
@@ -339,28 +354,29 @@ impl PersistNode {
             if chosen.contains(&(Summary::bucket_of(REPAIR_BUCKETS, id) as u32)) {
                 ours.insert(id);
                 if !theirs.contains(&id) {
-                    items.push(t.clone());
+                    items.push(Arc::clone(t));
                 }
             }
         }
-        items.sort_by_key(StoredTuple::rumor_id);
+        items.sort_by_key(|t| t.rumor_id());
         let mut want: Vec<RumorId> =
             their_ids.iter().copied().filter(|id| !ours.contains(id)).collect();
         want.sort();
         (items, want)
     }
 
-    /// Looks up held tuples by rumor id (the reciprocal repair leg).
+    /// Looks up held tuples by rumor id (the reciprocal repair leg),
+    /// sharing our copies.
     #[must_use]
-    pub fn tuples_for(&self, ids: &[RumorId]) -> Vec<StoredTuple> {
+    pub fn tuples_for(&self, ids: &[RumorId]) -> Vec<Arc<StoredTuple>> {
         let wanted: HashSet<RumorId> = ids.iter().copied().collect();
-        let mut items: Vec<StoredTuple> = self
+        let mut items: Vec<Arc<StoredTuple>> = self
             .store
             .values()
             .filter(|t| wanted.contains(&RumorId(t.rumor_id())))
             .cloned()
             .collect();
-        items.sort_by_key(StoredTuple::rumor_id);
+        items.sort_by_key(|t| t.rumor_id());
         items
     }
 
@@ -396,12 +412,16 @@ impl PersistNode {
     /// entry but that we do not want (a live write of a key our sieve
     /// rejects) retires our stale entry: the tombstone or old version we
     /// kept only guarded against writes older than the one we just saw.
-    pub fn apply_repair(&mut self, items: Vec<StoredTuple>) -> (u64, Vec<StoredTuple>) {
+    ///
+    /// An applied tuple is stored as the `Arc` it came in, and evidence
+    /// shares our copies, so a repaired replica holds the same allocation
+    /// as the replica it was repaired from.
+    pub fn apply_repair(&mut self, items: Vec<Arc<StoredTuple>>) -> (u64, Vec<Arc<StoredTuple>>) {
         let mut recovered = 0u64;
         let mut evidence = Vec::new();
         for t in items {
             if self.wants(&t) {
-                if self.apply(t.clone()) {
+                if self.apply(Arc::clone(&t)) {
                     recovered += 1;
                     continue;
                 }
@@ -411,11 +431,11 @@ impl PersistNode {
             }
             if let Some(held) = self.store.get(&t.key_hash) {
                 if held.supersedes(&t) {
-                    evidence.push(held.clone());
+                    evidence.push(Arc::clone(held));
                 }
             }
         }
-        evidence.sort_by_key(StoredTuple::rumor_id);
+        evidence.sort_by_key(|t| t.rumor_id());
         evidence.dedup_by_key(|t| t.rumor_id());
         (recovered, evidence)
     }
@@ -509,7 +529,7 @@ impl PersistNode {
                 ctx.metrics().add("repair.recovered", recovered);
                 if !want.is_empty() {
                     reply.extend(self.tuples_for(&want));
-                    reply.sort_by_key(StoredTuple::rumor_id);
+                    reply.sort_by_key(|t| t.rumor_id());
                     reply.dedup_by_key(|t| t.rumor_id());
                 }
                 if !reply.is_empty() {
@@ -787,7 +807,7 @@ mod tests {
         let (_, mut batch) = a.apply_repair(items);
         if !want.is_empty() {
             batch.extend(a.tuples_for(&want));
-            batch.sort_by_key(StoredTuple::rumor_id);
+            batch.sort_by_key(|t| t.rumor_id());
             batch.dedup_by_key(|t| t.rumor_id());
         }
         // RepairItems ping-pong until quiet: each hop either answers the
@@ -921,7 +941,7 @@ mod tests {
     }
 
     fn sorted_ids(n: &PersistNode) -> Vec<u64> {
-        let mut ids: Vec<u64> = n.store.values().map(StoredTuple::rumor_id).collect();
+        let mut ids: Vec<u64> = n.store.values().map(|t| t.rumor_id()).collect();
         ids.sort_unstable();
         ids
     }

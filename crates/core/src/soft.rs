@@ -281,12 +281,17 @@ impl OpSpans {
 }
 
 /// A write acked to the client whose delivery to some owners is still
-/// unconfirmed (they were unreachable, or the ack is simply in flight).
+/// unconfirmed (they were unreachable, or the ack is simply in flight). The
+/// tuple is the write's one shared copy, the one its delivery batches carry.
 #[derive(Debug, Clone)]
 struct Undelivered {
-    tuple: StoredTuple,
+    tuple: Arc<StoredTuple>,
     pending: Vec<NodeId>,
 }
+
+/// One target's queued deliveries: each write's shared copy with the trace
+/// context of the op that wrote it (`None` when untraced).
+type Outbound = Vec<(Arc<StoredTuple>, Option<TraceCtx>)>;
 
 /// Soft-state layer node.
 #[derive(Debug, Clone)]
@@ -320,9 +325,8 @@ pub struct SoftNode {
     /// Maintained by [`DropletMsg::PeerDown`] / [`DropletMsg::PeerUp`]
     /// notices, and empty again after a wipe.
     unreachable: HashSet<NodeId>,
-    /// Per-target dissemination batches awaiting a flush, each tuple with
-    /// the trace context of the op that wrote it (`None` when untraced).
-    outbox: HashMap<NodeId, Vec<(StoredTuple, Option<TraceCtx>)>>,
+    /// Per-target dissemination batches awaiting a flush.
+    outbox: HashMap<NodeId, Outbound>,
     outbox_armed: bool,
     /// Acked writes not yet confirmed stored at every owner, keyed by
     /// `(key_hash, version)`.
@@ -437,24 +441,13 @@ impl SoftNode {
         self.outbox.values().map(Vec::len).sum()
     }
 
-    /// Remembers a write until every owner has confirmed storage, so a
-    /// heal or revival can re-deliver it (the acked-while-owners-dark
-    /// lost-write case). Bounded by [`UNDELIVERED_RETENTION`].
-    fn track_undelivered(&mut self, tuple: &StoredTuple, owners: &[NodeId]) {
-        if owners.is_empty() {
-            return;
-        }
-        let id = (tuple.key_hash, tuple.version);
-        self.undelivered.insert(id, Undelivered { tuple: tuple.clone(), pending: owners.to_vec() });
-    }
-
     /// Queues one tuple for a target; flushes eagerly at [`BATCH_MAX`],
     /// otherwise arms the short batch timer once.
     fn enqueue_delivery(
         &mut self,
         ctx: &mut Ctx<'_, DropletMsg>,
         target: NodeId,
-        tuple: StoredTuple,
+        tuple: Arc<StoredTuple>,
         trace: Option<TraceCtx>,
     ) {
         let queue = self.outbox.entry(target).or_default();
@@ -468,12 +461,7 @@ impl SoftNode {
         }
     }
 
-    fn send_batch(
-        &mut self,
-        ctx: &mut Ctx<'_, DropletMsg>,
-        target: NodeId,
-        batch: Vec<(StoredTuple, Option<TraceCtx>)>,
-    ) {
+    fn send_batch(&mut self, ctx: &mut Ctx<'_, DropletMsg>, target: NodeId, batch: Outbound) {
         ctx.metrics().incr("soft.deliveries");
         ctx.metrics().observe("soft.batch", batch.len() as f64);
         // The trace vec stays empty in untraced runs (no per-batch
@@ -502,6 +490,11 @@ impl SoftNode {
         }
     }
 
+    /// Delivers one ordered write to its owners and remembers it until
+    /// every owner has confirmed storage, so a heal or revival can
+    /// re-deliver it (the acked-while-owners-dark lost-write case; bounded
+    /// by [`UNDELIVERED_RETENTION`]). The tuple is wrapped once: every
+    /// owner's batch and the re-delivery log share that one copy.
     fn disseminate(
         &mut self,
         ctx: &mut Ctx<'_, DropletMsg>,
@@ -511,12 +504,16 @@ impl SoftNode {
         // Sieve-routed direct delivery: acceptance is deterministic, so
         // sending only to the owners stores exactly the set a full
         // broadcast would, at ~replication-degree messages per tuple.
+        let tuple = Arc::new(tuple);
         let owners = self.persist.owners_of(&tuple);
-        self.track_undelivered(&tuple, &owners);
-        for owner in owners {
+        for &owner in &owners {
             if !self.unreachable.contains(&owner) {
-                self.enqueue_delivery(ctx, owner, tuple.clone(), trace);
+                self.enqueue_delivery(ctx, owner, Arc::clone(&tuple), trace);
             }
+        }
+        if !owners.is_empty() {
+            let id = (tuple.key_hash, tuple.version);
+            self.undelivered.insert(id, Undelivered { tuple, pending: owners });
         }
     }
 
@@ -716,11 +713,11 @@ impl SoftNode {
             let spans = &mut self.pending.get_mut(&req).expect("collected above").spans;
             Self::ask(ctx, req, spans, &[peer], query);
         }
-        let mut owed: Vec<StoredTuple> = self
+        let mut owed: Vec<Arc<StoredTuple>> = self
             .undelivered
             .values()
             .filter(|u| u.pending.contains(&peer))
-            .map(|u| u.tuple.clone())
+            .map(|u| Arc::clone(&u.tuple))
             .collect();
         // Deterministic order: versions of the same key must apply oldest
         // first so the receiver's store-changed accounting is replayable.

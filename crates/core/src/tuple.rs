@@ -13,6 +13,12 @@
 //! [`Key::hash`] is a field read. Equality, ordering and `Hash` are
 //! defined on the text, so interned keys behave exactly like the
 //! `String`-backed keys they replaced.
+//!
+//! A [`StoredTuple`] is immutable once its coordinator has ordered it, so
+//! the write path shares one allocation per written version: delivery
+//! batches, the coordinator's re-delivery log, every replica's store and
+//! repair deltas hold the same `Arc<StoredTuple>`. Reads hand out owned
+//! copies.
 
 use bytes::Bytes;
 use dd_dht::Version;
@@ -157,7 +163,8 @@ impl TupleSpec {
     }
 }
 
-/// A versioned tuple as held by the persistent layer.
+/// A versioned tuple as held by the persistent layer (each replica's
+/// store shares one `Arc` of it per written version).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoredTuple {
     /// The key.

@@ -89,7 +89,7 @@ fn digest_first_exchange(nodes: &mut [PersistNode], a: usize, b: usize) {
     let (_, mut batch) = nodes[a].apply_repair(items);
     if !want.is_empty() {
         batch.extend(nodes[a].tuples_for(&want));
-        batch.sort_by_key(StoredTuple::rumor_id);
+        batch.sort_by_key(|t| t.rumor_id());
         batch.dedup_by_key(|t| t.rumor_id());
     }
     let (mut rx, mut tx) = (b, a);
@@ -169,7 +169,7 @@ proptest! {
         // dropping exactly the entries the evidence leg retires — those
         // strictly older than the newest version of their key anywhere,
         // where the holder does not want that newest version.
-        let mut newest: std::collections::HashMap<u64, StoredTuple> = Default::default();
+        let mut newest: std::collections::HashMap<u64, std::sync::Arc<StoredTuple>> = Default::default();
         for node in &blind {
             for t in node.store.values() {
                 let slot = newest.entry(t.key_hash).or_insert_with(|| t.clone());

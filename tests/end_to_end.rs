@@ -11,7 +11,9 @@ use dd_core::{
 use dd_dht::Version;
 use dd_estimation::DistSketch;
 use dd_sim::churn::ChurnModel;
+use dd_sim::NodeId;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 fn settled(config: ClusterConfig, seed: u64) -> Cluster {
     let mut c = Cluster::new(config, seed);
@@ -202,7 +204,7 @@ fn a_version_tie_after_a_soft_wipe_converges_on_one_winner() {
     let [a, b] = ["first", "second"]
         .map(|v| StoredTuple::new("tied".into(), Version(1), v.as_bytes().to_vec(), None, None));
     let winner = if a.content_hash() > b.content_hash() { a } else { b };
-    let held: Vec<&StoredTuple> = c
+    let held: Vec<_> = c
         .persist_ids()
         .iter()
         .filter_map(|&id| c.sim.node(id).and_then(DropletNode::as_persist))
@@ -210,6 +212,90 @@ fn a_version_tie_after_a_soft_wipe_converges_on_one_winner() {
         .collect();
     assert!(held.len() >= 3, "{} replicas hold the key", held.len());
     assert!(held.iter().all(|t| t.value == winner.value), "every replica holds the winner");
+}
+
+/// Every persist store's entry for `key`, with the node holding it.
+fn copies<'a>(c: &'a Cluster, key: &str) -> Vec<(NodeId, &'a Arc<StoredTuple>)> {
+    let kh = Key::from(key).hash();
+    c.persist_ids()
+        .iter()
+        .filter_map(|&id| Some((id, c.sim.node(id)?.as_persist()?.store.get(&kh)?)))
+        .collect()
+}
+
+#[test]
+fn replicas_share_one_allocation_per_stored_version() {
+    for placement in [Placement::RangePartition, Placement::TagCollocation] {
+        let mut c = settled(ClusterConfig::small().placement(placement), 21);
+        let mut s = c.client();
+        let key = |i: usize| format!("share:{i}");
+        let tag = |i: usize| format!("feed:{}", i % 4);
+        for i in 0..30 {
+            let p = s.put(&mut c, key(i), vec![i as u8], Some(i as f64), Some(&tag(i)));
+            s.recv(&mut c, p).expect("put ordered");
+        }
+        for i in 0..10 {
+            let p = s.put(&mut c, key(i), vec![0xFF, i as u8], Some(i as f64), Some(&tag(i)));
+            s.recv(&mut c, p).expect("overwrite ordered");
+        }
+        for i in 20..30 {
+            let p = s.delete(&mut c, key(i));
+            s.recv(&mut c, p).expect("delete ordered");
+        }
+        c.settle();
+        for i in 0..30 {
+            let held = copies(&c, &key(i));
+            assert!(held.len() >= 3, "{placement:?} {}: {} holders", key(i), held.len());
+            let first = held[0].1;
+            let want = match i {
+                0..10 => Version(2),
+                10..20 => Version(1),
+                _ => Version(2),
+            };
+            assert_eq!((first.version, first.deleted), (want, i >= 20), "{placement:?} {}", key(i));
+            for (id, t) in &held {
+                assert!(
+                    Arc::ptr_eq(t, first),
+                    "{placement:?} {}: {id:?} holds its own copy",
+                    key(i)
+                );
+            }
+            // Nothing but the stores holds it: the coordinator's re-delivery
+            // log let go once every owner acked.
+            assert_eq!(Arc::strong_count(first), held.len(), "{placement:?} {}", key(i));
+        }
+    }
+}
+
+#[test]
+fn a_repaired_copy_is_shared_and_a_superseded_version_is_freed() {
+    let mut c = settled(ClusterConfig::small(), 22);
+    let mut s = c.client();
+    let p = s.put(&mut c, "k", b"v1".to_vec(), None, None);
+    s.recv(&mut c, p).expect("v1 ordered");
+    c.settle();
+    let held = copies(&c, "k");
+    let (victim, v1) = (held[0].0, Arc::downgrade(held[0].1));
+    c.sim.kill(victim);
+    c.run_for(1);
+    let p = s.put(&mut c, "k", b"v2".to_vec(), None, None);
+    let v2 = s.recv(&mut c, p).expect("v2 ordered").version;
+    c.run_for(2_000);
+    // The wipe drops the coordinators' re-delivery logs, so only repair
+    // can bring v2 to the victim.
+    c.wipe_soft_layer();
+    assert!(v1.upgrade().is_some(), "the dead owner still holds v1");
+    c.sim.revive(victim);
+    // The run's closing sweep tells every peer the victim is back, and
+    // each peer's reply to that notice is a repair round with it.
+    c.run_for(1);
+    c.settle();
+    let held = copies(&c, "k");
+    let revived = held.iter().find(|&&(id, _)| id == victim).expect("victim holds k").1;
+    let live = held.iter().find(|&&(id, _)| id != victim).expect("a live owner holds k").1;
+    assert_eq!(revived.version, v2, "repair brought the overwrite");
+    assert!(Arc::ptr_eq(revived, live), "the repaired copy is the live owner's");
+    assert!(v1.upgrade().is_none(), "the superseded version is freed everywhere");
 }
 
 #[test]
